@@ -1,12 +1,10 @@
 //! Structure-exploiting kernel smoke benchmark (PR 5, extends PR 4).
 //!
-//! Runs generation + CSR build through **direct synthesis** and through
-//! the legacy arc-materialization path, the compact-forward direct
-//! triangle kernel, and the class-collapsed closeness batch, at a fixed
-//! small scale for 1 thread and the machine's full parallelism. Each
-//! phase's outputs are verified identical across thread counts (and the
-//! two generation paths against each other). Per phase the report now
-//! carries:
+//! Runs generation + CSR build through **direct synthesis**, the
+//! compact-forward direct triangle kernel, and the class-collapsed
+//! closeness batch, at a fixed small scale for 1 thread and the
+//! machine's full parallelism. Each phase's outputs are verified
+//! identical across thread counts. Per phase the report now carries:
 //!
 //! - wall time at 1 thread **stripped** (observability disabled — the
 //!   number comparable to earlier baselines) and **instrumented**
@@ -50,7 +48,7 @@ use std::time::Instant;
 use kron_analytics::triangles::vertex_triangles_threads;
 use kron_core::closeness::closeness_batch_threads;
 use kron_core::distance::DistanceOracle;
-use kron_core::generate::{materialize_threads, materialize_via_arcs_threads};
+use kron_core::generate::materialize_threads;
 use kron_core::KroneckerPair;
 use kron_graph::generators::{rmat, RmatConfig};
 use kron_graph::parallel;
@@ -359,16 +357,6 @@ fn main() {
         materialize_threads(&pair, Some(t))
     });
     phases.push(p);
-
-    // Legacy arc path: a 16-byte arc Vec of all m_C product arcs plus the
-    // counting-sort row cursors, all freed before the CSR is returned.
-    let arc_intermediate = 16 * m_c + 8 * n_c;
-    let (p, c_arcs) = phase("generate_and_csr_build_arc_path", tmax, arc_intermediate, |t| {
-        materialize_via_arcs_threads(&pair, Some(t))
-    });
-    phases.push(p);
-    assert!(c_arcs == c, "arc path CSR differs from direct synthesis");
-    drop(c_arcs);
 
     // Degree-ordered marking kernel: rank order + inverse + rank-space
     // counts (8 + 4 + 8 bytes per vertex), forward half-adjacency

@@ -32,6 +32,7 @@
 
 use std::time::Instant;
 
+use kron_graph::hash::mix64;
 use kron_obs::metrics::quantiles_from_buckets;
 use kron_obs::report::SCHEMA_VERSION;
 use kron_obs::ring::{self, StageNs};
@@ -73,14 +74,6 @@ fn median(samples: &mut [f64]) -> f64 {
     samples[samples.len() / 2]
 }
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// One synthetic request: a fixed amount of integer mixing (standing in
 /// for oracle work) followed by one flight-recorder write. Returns a
 /// checksum so the optimizer cannot delete the work.
@@ -88,7 +81,7 @@ fn splitmix64(mut x: u64) -> u64 {
 fn one_request(id: u64) -> u64 {
     let mut acc = id;
     for _ in 0..256 {
-        acc = splitmix64(acc);
+        acc = mix64(acc);
     }
     ring::record_query(
         id,
@@ -171,7 +164,7 @@ fn main() {
             let mut buckets = [0u64; 65];
             let mut x = 0x0B5B_E4C4 ^ rep as u64;
             for _ in 0..SAMPLES {
-                x = splitmix64(x);
+                x = mix64(x);
                 let v = x >> 34; // ~30-bit latencies
                 let b = if v == 0 { 0 } else { 64 - v.leading_zeros() };
                 buckets[b as usize] += 1;

@@ -17,9 +17,11 @@
 //! - `shard_external_twopass` — the PR 8 two-pass reference build, kept
 //!   timed so the one-pass win stays measured, not asserted.
 //!
-//! The report also carries `shard_disk_bytes`: the same arc stream
-//! spilled as v1 and as v2, with the compression ratio — the PR 9
-//! acceptance gate (`v2 <= v1/4`) is asserted here, not eyeballed.
+//! The report also carries `shard_disk_bytes`: the v2 spill against the
+//! exact size the retired fixed-width v1 layout took for the same runs
+//! (a 24-byte header + 16 bytes per arc, per run), with the compression
+//! ratio — the PR 9 acceptance gate (`v2 <= v1/4`) is asserted here, not
+//! eyeballed.
 //!
 //! Every phase's output is verified bit-identical to the sequentially
 //! materialized product before any timing is trusted. The report goes to
@@ -43,7 +45,6 @@ use kron_dist::{generate_distributed, spill_shards_direct, DistConfig, Partition
 use kron_graph::generators::{rmat, RmatConfig};
 use kron_graph::shard::{
     build_external_csr, build_external_csr_two_pass, merge_shards, ExternalCsr, ShardReader,
-    ShardVersion,
 };
 use kron_graph::CsrGraph;
 use kron_obs::report::{ObsReport, SCHEMA_VERSION};
@@ -59,9 +60,11 @@ struct ShardPhase {
     arcs_per_sec: f64,
 }
 
-/// On-disk footprint of the same arc stream in both shard formats.
+/// On-disk footprint of the spilled runs, against the fixed-width v1
+/// layout of the same runs.
 #[derive(Serialize)]
 struct ShardDiskBytes {
+    /// What v1 took for these runs: `24 + 16 * arcs` bytes per run.
     v1: u64,
     v2: u64,
     /// `v1 / v2` — ≥ 4 is the PR 9 acceptance bar, asserted at run time.
@@ -113,28 +116,25 @@ fn phase(name: &str, arcs: u64, reps: usize, mut run: impl FnMut()) -> ShardPhas
     }
 }
 
-/// Spills the product in the given format and returns the run paths plus
-/// their total on-disk bytes.
-fn spill_as(
-    pair: &KroneckerPair,
-    ranks: usize,
-    dir: &PathBuf,
-    format: ShardVersion,
-) -> (Vec<PathBuf>, u64) {
-    let mut spill = SpillConfig::new(dir.clone());
-    spill.format = format;
-    let direct = spill_shards_direct(pair, ranks, &spill).expect("spill");
+/// Spills the product and returns the run paths, their total on-disk
+/// bytes, and the bytes the fixed-width v1 layout took for the same runs.
+fn spill_runs(pair: &KroneckerPair, ranks: usize, dir: &PathBuf) -> (Vec<PathBuf>, u64, u64) {
+    let direct = spill_shards_direct(pair, ranks, &SpillConfig::new(dir.clone())).expect("spill");
     assert_eq!(direct.stats.total_spilled_arcs() as u128, pair.nnz_c(), "spill accounting");
     let paths: Vec<PathBuf> = direct.runs.into_iter().flatten().collect();
     let bytes = paths.iter().map(|p| std::fs::metadata(p).expect("run file").len()).sum();
-    (paths, bytes)
+    let v1_bytes = paths
+        .iter()
+        .map(|p| 24 + 16 * ShardReader::open(p).expect("open run").arcs_total())
+        .sum();
+    (paths, bytes, v1_bytes)
 }
 
 /// One fully verified pass of the pipeline: 2D exchange generation,
-/// direct spill in both formats, `from_shards` over each plus the mixed
-/// set, and single-pass vs two-pass external CSR files compared whole —
-/// all bit-identical to the sequential materialization. Returns
-/// (runs, external bytes, v1 disk bytes, v2 disk bytes).
+/// direct spill, `from_shards`, and single-pass vs two-pass external CSR
+/// files compared whole — all bit-identical to the sequential
+/// materialization. Returns (runs, external bytes, v1 disk bytes, v2
+/// disk bytes).
 fn verified_pass(pair: &KroneckerPair, ranks: usize, dir: &PathBuf) -> (usize, u64, u64, u64) {
     let reference = materialize(pair);
     let mut seq_list = reference.to_edge_list();
@@ -150,26 +150,19 @@ fn verified_pass(pair: &KroneckerPair, ranks: usize, dir: &PathBuf) -> (usize, u
         "2D generation differs from sequential materialization"
     );
 
-    // Direct spill in both formats; each (and the mixed union) rebuilds
-    // the same CSR.
-    let (v1_paths, v1_bytes) = spill_as(pair, ranks, &dir.join("v1"), ShardVersion::V1);
-    let (v2_paths, v2_bytes) = spill_as(pair, ranks, &dir.join("v2"), ShardVersion::V2);
-    for (tag, paths) in [("v1", &v1_paths), ("v2", &v2_paths)] {
-        let rebuilt = CsrGraph::from_shards(paths, 64 * 1024).expect("from_shards");
-        assert_eq!(rebuilt.offsets(), reference.offsets(), "{tag} from_shards offsets differ");
-        assert_eq!(rebuilt.targets(), reference.targets(), "{tag} from_shards targets differ");
-    }
-    let mixed: Vec<&PathBuf> = v1_paths.iter().chain(&v2_paths).collect();
-    let rebuilt = CsrGraph::from_shards(&mixed, 64 * 1024).expect("mixed from_shards");
-    assert_eq!(&rebuilt, &reference, "mixed-version merge differs");
+    // Direct spill rebuilds the same CSR.
+    let (paths, v2_bytes, v1_bytes) = spill_runs(pair, ranks, &dir.join("runs"));
+    let rebuilt = CsrGraph::from_shards(&paths, 64 * 1024).expect("from_shards");
+    assert_eq!(rebuilt.offsets(), reference.offsets(), "from_shards offsets differ");
+    assert_eq!(rebuilt.targets(), reference.targets(), "from_shards targets differ");
 
-    // Fully external build over the v2 runs: one-pass output must be
+    // Fully external build over the runs: one-pass output must be
     // byte-identical to the two-pass reference, and load back equal.
     let out = dir.join("product.krsc");
     let out2 = dir.join("product_twopass.krsc");
-    let stats = build_external_csr(&v2_paths, &out, 64 * 1024).expect("external build");
+    let stats = build_external_csr(&paths, &out, 64 * 1024).expect("external build");
     assert_eq!(stats.merge_passes, 1, "footer-driven build must be single-pass");
-    build_external_csr_two_pass(&v2_paths, &out2, 64 * 1024).expect("two-pass build");
+    build_external_csr_two_pass(&paths, &out2, 64 * 1024).expect("two-pass build");
     assert_eq!(
         std::fs::read(&out).expect("read one-pass KRSC"),
         std::fs::read(&out2).expect("read two-pass KRSC"),
@@ -181,13 +174,13 @@ fn verified_pass(pair: &KroneckerPair, ranks: usize, dir: &PathBuf) -> (usize, u
         "shard_bench: verified pass OK — {} arcs, {} runs, {} external bytes, \
          shard bytes v1 {} / v2 {} ({:.2}x)",
         stats.arcs,
-        v2_paths.len(),
+        paths.len(),
         stats.bytes,
         v1_bytes,
         v2_bytes,
         v1_bytes as f64 / v2_bytes.max(1) as f64
     );
-    (v2_paths.len(), stats.bytes, v1_bytes, v2_bytes)
+    (paths.len(), stats.bytes, v1_bytes, v2_bytes)
 }
 
 fn main() {
@@ -259,7 +252,7 @@ fn main() {
 
     // A fixed set of v2 runs for the merge and build phases.
     let merge_dir = dir.join("merge");
-    let (paths, _) = spill_as(&pair, ranks, &merge_dir, ShardVersion::V2);
+    let (paths, _, _) = spill_runs(&pair, ranks, &merge_dir);
 
     // Phase 3: the loser-tree k-way merge alone — block decode, compare,
     // emit — without any CSR work downstream.

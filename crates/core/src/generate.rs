@@ -5,18 +5,20 @@
 //! `(γ(i,k), γ(j,l)) ∈ C` (Def. 1 on 0/1 adjacencies). [`ArcIter`] streams
 //! these pairs lazily off the factor CSR structures without allocating;
 //! [`materialize`] builds an explicit [`CsrGraph`] for validation at small
-//! scale via **direct CSR synthesis** ([`synthesize_csr`]): the product
-//! row `p = (i, k)` has exactly `d_A(i)·d_B(k)` targets, so the offset
-//! array is the analytic prefix sum of `d_A ⊗ d_B`, and emitting targets
-//! `j·n_B + l` with `j` outer / `l` inner writes each row already sorted —
-//! no intermediate arc `Vec` and no counting sort. The legacy
-//! collect-then-sort path survives as [`materialize_via_arcs`] (the
-//! reference the equivalence suite checks bit-identity against), and
-//! `*_threads` variants partition work into disjoint contiguous blocks so
-//! parallel output is identical to sequential. The distributed version of
-//! this loop lives in `kron-dist`.
+//! scale via **direct CSR synthesis**: the product row `p = (i, k)` has
+//! exactly `d_A(i)·d_B(k)` targets, so the offset array is the analytic
+//! prefix sum of `d_A ⊗ d_B`, and emitting targets `j·n_B + l` with `j`
+//! outer / `l` inner writes each row already sorted — no intermediate arc
+//! `Vec` and no counting sort. [`materialize_threads`] partitions the
+//! work into disjoint contiguous blocks so parallel output is identical
+//! to sequential. The arc stream ([`arcs`] → [`EdgeList`] →
+//! [`CsrGraph::from_edge_list`]) shares no code with synthesis, which
+//! makes it the reference the equivalence suites check bit-identity
+//! against. The distributed version of this loop lives in `kron-dist`.
+//!
+//! [`EdgeList`]: kron_graph::EdgeList
 
-use kron_graph::{parallel, Arc, CsrGraph, EdgeList};
+use kron_graph::{parallel, Arc, CsrGraph};
 
 use crate::pair::KroneckerPair;
 
@@ -141,34 +143,6 @@ pub fn for_each_arc<F: FnMut(u64, u64)>(pair: &KroneckerPair, mut visit: F) {
     }
 }
 
-/// Collects every arc of `C` in factor-major order using `threads` workers
-/// (`None` = machine parallelism).
-///
-/// The outer loop over `A`'s arcs is partitioned into contiguous chunks;
-/// each worker streams its `(i, j) × arcs(B)` blocks into a thread-local
-/// buffer and the buffers are concatenated in chunk order, so the result
-/// is **identical** to `arcs(pair).collect()`.
-pub fn collect_arcs_threads(pair: &KroneckerPair, threads: Option<usize>) -> Vec<Arc> {
-    let total = pair.nnz_c();
-    assert!(total <= usize::MAX as u128, "product too large to collect");
-    let t = parallel::num_threads(threads);
-    if t <= 1 {
-        return arcs(pair).collect();
-    }
-    let a_arcs: Vec<Arc> = pair.a().arcs().collect();
-    let b_arcs: Vec<Arc> = pair.b().arcs().collect();
-    let parts = parallel::map_chunks(a_arcs.len(), t, |_, range| {
-        let mut local = Vec::with_capacity((range.end - range.start) * b_arcs.len());
-        for &(i, j) in &a_arcs[range] {
-            for &(k, l) in &b_arcs {
-                local.push((pair.join(i, k), pair.join(j, l)));
-            }
-        }
-        local
-    });
-    parallel::concat_ordered(parts)
-}
-
 /// Analytic product row offsets: `offsets[p + 1] − offsets[p] = d_A(i)·d_B(k)`
 /// for `p = (i, k)`, i.e. the prefix sum of `d_A ⊗ d_B`. No arc is touched.
 fn product_offsets(pair: &KroneckerPair) -> Vec<usize> {
@@ -227,16 +201,19 @@ fn fill_product_rows(
     }
 }
 
-/// Builds the CSR of `C` **directly from the factor CSRs** — no
-/// intermediate arc `Vec`, no counting sort.
+/// Materializes `C` as an explicit CSR graph, built **directly from the
+/// factor CSRs** — no intermediate arc `Vec`, no counting sort.
 ///
 /// Offsets come from the analytic prefix sum of `d_A ⊗ d_B`; each row is
 /// emitted already sorted (see [`fill_product_rows`]' ordering argument),
 /// so the result is field-for-field identical to
 /// `CsrGraph::from_edge_list` over the product arc stream while doing
 /// `O(nnz_C)` writes straight into the output.
-pub fn synthesize_csr(pair: &KroneckerPair) -> CsrGraph {
-    let _span = kron_obs::span::enter("core/synthesize_csr");
+///
+/// Memory is `O(nnz_A · nnz_B)` — intended for validation-scale products
+/// only; panics if the arc count would exceed `usize`.
+pub fn materialize(pair: &KroneckerPair) -> CsrGraph {
+    let _span = kron_obs::span::enter("core/materialize");
     let total = pair.nnz_c();
     assert!(total <= usize::MAX as u128, "product too large to materialize");
     kron_obs::counter!("core.synthesized_arcs").add(total as u64);
@@ -246,19 +223,19 @@ pub fn synthesize_csr(pair: &KroneckerPair) -> CsrGraph {
     CsrGraph::from_sorted_parts(pair.n_c(), offsets, targets)
 }
 
-/// Parallel [`synthesize_csr`] (`None` = machine parallelism).
+/// Parallel [`materialize`] (`None` = machine parallelism).
 ///
 /// The outer factor's row space is split across workers by arc weight
 /// (`A`-row `i` contributes `d_A(i)·nnz_B` product arcs) and every worker
 /// fills its own disjoint window of the target array — the row-block
 /// boundaries are exactly the analytic offsets, so no two workers share a
 /// byte and the output is identical to the sequential synthesis.
-pub fn synthesize_csr_threads(pair: &KroneckerPair, threads: Option<usize>) -> CsrGraph {
+pub fn materialize_threads(pair: &KroneckerPair, threads: Option<usize>) -> CsrGraph {
     let t = parallel::num_threads(threads);
     if t <= 1 {
-        return synthesize_csr(pair);
+        return materialize(pair);
     }
-    let _span = kron_obs::span::enter("core/synthesize_csr_threads");
+    let _span = kron_obs::span::enter("core/materialize_threads");
     let total = pair.nnz_c();
     assert!(total <= usize::MAX as u128, "product too large to materialize");
     kron_obs::counter!("core.synthesized_arcs").add(total as u64);
@@ -356,57 +333,12 @@ pub fn for_each_synthesized_row<F: FnMut(u64, &[u64])>(
     }
 }
 
-/// Materializes `C` as an explicit CSR graph (direct synthesis path).
-///
-/// Memory is `O(nnz_A · nnz_B)` — intended for validation-scale products
-/// only; panics if the arc count would exceed `usize`.
-pub fn materialize(pair: &KroneckerPair) -> CsrGraph {
-    synthesize_csr(pair)
-}
-
-/// Parallel [`materialize`] (`None` = machine parallelism); delegates to
-/// [`synthesize_csr_threads`] and produces the same canonical
-/// [`CsrGraph`] as the sequential path.
-pub fn materialize_threads(pair: &KroneckerPair, threads: Option<usize>) -> CsrGraph {
-    synthesize_csr_threads(pair, threads)
-}
-
-/// The legacy arc-collecting materialization: stream all product arcs
-/// into an [`EdgeList`], then counting-sort it into CSR. Kept as the
-/// independent reference implementation the synthesis equivalence suite
-/// (and the allocation comparison in `bench_smoke`) measures against.
-pub fn materialize_via_arcs(pair: &KroneckerPair) -> CsrGraph {
-    let _span = kron_obs::span::enter("core/materialize_via_arcs");
-    let total = pair.nnz_c();
-    assert!(total <= usize::MAX as u128, "product too large to materialize");
-    let mut list = EdgeList::new(pair.n_c());
-    for (p, q) in arcs(pair) {
-        list.add_arc(p, q).expect("product arcs are in range");
-    }
-    CsrGraph::from_edge_list(&list)
-}
-
-/// Parallel [`materialize_via_arcs`]: generation and the CSR build both
-/// run on `threads` workers (`None` = machine parallelism) and produce
-/// the same canonical [`CsrGraph`] as the sequential path.
-pub fn materialize_via_arcs_threads(pair: &KroneckerPair, threads: Option<usize>) -> CsrGraph {
-    let t = parallel::num_threads(threads);
-    if t <= 1 {
-        return materialize_via_arcs(pair);
-    }
-    let _span = kron_obs::span::enter("core/materialize_via_arcs_threads");
-    let arcs = collect_arcs_threads(pair, Some(t));
-    // Product arcs are in range by construction (factor vertices are in
-    // range and `join` was overflow-checked at pair construction).
-    let list = EdgeList::from_arcs_unchecked(pair.n_c(), arcs);
-    CsrGraph::from_edge_list_threads(&list, Some(t))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pair::SelfLoopMode;
     use kron_graph::generators::{clique, cycle, path, star};
+    use kron_graph::EdgeList;
     use kron_linalg::kronecker::kron_dense;
     use kron_linalg::DenseMatrix;
 
@@ -500,23 +432,19 @@ mod tests {
     }
 
     #[test]
-    fn parallel_collect_matches_sequential_order() {
-        let pair = KroneckerPair::as_is(clique(4), star(5)).unwrap();
-        let sequential: Vec<_> = arcs(&pair).collect();
-        for threads in [1usize, 2, 3, 8] {
-            let got = collect_arcs_threads(&pair, Some(threads));
-            assert_eq!(got, sequential, "threads={threads}");
-        }
-        assert_eq!(collect_arcs_threads(&pair, None), sequential);
-    }
-
-    #[test]
     fn parallel_materialize_matches_sequential() {
         let pair = KroneckerPair::with_full_self_loops(path(4), cycle(5)).unwrap();
         let sequential = materialize(&pair);
         for threads in [1usize, 2, 3, 8] {
             assert_eq!(materialize_threads(&pair, Some(threads)), sequential, "threads={threads}");
         }
+    }
+
+    /// The arc-stream oracle: every product arc, counting-sorted into CSR
+    /// by the generic builder — no code shared with synthesis.
+    fn arc_oracle(pair: &KroneckerPair) -> CsrGraph {
+        let list = EdgeList::from_arcs(pair.n_c(), arcs(pair).collect()).unwrap();
+        CsrGraph::from_edge_list(&list)
     }
 
     #[test]
@@ -528,11 +456,11 @@ mod tests {
                 (path(1), clique(3)),
             ] {
                 let pair = KroneckerPair::new(a, b, mode).unwrap();
-                let reference = materialize_via_arcs(&pair);
-                assert_eq!(synthesize_csr(&pair), reference, "mode={mode:?}");
+                let reference = arc_oracle(&pair);
+                assert_eq!(materialize(&pair), reference, "mode={mode:?}");
                 for threads in [1usize, 2, 3, 8] {
                     assert_eq!(
-                        synthesize_csr_threads(&pair, Some(threads)),
+                        materialize_threads(&pair, Some(threads)),
                         reference,
                         "mode={mode:?} threads={threads}"
                     );
@@ -547,20 +475,20 @@ mod tests {
         let a = CsrGraph::from_arcs(4, vec![(1, 3), (3, 1)]).unwrap();
         let b = CsrGraph::from_arcs(3, vec![(0, 2), (2, 0)]).unwrap();
         let pair = KroneckerPair::as_is(a, b).unwrap();
-        let reference = materialize_via_arcs(&pair);
-        assert_eq!(synthesize_csr(&pair), reference);
-        assert_eq!(synthesize_csr_threads(&pair, Some(3)), reference);
+        let reference = arc_oracle(&pair);
+        assert_eq!(materialize(&pair), reference);
+        assert_eq!(materialize_threads(&pair, Some(3)), reference);
         // Arc-free product.
         let arcless = KroneckerPair::as_is(CsrGraph::from_arcs(3, vec![]).unwrap(), clique(3))
             .unwrap();
-        assert_eq!(synthesize_csr(&arcless).nnz(), 0);
-        assert_eq!(synthesize_csr_threads(&arcless, Some(4)).nnz(), 0);
+        assert_eq!(materialize(&arcless).nnz(), 0);
+        assert_eq!(materialize_threads(&arcless, Some(4)).nnz(), 0);
     }
 
     #[test]
     fn row_block_synthesis_covers_the_whole_product() {
         let pair = KroneckerPair::with_full_self_loops(star(4), cycle(5)).unwrap();
-        let c = synthesize_csr(&pair);
+        let c = materialize(&pair);
         // Any split of the row space reassembles to the full CSR.
         for cut in [0u64, 1, 7, pair.n_c() / 2, pair.n_c()] {
             let (off_lo, tgt_lo) = synthesize_row_block(&pair, 0..cut);

@@ -12,6 +12,7 @@
 //! undirected edge live or die together, and seeded for reproducibility.
 
 use kron_analytics::triangles::enumerate_triangles;
+use kron_graph::hash::mix64;
 use kron_graph::{CsrGraph, EdgeList, VertexId};
 
 use crate::generate;
@@ -29,15 +30,6 @@ use crate::pair::KroneckerPair;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EdgeHash {
     seed: u64,
-}
-
-/// splitmix64 finalizer: a well-mixed 64-bit permutation.
-#[inline]
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 impl EdgeHash {

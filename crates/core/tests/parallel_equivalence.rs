@@ -7,7 +7,7 @@ use proptest::prelude::*;
 
 use kron_core::closeness::{closeness_batch, closeness_batch_threads};
 use kron_core::distance::DistanceOracle;
-use kron_core::generate::{arcs, collect_arcs_threads, materialize, materialize_threads};
+use kron_core::generate::{arcs, materialize, materialize_threads};
 use kron_core::triangles::TriangleOracle;
 use kron_core::{KroneckerPair, SelfLoopMode};
 use kron_graph::{CsrGraph, EdgeList};
@@ -29,8 +29,9 @@ fn raw_arcs(n: u64, max_arcs: usize) -> impl Strategy<Value = Vec<(u64, u64)>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Parallel product-arc generation and parallel materialization equal
-    /// the sequential stream / CSR exactly, in both self-loop modes.
+    /// Parallel materialization equals the sequential CSR and the
+    /// arc-stream oracle (`arcs` → `EdgeList` → `from_edge_list`) exactly,
+    /// in both self-loop modes.
     #[test]
     fn generation_equivalence(
         raw_a in raw_arcs(6, 24),
@@ -40,11 +41,11 @@ proptest! {
         let b = factor(5, raw_b);
         for mode in [SelfLoopMode::AsIs, SelfLoopMode::FullBoth] {
             let pair = KroneckerPair::new(a.clone(), b.clone(), mode).unwrap();
-            let seq_arcs: Vec<_> = arcs(&pair).collect();
+            let list = EdgeList::from_arcs(pair.n_c(), arcs(&pair).collect()).unwrap();
+            let oracle = CsrGraph::from_edge_list(&list);
             let seq_csr = materialize(&pair);
+            prop_assert_eq!(&seq_csr, &oracle, "sequential CSR vs arc-stream oracle");
             for t in THREADS {
-                prop_assert_eq!(&collect_arcs_threads(&pair, Some(t)), &seq_arcs,
-                    "arc stream, threads={}", t);
                 prop_assert_eq!(&materialize_threads(&pair, Some(t)), &seq_csr,
                     "materialized CSR, threads={}", t);
             }

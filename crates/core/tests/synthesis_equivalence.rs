@@ -1,6 +1,7 @@
 //! Property tests for the structure-exploiting kernels: direct CSR
-//! synthesis must be field-identical to the legacy arc-materialization
-//! path, and every class-collapsed oracle must reproduce its per-vertex
+//! synthesis must be field-identical to the arc-stream oracle (`arcs` →
+//! `EdgeList` → `CsrGraph::from_edge_list`, which shares no code with
+//! synthesis), and every class-collapsed oracle must reproduce its per-vertex
 //! (per-edge) reference element for element — bit-for-bit in the f64
 //! case — across random factor pairs, both self-loop modes, and thread
 //! counts {1, 2, 3, 8} (oversubscribing the host is deliberate).
@@ -10,10 +11,7 @@ use proptest::prelude::*;
 use kron_analytics::Histogram;
 use kron_core::closeness::{closeness_batch, closeness_batch_threads, closeness_fast};
 use kron_core::distance::DistanceOracle;
-use kron_core::generate::{
-    materialize_via_arcs, materialize_via_arcs_threads, synthesize_csr, synthesize_csr_threads,
-    synthesize_row_block,
-};
+use kron_core::generate::{arcs, materialize, materialize_threads, synthesize_row_block};
 use kron_core::triangles::TriangleOracle;
 use kron_core::{KroneckerPair, SelfLoopMode};
 use kron_graph::{CsrGraph, EdgeList};
@@ -32,11 +30,17 @@ fn raw_arcs(n: u64, max_arcs: usize) -> impl Strategy<Value = Vec<(u64, u64)>> {
     proptest::collection::vec((0..n, 0..n), 0..max_arcs)
 }
 
+/// The arc-stream oracle: every product arc, counting-sorted into CSR.
+fn arc_oracle(pair: &KroneckerPair) -> CsrGraph {
+    let list = EdgeList::from_arcs(pair.n_c(), arcs(pair).collect()).expect("arcs in range");
+    CsrGraph::from_edge_list(&list)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Direct synthesis (sequential, threaded, and row-block) equals the
-    /// legacy arc-path materialization exactly, in both self-loop modes.
+    /// arc-stream oracle exactly, in both self-loop modes.
     #[test]
     fn synthesis_matches_arc_path(
         raw_a in raw_arcs(6, 24),
@@ -47,13 +51,11 @@ proptest! {
         let b = factor(5, raw_b);
         for mode in [SelfLoopMode::AsIs, SelfLoopMode::FullBoth] {
             let pair = KroneckerPair::new(a.clone(), b.clone(), mode).unwrap();
-            let reference = materialize_via_arcs(&pair);
-            prop_assert_eq!(&synthesize_csr(&pair), &reference, "direct synthesis");
+            let reference = arc_oracle(&pair);
+            prop_assert_eq!(&materialize(&pair), &reference, "direct synthesis");
             for t in THREADS {
-                prop_assert_eq!(&synthesize_csr_threads(&pair, Some(t)), &reference,
+                prop_assert_eq!(&materialize_threads(&pair, Some(t)), &reference,
                     "threaded synthesis, threads={}", t);
-                prop_assert_eq!(&materialize_via_arcs_threads(&pair, Some(t)), &reference,
-                    "threaded arc path, threads={}", t);
             }
             // A random two-way row split reassembles into the full CSR.
             let n_c = pair.n_c();
@@ -94,7 +96,7 @@ proptest! {
             );
             // Edge reference: every canonical (p < q) edge of the
             // materialized product, queried through the per-edge oracle.
-            let c = synthesize_csr(&pair);
+            let c = materialize(&pair);
             let edge_values = c
                 .arcs()
                 .filter(|&(p, q)| p < q)

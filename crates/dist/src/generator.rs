@@ -17,7 +17,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use kron_core::KroneckerPair;
-use kron_graph::shard::{ShardVersion, ShardWriter};
+use kron_graph::shard::ShardWriter;
 use kron_graph::{Arc, EdgeList};
 use kron_obs::events::Timeline;
 use kron_obs::metrics::{LocalCounter, LocalRegistry};
@@ -81,20 +81,15 @@ pub struct SpillConfig {
     pub run_arcs: usize,
     /// IO buffer capacity per open shard file, in bytes.
     pub io_buf_bytes: usize,
-    /// Shard wire format of the emitted runs (v2 delta-varint by
-    /// default; v1 kept for conformance runs).
-    pub format: ShardVersion,
 }
 
 impl SpillConfig {
-    /// Spill into `dir` with default run size (64Ki arcs), IO buffer,
-    /// and the current (v2) shard format.
+    /// Spill into `dir` with default run size (64Ki arcs) and IO buffer.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         SpillConfig {
             dir: dir.into(),
             run_arcs: 64 * 1024,
             io_buf_bytes: kron_graph::shard::DEFAULT_IO_BUF,
-            format: ShardVersion::default(),
         }
     }
 }
@@ -410,7 +405,6 @@ enum RankStore {
         rank: usize,
         run_arcs: usize,
         io_buf_bytes: usize,
-        format: ShardVersion,
         buf: Vec<Arc>,
         runs: Vec<PathBuf>,
         spilled: u64,
@@ -426,7 +420,6 @@ impl RankStore {
                 rank,
                 run_arcs: spill.run_arcs.max(1),
                 io_buf_bytes: spill.io_buf_bytes,
-                format: spill.format,
                 buf: Vec::new(),
                 runs: Vec::new(),
                 spilled: 0,
@@ -456,18 +449,14 @@ impl RankStore {
     /// arrival order is nondeterministic, so each run is sorted locally
     /// and the global order is reimposed by the k-way merge.
     fn flush_run(&mut self) {
-        if let RankStore::Spill {
-            n_c, dir, rank, io_buf_bytes, format, buf, runs, spilled, ..
-        } = self
-        {
+        if let RankStore::Spill { n_c, dir, rank, io_buf_bytes, buf, runs, spilled, .. } = self {
             if buf.is_empty() {
                 return;
             }
             buf.sort_unstable();
             let path = dir.join(format!("rank{rank}_run{}.krsh", runs.len()));
-            let mut writer =
-                ShardWriter::with_buffer_versioned(&path, *n_c, *io_buf_bytes, *format)
-                    .expect("create shard run");
+            let mut writer = ShardWriter::with_buffer(&path, *n_c, *io_buf_bytes)
+                .expect("create shard run");
             for &(p, q) in buf.iter() {
                 writer.push(p, q).expect("spill arc in range and sorted");
             }
@@ -791,12 +780,7 @@ pub fn spill_shards_direct(
             for &q in row {
                 if writer.is_none() {
                     let path = spill.dir.join(format!("rank{rank}_run{}.krsh", runs.len()));
-                    match ShardWriter::with_buffer_versioned(
-                        &path,
-                        pair.n_c(),
-                        spill.io_buf_bytes,
-                        spill.format,
-                    ) {
+                    match ShardWriter::with_buffer(&path, pair.n_c(), spill.io_buf_bytes) {
                         Ok(w) => {
                             writer = Some(w);
                             runs.push(path);

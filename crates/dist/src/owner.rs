@@ -6,6 +6,7 @@
 //! implementations: contiguous vertex blocks (the classic distributed-CSR
 //! layout) and a hash of the source vertex (HavoqGT-style, robust to skew).
 
+use kron_graph::hash::mix64;
 use kron_graph::VertexId;
 
 /// Maps a generated arc to the rank that must store it.
@@ -80,14 +81,6 @@ impl EdgeOwner for VertexBlockOwner {
 pub struct HashOwner {
     ranks: usize,
     seed: u64,
-}
-
-#[inline]
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 impl HashOwner {

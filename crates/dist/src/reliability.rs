@@ -8,7 +8,9 @@
 //!   unacked payloads when the mesh goes idle. Redelivery dedup is
 //!   *bounded*: one `u64` cumulative counter per peer kills every
 //!   duplicate below it, and only the (small, transient) out-of-order
-//!   window is buffered — no unbounded seen-set.
+//!   window is buffered — no unbounded seen-set. Only a mesh that can
+//!   drop payloads retransmits; on a loss-free one a quiet link is just
+//!   a slow peer, so idling only releases held (delayed) traffic.
 //! * [`EpochTally`] — the analytics control plane (BFS levels, triangle
 //!   rounds). Senders tag every item with `(epoch, per-link sequence)`
 //!   and close each epoch with a count-carrying done marker; the tally
@@ -55,10 +57,10 @@ pub enum Packet<T> {
     },
 }
 
-/// How many consecutive empty polls an idle rank waits before
-/// retransmitting its unacked payloads and flushing held traffic. Purely
-/// event-counted — no wall clock — so behaviour is identical on loaded
-/// and idle machines.
+/// How many consecutive empty polls an idle rank waits before flushing
+/// held traffic and, on a mesh that can drop payloads, retransmitting its
+/// unacked ones. Purely event-counted — no wall clock — so behaviour is
+/// identical on loaded and idle machines.
 const RETRY_IDLE_POLLS: u32 = 32;
 
 /// Reliable, exactly-once, per-link-FIFO endpoint for the edge exchange.
@@ -227,7 +229,12 @@ impl<T: Clone + Send> ReliableEndpoint<T> {
             self.idle_polls += 1;
             if self.idle_polls >= RETRY_IDLE_POLLS {
                 self.idle_polls = 0;
-                self.retransmit();
+                // Without drops every payload arrives once held traffic
+                // is released, so a resend would only duplicate it.
+                if self.ep.can_drop() {
+                    self.retransmit();
+                }
+                self.ep.flush();
             }
             std::thread::yield_now();
         }
@@ -291,7 +298,6 @@ impl<T: Clone + Send> ReliableEndpoint<T> {
                     .send(dest, data_key(seq), Packet::Data { from, seq, payload });
             }
         }
-        self.ep.flush();
     }
 
     /// Final flush so late acks and held copies reach peers that are

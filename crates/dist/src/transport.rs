@@ -51,6 +51,7 @@
 use std::collections::HashMap;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
+use kron_graph::hash::mix64;
 use kron_obs::events::{EventKind, RankRecorder};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -133,14 +134,6 @@ const SALT_DROP: u64 = 0xD509_0000_0000_0001;
 const SALT_DUP: u64 = 0xD509_0000_0000_0002;
 const SALT_DUP_N: u64 = 0xD509_0000_0000_0003;
 const SALT_DELAY: u64 = 0xD509_0000_0000_0004;
-
-#[inline]
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// Pure fault draw in `[0, 1)` for one decision.
 #[inline]
@@ -234,6 +227,12 @@ impl<T: Clone + Send> Endpoint<T> {
     /// Number of ranks in the mesh.
     pub fn ranks(&self) -> usize {
         self.links.len()
+    }
+
+    /// Whether a lossy-class send can be dropped on this mesh — the only
+    /// fault a retransmission repairs.
+    pub(crate) fn can_drop(&self) -> bool {
+        self.faults.is_some_and(|f| f.drop_p > 0.0)
     }
 
     /// This rank's event recorder (for protocol layers to add epoch and

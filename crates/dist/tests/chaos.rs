@@ -22,7 +22,7 @@ use kron_dist::{
 };
 use kron_graph::generators::{cycle, erdos_renyi};
 use kron_graph::shard::{
-    build_external_csr, build_external_csr_two_pass, merge_shards, ShardReader, ShardVersion,
+    build_external_csr, build_external_csr_two_pass, merge_shards, ShardReader,
 };
 use kron_graph::{CsrGraph, EdgeList, VertexId};
 use kron_obs::events::{EventKind, Timeline, NO_PEER};
@@ -277,19 +277,12 @@ fn chaos_matrix_spilled_shards_are_bit_identical() {
                         .push((format!("{mix} seed={seed}"), TransportConfig::Faulty(faults)));
                 }
             }
-            for (cell_idx, (tname, transport)) in transports.into_iter().enumerate() {
-                // Alternate the shard wire format across cells so the
-                // whole fault grid runs against both v1 and v2 spills.
-                let format =
-                    if cell_idx % 2 == 0 { ShardVersion::V2 } else { ShardVersion::V1 };
-                let cell = format!(
-                    "repro: spill {tname} scheme={scheme:?} ranks={ranks} format={format:?}"
-                );
+            for (tname, transport) in transports {
+                let cell = format!("repro: spill {tname} scheme={scheme:?} ranks={ranks}");
                 let mut cfg = config(ranks, scheme, ExchangeMode::Phased, transport);
                 let dir = base_dir.join(format!("{tname}_{scheme:?}_{ranks}"));
                 let mut spill = SpillConfig::new(dir.clone());
                 spill.run_arcs = 100; // force multi-run merges per rank
-                spill.format = format;
                 cfg.spill = Some(spill);
                 let run = generate_distributed(&pair, &cfg);
                 assert!(

@@ -16,7 +16,7 @@ use kron_dist::{
 };
 use kron_graph::generators::{cycle, erdos_renyi, path};
 use kron_graph::shard::{
-    build_external_csr, build_external_csr_two_pass, CsrCacheConfig, ExternalCsr, ShardVersion,
+    build_external_csr, build_external_csr_two_pass, CsrCacheConfig, ExternalCsr,
 };
 use kron_graph::CsrGraph;
 
@@ -65,13 +65,11 @@ proptest! {
         pair in factor_pair(),
         ranks in 1usize..6,
         run_arcs in 1usize..200,
-        v1 in proptest::bool::ANY,
     ) {
         let reference = materialize(&pair);
         let dir = scratch_dir("direct");
         let mut spill = SpillConfig::new(dir.clone());
         spill.run_arcs = run_arcs;
-        spill.format = if v1 { ShardVersion::V1 } else { ShardVersion::V2 };
         let runs = spill_shards_direct(&pair, ranks, &spill).expect("direct spill").runs;
         prop_assert_eq!(runs.len(), ranks);
         let paths: Vec<&PathBuf> = runs.iter().flatten().collect();
@@ -145,60 +143,41 @@ proptest! {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Shard format conformance: v1 and v2 spills of the same product
-    /// merge to byte-identical external CSR files; a mixed-version run
-    /// set merges just as cleanly; the single-pass build is byte-equal to
-    /// the two-pass reference on every one of those run sets; and v2
-    /// spends strictly fewer shard bytes on disk than v1.
+    /// Small-run conformance: for any run size the footers of a direct
+    /// spill predict the offsets exactly, the single-pass build is
+    /// byte-equal to the two-pass reference, and the spill is smaller
+    /// than the retired fixed-width layout (a 24-byte header + 16
+    /// bytes/arc per run) once runs hold a few arcs.
     #[test]
-    fn v1_and_v2_runs_build_identical_csr_files(
+    fn small_runs_build_identical_csr_files(
         pair in factor_pair(),
         ranks in 1usize..4,
         run_arcs in 1usize..120,
     ) {
         let dir = scratch_dir("fmt");
-        let mut spilled = Vec::new(); // (tag, run paths, disk bytes)
-        for (tag, format) in [("v1", ShardVersion::V1), ("v2", ShardVersion::V2)] {
-            let mut spill = SpillConfig::new(dir.join(tag));
-            spill.run_arcs = run_arcs;
-            spill.format = format;
-            let runs = spill_shards_direct(&pair, ranks, &spill).expect("direct spill").runs;
-            let paths: Vec<PathBuf> = runs.into_iter().flatten().collect();
-            let bytes: u64 =
-                paths.iter().map(|p| std::fs::metadata(p).expect("run file").len()).sum();
-            spilled.push((tag, paths, bytes));
-        }
-        if spilled[0].1.is_empty() {
+        let mut spill = SpillConfig::new(dir.join("runs"));
+        spill.run_arcs = run_arcs;
+        let runs = spill_shards_direct(&pair, ranks, &spill).expect("direct spill").runs;
+        let paths: Vec<PathBuf> = runs.into_iter().flatten().collect();
+        if paths.is_empty() {
             std::fs::remove_dir_all(&dir).ok();
             continue;
         }
-        // A mixed-version run set: v1 runs and v2 runs of the same rows;
-        // the merge dedups the overlap, so the product is unchanged.
-        let mixed: Vec<PathBuf> =
-            spilled[0].1.iter().chain(&spilled[1].1).cloned().collect();
-        let mut outputs = Vec::new();
-        for (tag, paths, _) in
-            spilled.iter().map(|(t, p, b)| (*t, p.clone(), *b)).chain([("mixed", mixed, 0)])
-        {
-            let one = dir.join(format!("{tag}_one.krsc"));
-            let two = dir.join(format!("{tag}_two.krsc"));
-            let s1 = build_external_csr(&paths, &one, 1024).expect("single-pass build");
-            let s2 = build_external_csr_two_pass(&paths, &two, 1024).expect("two-pass build");
-            prop_assert_eq!(s1.arcs, s2.arcs, "{}: pass arc counts", tag);
-            let b1 = std::fs::read(&one).expect("read single-pass KRSC");
-            let b2 = std::fs::read(&two).expect("read two-pass KRSC");
-            prop_assert_eq!(b1.clone(), b2, "{}: single-pass differs from two-pass", tag);
-            outputs.push(b1);
-        }
-        prop_assert_eq!(outputs[0].clone(), outputs[1].clone(), "v1 and v2 KRSC files differ");
-        prop_assert_eq!(outputs[1].clone(), outputs[2].clone(), "mixed KRSC file differs");
-        // Size wins need a few arcs per run to amortize v2's larger
-        // header + footer (a 1-arc v2 run is 44 B vs v1's 40 B).
-        if pair.nnz_c() >= 2 * spilled[0].1.len() as u128 {
-            prop_assert!(
-                spilled[1].2 < spilled[0].2,
-                "v2 spill ({} B) not smaller than v1 ({} B)", spilled[1].2, spilled[0].2
-            );
+        let one = dir.join("one.krsc");
+        let two = dir.join("two.krsc");
+        let s1 = build_external_csr(&paths, &one, 1024).expect("single-pass build");
+        let s2 = build_external_csr_two_pass(&paths, &two, 1024).expect("two-pass build");
+        prop_assert_eq!(s1.arcs, s2.arcs, "pass arc counts");
+        prop_assert!(!s1.offsets_rewritten, "disjoint direct-spill runs must predict exactly");
+        let b1 = std::fs::read(&one).expect("read single-pass KRSC");
+        let b2 = std::fs::read(&two).expect("read two-pass KRSC");
+        prop_assert_eq!(b1, b2, "single-pass differs from two-pass");
+        let bytes: u64 = paths.iter().map(|p| std::fs::metadata(p).expect("run file").len()).sum();
+        let fixed = 24 * paths.len() as u64 + 16 * pair.nnz_c() as u64;
+        // A 1-arc run is 44 B against the fixed layout's 40 B, so the
+        // size win needs a few arcs per run to amortize header + footer.
+        if pair.nnz_c() >= 2 * paths.len() as u128 {
+            prop_assert!(bytes < fixed, "spill {} B not below fixed width {} B", bytes, fixed);
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -24,6 +24,7 @@ pub mod csr;
 pub mod degree;
 pub mod edge_list;
 pub mod generators;
+pub mod hash;
 pub mod io;
 pub mod ops;
 pub mod parallel;

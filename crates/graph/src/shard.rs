@@ -5,19 +5,21 @@
 //! RAM; this module is the disk tier that makes such a product storable
 //! and analyzable on a small box. Three layers:
 //!
-//! * **Sorted-run shard files** (`KRSH`): a versioned, length-prefixed
-//!   binary format holding one *sorted* run of arcs. Two wire versions
-//!   coexist: **v1** stores 16 fixed bytes per arc; **v2** delta-encodes
-//!   `(row-delta, target-delta)` as canonical LEB128 varints over the
-//!   already-sorted stream (~2–4 bytes/arc) and appends a per-row
+//! * **Sorted-run shard files** (`KRSH` version 2): a length-prefixed
+//!   binary format holding one *sorted* run of arcs, delta-encoded as
+//!   `(row-delta, target-delta)` canonical LEB128 varints over the
+//!   already-sorted stream (~2–4 bytes/arc), followed by a per-row
 //!   `(row, count)` footer sidecar that lets the external build predict
-//!   the degree table without a counting pass. [`ShardWriter`] streams
-//!   arcs out through a bounded buffer (enforcing sortedness at write
-//!   time); [`ShardReader`] streams them back a *block* at a time,
+//!   the degree table without a counting pass. Files stamped with any
+//!   other version — including the retired fixed-width v1 — are
+//!   rejected at open. [`ShardWriter`] streams arcs out through a
+//!   bounded buffer (enforcing sortedness at write time);
+//!   [`ShardReader`] streams them back a *block* at a time,
 //!   validating declared lengths with overflow-checked arithmetic
 //!   *before* trusting them — the same adversarial-decode discipline as
-//!   [`crate::io::decode_binary`] — and re-enforcing sortedness and
-//!   vertex range per arc, so a corrupted shard (truncated varint,
+//!   [`crate::io::decode_binary`] — and re-checking vertex range per arc
+//!   (sortedness is structural: deltas cannot be negative), so a
+//!   corrupted shard (truncated varint,
 //!   overlong encoding, forged count, bit flip) is an error, never a
 //!   panic or an attacker-sized allocation.
 //! * **K-way merge** ([`merge_shards`] / [`try_merge_shards`]): a
@@ -31,10 +33,10 @@
 //!   stream as an in-memory CSR **bit-identical** to
 //!   [`CsrGraph::from_edge_list`] over the same arc multiset;
 //!   [`build_external_csr`] goes fully out-of-core in **one** merge
-//!   pass: v2 footers predict the offset table, the pass verifies every
+//!   pass: run footers predict the offset table, the pass verifies every
 //!   row boundary against the prediction while appending targets, and
-//!   only a divergence (v1 runs, cross-run duplicates, forged footers)
-//!   triggers an `O(n)` seek-back rewrite — output byte-identical to the
+//!   only a divergence (cross-run duplicates, forged footers) triggers
+//!   an `O(n)` seek-back rewrite — output byte-identical to the
 //!   reference two-pass build ([`build_external_csr_two_pass`]) in every
 //!   case. [`ExternalCsr`] reads that file back — whole (for
 //!   validation-scale equality checks), row-at-a-time through an
@@ -55,13 +57,13 @@ use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use crate::csr::CsrGraph;
+use crate::hash::{mix64, splitmix64};
 use crate::{Arc, GraphError, Result};
 
 /// Magic bytes of a sorted-run shard file.
 pub const SHARD_MAGIC: &[u8; 4] = b"KRSH";
-/// Wire version of the fixed-width (16 bytes/arc) shard format.
-pub const SHARD_V1_VERSION: u32 = 1;
-/// Wire version of the delta-varint shard format with a row footer.
+/// Wire version of the delta-varint shard format with a row footer — the
+/// only version readers accept.
 pub const SHARD_V2_VERSION: u32 = 2;
 /// Magic bytes of an external CSR file.
 pub const CSR_MAGIC: &[u8; 4] = b"KRSC";
@@ -74,39 +76,16 @@ pub const DEFAULT_IO_BUF: usize = 64 * 1024;
 /// Longest canonical LEB128 encoding of a `u64`.
 pub const MAX_VARINT_BYTES: usize = 10;
 
-const V1_HEADER: u64 = 24;
 const V2_HEADER: u64 = 40;
 
-/// Placeholder written at create time for the count (v1) and the
-/// count/payload/footer lengths (v2); a shard dropped before
-/// [`ShardWriter::finish`] keeps it, and every reader rejects it (the
-/// overflow-checked length reconstruction fails), so half-written shards
-/// can never be merged.
+/// Placeholder written at create time for the count/payload/footer
+/// lengths; a shard dropped before [`ShardWriter::finish`] keeps it, and
+/// every reader rejects it (the overflow-checked length reconstruction
+/// fails), so half-written shards can never be merged.
 const UNFINISHED: u64 = u64::MAX;
 
 fn corrupt(path: &Path, message: impl std::fmt::Display) -> GraphError {
     GraphError::Parse { line: 0, message: format!("{}: {message}", path.display()) }
-}
-
-/// Shard wire format selector. v2 (delta varints + row footer) is the
-/// default; v1 remains fully readable and writable for conformance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardVersion {
-    /// Fixed-width 16-bytes-per-arc runs (PR 8 format).
-    V1,
-    /// Delta-encoded LEB128 runs with a per-row count footer.
-    #[default]
-    V2,
-}
-
-impl ShardVersion {
-    /// The `u32` stamped in the file header.
-    pub fn wire(self) -> u32 {
-        match self {
-            ShardVersion::V1 => SHARD_V1_VERSION,
-            ShardVersion::V2 => SHARD_V2_VERSION,
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -180,15 +159,12 @@ pub fn decode_varint(bytes: &[u8]) -> std::result::Result<Varint, &'static str> 
 
 #[derive(Debug, Clone, Copy)]
 struct ShardHeader {
-    version: ShardVersion,
     n: u64,
     count: u64,
-    /// Arc payload bytes (v1: `count * 16`).
+    /// Arc payload bytes.
     payload_len: u64,
-    /// Footer bytes (v1: 0).
+    /// Footer bytes.
     footer_len: u64,
-    /// Bytes before the payload.
-    header_len: u64,
 }
 
 /// Reads and fully validates a shard header from `file`: magic, version,
@@ -198,7 +174,7 @@ struct ShardHeader {
 /// allocation or payload read.
 fn read_shard_header(file: &mut File, path: &Path) -> Result<ShardHeader> {
     let len = file.metadata()?.len();
-    if len < V1_HEADER {
+    if len < 8 {
         return Err(corrupt(path, "shard truncated (header)"));
     }
     let mut fixed = [0u8; 8];
@@ -207,89 +183,57 @@ fn read_shard_header(file: &mut File, path: &Path) -> Result<ShardHeader> {
         return Err(corrupt(path, "bad magic (expected KRSH)"));
     }
     let version = u32::from_le_bytes(fixed[4..8].try_into().expect("4 bytes"));
-    match version {
-        SHARD_V1_VERSION => {
-            let mut rest = [0u8; 16];
-            file.read_exact(&mut rest)?;
-            let n = u64::from_le_bytes(rest[0..8].try_into().expect("8 bytes"));
-            let count = u64::from_le_bytes(rest[8..16].try_into().expect("8 bytes"));
-            let payload_len = count
-                .checked_mul(16)
-                .ok_or_else(|| corrupt(path, "arc count overflows byte length"))?;
-            let need = payload_len
-                .checked_add(V1_HEADER)
-                .ok_or_else(|| corrupt(path, "arc count overflows byte length"))?;
-            if len < need {
-                return Err(corrupt(path, "shard truncated (arcs)"));
-            }
-            if len > need {
-                return Err(corrupt(path, "trailing bytes after arc run"));
-            }
-            Ok(ShardHeader {
-                version: ShardVersion::V1,
-                n,
-                count,
-                payload_len,
-                footer_len: 0,
-                header_len: V1_HEADER,
-            })
-        }
-        SHARD_V2_VERSION => {
-            if len < V2_HEADER {
-                return Err(corrupt(path, "shard truncated (v2 header)"));
-            }
-            let mut rest = [0u8; 32];
-            file.read_exact(&mut rest)?;
-            let n = u64::from_le_bytes(rest[0..8].try_into().expect("8 bytes"));
-            let count = u64::from_le_bytes(rest[8..16].try_into().expect("8 bytes"));
-            let payload_len = u64::from_le_bytes(rest[16..24].try_into().expect("8 bytes"));
-            let footer_len = u64::from_le_bytes(rest[24..32].try_into().expect("8 bytes"));
-            let need = payload_len
-                .checked_add(footer_len)
-                .and_then(|b| b.checked_add(V2_HEADER))
-                .ok_or_else(|| corrupt(path, "declared sizes overflow byte length"))?;
-            if len != need {
-                return Err(corrupt(
-                    path,
-                    format!("file length {len} does not match declared sizes ({need})"),
-                ));
-            }
-            if count == 0 {
-                if payload_len != 0 || footer_len != 0 {
-                    return Err(corrupt(path, "empty run with non-empty payload or footer"));
-                }
-            } else {
-                // Each arc encodes as 2..=20 payload bytes; the footer
-                // holds 1..=count entries of 2..=20 bytes. A forged count
-                // dies here for the cost of two multiplications.
-                let min_payload = count
-                    .checked_mul(2)
-                    .ok_or_else(|| corrupt(path, "arc count overflows byte length"))?;
-                let max_payload = count.saturating_mul(20);
-                if payload_len < min_payload || payload_len > max_payload {
-                    return Err(corrupt(
-                        path,
-                        format!("payload length {payload_len} impossible for {count} arcs"),
-                    ));
-                }
-                if footer_len < 2 || footer_len > max_payload {
-                    return Err(corrupt(
-                        path,
-                        format!("footer length {footer_len} impossible for {count} arcs"),
-                    ));
-                }
-            }
-            Ok(ShardHeader {
-                version: ShardVersion::V2,
-                n,
-                count,
-                payload_len,
-                footer_len,
-                header_len: V2_HEADER,
-            })
-        }
-        other => Err(corrupt(path, format!("unsupported shard version {other}"))),
+    if version != SHARD_V2_VERSION {
+        return Err(corrupt(
+            path,
+            format!("unsupported shard version {version} (expected {SHARD_V2_VERSION})"),
+        ));
     }
+    if len < V2_HEADER {
+        return Err(corrupt(path, "shard truncated (header)"));
+    }
+    let mut rest = [0u8; 32];
+    file.read_exact(&mut rest)?;
+    let n = u64::from_le_bytes(rest[0..8].try_into().expect("8 bytes"));
+    let count = u64::from_le_bytes(rest[8..16].try_into().expect("8 bytes"));
+    let payload_len = u64::from_le_bytes(rest[16..24].try_into().expect("8 bytes"));
+    let footer_len = u64::from_le_bytes(rest[24..32].try_into().expect("8 bytes"));
+    let need = payload_len
+        .checked_add(footer_len)
+        .and_then(|b| b.checked_add(V2_HEADER))
+        .ok_or_else(|| corrupt(path, "declared sizes overflow byte length"))?;
+    if len != need {
+        return Err(corrupt(
+            path,
+            format!("file length {len} does not match declared sizes ({need})"),
+        ));
+    }
+    if count == 0 {
+        if payload_len != 0 || footer_len != 0 {
+            return Err(corrupt(path, "empty run with non-empty payload or footer"));
+        }
+    } else {
+        // Each arc encodes as 2..=20 payload bytes; the footer holds
+        // 1..=count entries of 2..=20 bytes. A forged count dies here for
+        // the cost of two multiplications.
+        let min_payload = count
+            .checked_mul(2)
+            .ok_or_else(|| corrupt(path, "arc count overflows byte length"))?;
+        let max_payload = count.saturating_mul(20);
+        if payload_len < min_payload || payload_len > max_payload {
+            return Err(corrupt(
+                path,
+                format!("payload length {payload_len} impossible for {count} arcs"),
+            ));
+        }
+        if footer_len < 2 || footer_len > max_payload {
+            return Err(corrupt(
+                path,
+                format!("footer length {footer_len} impossible for {count} arcs"),
+            ));
+        }
+    }
+    Ok(ShardHeader { n, count, payload_len, footer_len })
 }
 
 /// Summary of one finished shard run.
@@ -309,10 +253,10 @@ pub struct ShardInfo {
 // Writer
 // ---------------------------------------------------------------------------
 
-/// Streaming writer of one sorted run, in either wire version.
+/// Streaming writer of one sorted run.
 ///
 /// Arcs must be pushed in non-decreasing `(source, target)` order —
-/// enforced per push, because the merge's correctness (and v2's
+/// enforced per push, because the merge's correctness (and the
 /// non-negative deltas) rest on it. The header's trailing length fields
 /// are patched in by [`ShardWriter::finish`]; until then the file
 /// carries poisoned sizes no reader accepts.
@@ -321,16 +265,15 @@ pub struct ShardWriter {
     out: BufWriter<File>,
     path: PathBuf,
     n: u64,
-    version: ShardVersion,
     arcs: u64,
     last: Option<Arc>,
-    /// v2: payload bytes written so far.
+    /// Payload bytes written so far.
     payload_len: u64,
-    /// v2: reusable per-push encode scratch (<= 20 bytes live).
+    /// Reusable per-push encode scratch (<= 20 bytes live).
     scratch: Vec<u8>,
-    /// v2: encoded `(row-delta, count)` footer entries, appended at
-    /// finish. `O(min(arcs, n))` entries of a few bytes each — bounded by
-    /// the run size, never the graph size.
+    /// Encoded `(row-delta, count)` footer entries, appended at finish.
+    /// `O(min(arcs, n))` entries of a few bytes each — bounded by the
+    /// run size, never the graph size.
     footer: Vec<u8>,
     footer_row: u64,
     footer_count: u64,
@@ -338,41 +281,28 @@ pub struct ShardWriter {
 }
 
 impl ShardWriter {
-    /// Creates a v2 shard over a universe of `n` vertices with the
-    /// default IO buffer.
+    /// Creates a shard over a universe of `n` vertices with the default
+    /// IO buffer.
     pub fn create<P: AsRef<Path>>(path: P, n: u64) -> Result<Self> {
         Self::with_buffer(path, n, DEFAULT_IO_BUF)
     }
 
-    /// Creates a v2 shard with an explicit IO buffer capacity.
+    /// Creates a shard with an explicit IO buffer capacity — the only
+    /// resident memory the writer holds beyond the (run-bounded) footer
+    /// accumulator.
     pub fn with_buffer<P: AsRef<Path>>(path: P, n: u64, buf_bytes: usize) -> Result<Self> {
-        Self::with_buffer_versioned(path, n, buf_bytes, ShardVersion::default())
-    }
-
-    /// Creates a shard in an explicit wire version with an explicit IO
-    /// buffer capacity — the only resident memory the writer holds
-    /// beyond the (run-bounded) v2 footer accumulator.
-    pub fn with_buffer_versioned<P: AsRef<Path>>(
-        path: P,
-        n: u64,
-        buf_bytes: usize,
-        version: ShardVersion,
-    ) -> Result<Self> {
         let path = path.as_ref().to_path_buf();
         let mut out = BufWriter::with_capacity(buf_bytes.max(64), File::create(&path)?);
         out.write_all(SHARD_MAGIC)?;
-        out.write_all(&version.wire().to_le_bytes())?;
+        out.write_all(&SHARD_V2_VERSION.to_le_bytes())?;
         out.write_all(&n.to_le_bytes())?;
-        out.write_all(&UNFINISHED.to_le_bytes())?;
-        if version == ShardVersion::V2 {
-            out.write_all(&UNFINISHED.to_le_bytes())?;
+        for _ in 0..3 {
             out.write_all(&UNFINISHED.to_le_bytes())?;
         }
         Ok(ShardWriter {
             out,
             path,
             n,
-            version,
             arcs: 0,
             last: None,
             payload_len: 0,
@@ -382,11 +312,6 @@ impl ShardWriter {
             footer_count: 0,
             footer_prev_row: 0,
         })
-    }
-
-    /// Wire version this writer emits.
-    pub fn version(&self) -> ShardVersion {
-        self.version
     }
 
     fn flush_footer_entry(&mut self) {
@@ -410,40 +335,32 @@ impl ShardWriter {
                 ));
             }
         }
-        match self.version {
-            ShardVersion::V1 => {
-                self.out.write_all(&u.to_le_bytes())?;
-                self.out.write_all(&v.to_le_bytes())?;
-            }
-            ShardVersion::V2 => {
-                // Deltas against (0, 0) before the first arc make the
-                // rule uniform: row delta, then target delta within a
-                // row or the absolute target on a row change.
-                let (pu, pv) = self.last.unwrap_or((0, 0));
-                let row_delta = u - pu;
-                self.scratch.clear();
-                let mut scratch = std::mem::take(&mut self.scratch);
-                encode_varint(row_delta, &mut scratch);
-                if row_delta == 0 {
-                    encode_varint(v - pv, &mut scratch);
-                } else {
-                    encode_varint(v, &mut scratch);
-                }
-                self.out.write_all(&scratch)?;
-                self.payload_len += scratch.len() as u64;
-                self.scratch = scratch;
-                // Row footer: close the open entry on a row change.
-                if self.arcs == 0 {
-                    self.footer_row = u;
-                    self.footer_count = 1;
-                } else if u == self.footer_row {
-                    self.footer_count += 1;
-                } else {
-                    self.flush_footer_entry();
-                    self.footer_row = u;
-                    self.footer_count = 1;
-                }
-            }
+        // Deltas against (0, 0) before the first arc make the rule
+        // uniform: row delta, then target delta within a row or the
+        // absolute target on a row change.
+        let (pu, pv) = self.last.unwrap_or((0, 0));
+        let row_delta = u - pu;
+        self.scratch.clear();
+        let mut scratch = std::mem::take(&mut self.scratch);
+        encode_varint(row_delta, &mut scratch);
+        if row_delta == 0 {
+            encode_varint(v - pv, &mut scratch);
+        } else {
+            encode_varint(v, &mut scratch);
+        }
+        self.out.write_all(&scratch)?;
+        self.payload_len += scratch.len() as u64;
+        self.scratch = scratch;
+        // Row footer: close the open entry on a row change.
+        if self.arcs == 0 {
+            self.footer_row = u;
+            self.footer_count = 1;
+        } else if u == self.footer_row {
+            self.footer_count += 1;
+        } else {
+            self.flush_footer_entry();
+            self.footer_row = u;
+            self.footer_count = 1;
         }
         self.last = Some((u, v));
         self.arcs += 1;
@@ -455,38 +372,26 @@ impl ShardWriter {
         self.arcs
     }
 
-    /// Flushes, appends the v2 footer, patches the header's length
-    /// fields, and returns the run summary. Dropping a writer without
-    /// calling this leaves the file unreadable by design.
+    /// Flushes, appends the footer, patches the header's length fields,
+    /// and returns the run summary. Dropping a writer without calling
+    /// this leaves the file unreadable by design.
     pub fn finish(mut self) -> Result<ShardInfo> {
-        let bytes = match self.version {
-            ShardVersion::V1 => {
-                self.out.flush()?;
-                let file = self.out.get_mut();
-                file.seek(SeekFrom::Start(16))?;
-                file.write_all(&self.arcs.to_le_bytes())?;
-                file.flush()?;
-                V1_HEADER + self.arcs * 16
-            }
-            ShardVersion::V2 => {
-                if self.arcs > 0 {
-                    self.flush_footer_entry();
-                }
-                let footer_len = self.footer.len() as u64;
-                let footer = std::mem::take(&mut self.footer);
-                self.out.write_all(&footer)?;
-                self.out.flush()?;
-                // count, payload_len and footer_len are contiguous at
-                // byte 16 — one seek patches all three.
-                let file = self.out.get_mut();
-                file.seek(SeekFrom::Start(16))?;
-                file.write_all(&self.arcs.to_le_bytes())?;
-                file.write_all(&self.payload_len.to_le_bytes())?;
-                file.write_all(&footer_len.to_le_bytes())?;
-                file.flush()?;
-                V2_HEADER + self.payload_len + footer_len
-            }
-        };
+        if self.arcs > 0 {
+            self.flush_footer_entry();
+        }
+        let footer_len = self.footer.len() as u64;
+        let footer = std::mem::take(&mut self.footer);
+        self.out.write_all(&footer)?;
+        self.out.flush()?;
+        // count, payload_len and footer_len are contiguous at byte 16 —
+        // one seek patches all three.
+        let file = self.out.get_mut();
+        file.seek(SeekFrom::Start(16))?;
+        file.write_all(&self.arcs.to_le_bytes())?;
+        file.write_all(&self.payload_len.to_le_bytes())?;
+        file.write_all(&footer_len.to_le_bytes())?;
+        file.flush()?;
+        let bytes = V2_HEADER + self.payload_len + footer_len;
         kron_obs::counter!("shard.spilled_runs").add(1);
         kron_obs::counter!("shard.spilled_arcs").add(self.arcs);
         kron_obs::counter!("shard.spilled_bytes").add(bytes);
@@ -498,9 +403,9 @@ impl ShardWriter {
 // Reader
 // ---------------------------------------------------------------------------
 
-/// Streaming reader of one sorted run (either wire version); validates
-/// framing at open and ordering/range per arc, decoding a *block* of
-/// arcs per refill so the merge inner loop never touches a syscall.
+/// Streaming reader of one sorted run; validates framing at open and
+/// vertex range per arc, decoding a *block* of arcs per refill so the
+/// merge inner loop never touches a syscall.
 ///
 /// Resident memory is split between the raw byte window and the decoded
 /// arc block so the total stays within the requested `buf_bytes` (plus a
@@ -510,7 +415,6 @@ pub struct ShardReader {
     file: File,
     path: PathBuf,
     n: u64,
-    version: ShardVersion,
     total: u64,
     /// Arcs not yet decoded into the block.
     undecoded: u64,
@@ -522,10 +426,8 @@ pub struct ShardReader {
     block: Vec<Arc>,
     block_cap: usize,
     block_pos: usize,
-    /// v2 delta state: the previously decoded arc ((0, 0) initially).
+    /// Delta state: the previously decoded arc ((0, 0) initially).
     prev: Arc,
-    /// v1 sortedness state: the previously decoded arc, if any.
-    last: Option<Arc>,
 }
 
 impl ShardReader {
@@ -552,7 +454,6 @@ impl ShardReader {
             file,
             path,
             n: header.n,
-            version: header.version,
             total: header.count,
             undecoded: header.count,
             payload_left: header.payload_len,
@@ -563,7 +464,6 @@ impl ShardReader {
             block_cap,
             block_pos: 0,
             prev: (0, 0),
-            last: None,
         })
     }
 
@@ -575,11 +475,6 @@ impl ShardReader {
     /// Total arcs declared by the (validated) header.
     pub fn arcs_total(&self) -> u64 {
         self.total
-    }
-
-    /// Wire version of the underlying file.
-    pub fn version(&self) -> ShardVersion {
-        self.version
     }
 
     /// Compacts the raw window and refills it from the payload region.
@@ -623,32 +518,7 @@ impl ShardReader {
         }
     }
 
-    fn decode_v1_arc(&mut self) -> Result<Arc> {
-        while self.raw_end - self.raw_start < 16 {
-            if self.fill_raw()? == 0 {
-                return Err(corrupt(&self.path, "payload truncated mid-arc"));
-            }
-        }
-        let at = self.raw_start;
-        let u = u64::from_le_bytes(self.raw[at..at + 8].try_into().expect("8 bytes"));
-        let v = u64::from_le_bytes(self.raw[at + 8..at + 16].try_into().expect("8 bytes"));
-        self.raw_start += 16;
-        if u >= self.n || v >= self.n {
-            return Err(corrupt(&self.path, format!("arc ({u},{v}) out of range (n={})", self.n)));
-        }
-        if let Some(last) = self.last {
-            if (u, v) < last {
-                return Err(corrupt(
-                    &self.path,
-                    format!("arc ({u},{v}) after {last:?} — run not sorted"),
-                ));
-            }
-        }
-        self.last = Some((u, v));
-        Ok((u, v))
-    }
-
-    fn decode_v2_arc(&mut self) -> Result<Arc> {
+    fn decode_arc(&mut self) -> Result<Arc> {
         let row_delta = self.take_varint()?;
         let u = self
             .prev
@@ -678,10 +548,7 @@ impl ShardReader {
         self.block.clear();
         self.block_pos = 0;
         while self.block.len() < self.block_cap && self.undecoded > 0 {
-            let arc = match self.version {
-                ShardVersion::V1 => self.decode_v1_arc()?,
-                ShardVersion::V2 => self.decode_v2_arc()?,
-            };
+            let arc = self.decode_arc()?;
             self.block.push(arc);
             self.undecoded -= 1;
         }
@@ -689,9 +556,9 @@ impl ShardReader {
     }
 
     /// Next arc, or `None` at end of run. Errors on IO failure, an
-    /// out-of-range vertex, an ordering violation, or a malformed /
-    /// truncated encoding — corruption in the payload surfaces here
-    /// instead of corrupting a merge.
+    /// out-of-range vertex, or a malformed / truncated encoding —
+    /// corruption in the payload surfaces here instead of corrupting a
+    /// merge.
     #[inline]
     pub fn next_arc(&mut self) -> Result<Option<Arc>> {
         if self.block_pos == self.block.len() {
@@ -734,9 +601,8 @@ fn footer_varint(input: &mut impl Read, left: &mut u64, path: &Path) -> Result<u
     }
 }
 
-/// Adds a v2 shard's per-row arc counts (from its footer sidecar) into
+/// Adds a shard's per-row arc counts (from its footer sidecar) into
 /// `counts[row + 1]`, the layout a prefix sum turns into CSR offsets.
-/// Returns `Ok(false)` untouched for a v1 shard (no footer exists).
 ///
 /// The footer is validated like any other untrusted input: rows must be
 /// strictly increasing and `< n`, counts positive, every addition
@@ -749,20 +615,17 @@ pub fn sum_footer_degrees<P: AsRef<Path>>(
     path: P,
     counts: &mut [u64],
     buf_bytes: usize,
-) -> Result<bool> {
+) -> Result<()> {
     let path = path.as_ref();
     let mut file = File::open(path)?;
     let header = read_shard_header(&mut file, path)?;
-    if header.version == ShardVersion::V1 {
-        return Ok(false);
-    }
     if counts.len() as u64 != header.n + 1 {
         return Err(corrupt(
             path,
             format!("degree table sized {} for universe n={}", counts.len(), header.n),
         ));
     }
-    file.seek(SeekFrom::Start(header.header_len + header.payload_len))?;
+    file.seek(SeekFrom::Start(V2_HEADER + header.payload_len))?;
     let mut input = BufReader::with_capacity(buf_bytes.clamp(64, DEFAULT_IO_BUF), file);
     let mut left = header.footer_len;
     let mut prev_row = 0u64;
@@ -804,7 +667,7 @@ pub fn sum_footer_degrees<P: AsRef<Path>>(
             format!("footer counts sum to {sum}, header declares {}", header.count),
         ));
     }
-    Ok(true)
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -898,9 +761,8 @@ impl LoserTree {
 /// `(source, target)` order; an `Err` from `emit` aborts the merge at
 /// that arc — the error surfaces at the failing write, not at a flush.
 ///
-/// All runs must agree on `n`. Mixed v1/v2 runs merge freely — the
-/// format is a per-file property the readers absorb. Resident memory:
-/// the readers' bounded buffers plus the `O(k)` tournament tree.
+/// All runs must agree on `n`. Resident memory: the readers' bounded
+/// buffers plus the `O(k)` tournament tree.
 pub fn try_merge_shards<F: FnMut(u64, u64) -> Result<()>>(
     mut readers: Vec<ShardReader>,
     mut emit: F,
@@ -1015,7 +877,7 @@ pub struct ExternalCsrStats {
     /// reference builder).
     pub merge_passes: u32,
     /// Whether the offset region had to be rewritten after the merge
-    /// pass (v1 runs present, cross-run duplicates, or a lying footer).
+    /// pass (cross-run duplicates or a lying footer).
     pub offsets_rewritten: bool,
 }
 
@@ -1027,14 +889,14 @@ fn write_csr_header<W: Write>(out: &mut W, n: u64, count: u64) -> Result<()> {
     Ok(())
 }
 
-/// Fully out-of-core CSR build in **one** merge pass: v2 footers predict
-/// the offset table, which is written optimistically before the pass;
-/// the pass appends targets while verifying every row boundary against
-/// the prediction. If the prediction holds (all-v2 runs, honest footers,
-/// no cross-run duplicates — the normal spill output) the file is
-/// already correct when the pass ends. Any divergence flips the build
-/// into repair mode, which finalizes true boundaries in place and
-/// rewrites the `O(n)` offset region with one seek — so the output is
+/// Fully out-of-core CSR build in **one** merge pass: run footers
+/// predict the offset table, which is written optimistically before the
+/// pass; the pass appends targets while verifying every row boundary
+/// against the prediction. If the prediction holds (honest footers, no
+/// cross-run duplicates — the normal spill output) the file is already
+/// correct when the pass ends. Any divergence flips the build into
+/// repair mode, which finalizes true boundaries in place and rewrites the
+/// `O(n)` offset region with one seek — so the output is
 /// **byte-identical** to [`build_external_csr_two_pass`] in every case,
 /// for half the merge work in the common one.
 ///
@@ -1055,75 +917,52 @@ pub fn build_external_csr<P: AsRef<Path>>(
     let n = first.n();
     let n_usize = n as usize;
 
-    // Predicted offsets from the v2 footers. The prediction is untrusted
-    // — every row boundary is re-verified during the merge pass below.
+    // Predicted offsets from the footers. The prediction is untrusted —
+    // every row boundary is re-verified during the merge pass below.
     let mut offsets = vec![0u64; n_usize + 1];
-    let mut predicted = readers.iter().all(|r| r.version() == ShardVersion::V2);
-    if predicted {
-        for p in paths {
-            if !sum_footer_degrees(p, &mut offsets, buf_bytes)? {
-                predicted = false;
-                break;
-            }
-        }
+    for p in paths {
+        sum_footer_degrees(p, &mut offsets, buf_bytes)?;
     }
-    let mut predicted_total = 0u64;
-    if predicted {
-        for i in 1..=n_usize {
-            offsets[i] = offsets[i]
-                .checked_add(offsets[i - 1])
-                .ok_or_else(|| corrupt(out, "predicted offsets overflow u64"))?;
-        }
-        predicted_total = offsets[n_usize];
-    } else {
-        offsets.iter_mut().for_each(|o| *o = 0);
+    for i in 1..=n_usize {
+        offsets[i] = offsets[i]
+            .checked_add(offsets[i - 1])
+            .ok_or_else(|| corrupt(out, "predicted offsets overflow u64"))?;
     }
+    let predicted_total = offsets[n_usize];
 
     let mut writer = BufWriter::with_capacity(buf_bytes.max(64), File::create(out)?);
-    write_csr_header(&mut writer, n, if predicted { predicted_total } else { UNFINISHED })?;
+    write_csr_header(&mut writer, n, predicted_total)?;
     for offset in &offsets {
         writer.write_all(&offset.to_le_bytes())?;
     }
 
-    // The single merge pass: append targets, and finalize/verify each row
-    // boundary the moment the stream moves past it. `dirty` flips on the
-    // first boundary that disagrees with the prediction (or immediately
-    // when there is none); from then on `offsets` tracks the truth.
-    let mut dirty = !predicted;
+    // The single merge pass: append targets, and verify each row boundary
+    // the moment the stream moves past it. `dirty` flips on the first
+    // boundary that disagrees with the prediction; every boundary is
+    // overwritten with the truth as it is passed, so from then on
+    // `offsets` is the true table.
+    let mut dirty = false;
     let mut row = 0u64;
     let mut pos = 0u64;
-    let readers = readers; // moved into the merge
-    let stats = {
-        let writer = &mut writer;
-        let offsets = &mut offsets;
-        let dirty = &mut dirty;
-        let row = &mut row;
-        let pos = &mut pos;
-        try_merge_shards(readers, move |u, v| {
-            while *row < u {
-                let slot = *row as usize + 1;
-                if *dirty {
-                    offsets[slot] = *pos;
-                } else if offsets[slot] != *pos {
-                    *dirty = true;
-                    offsets[slot] = *pos;
-                }
-                *row += 1;
-            }
-            writer.write_all(&v.to_le_bytes())?;
-            *pos += 1;
-            Ok(())
-        })?
-    };
-    while row < n {
-        let slot = row as usize + 1;
-        if dirty {
-            offsets[slot] = pos;
-        } else if offsets[slot] != pos {
+    let mut close_row = |row: &mut u64, pos: u64| {
+        let slot = *row as usize + 1;
+        if offsets[slot] != pos {
             dirty = true;
             offsets[slot] = pos;
         }
-        row += 1;
+        *row += 1;
+    };
+    let writer_ref = &mut writer;
+    let stats = try_merge_shards(readers, |u, v| {
+        while row < u {
+            close_row(&mut row, pos);
+        }
+        writer_ref.write_all(&v.to_le_bytes())?;
+        pos += 1;
+        Ok(())
+    })?;
+    while row < n {
+        close_row(&mut row, pos);
     }
     debug_assert!(dirty || stats.arcs_out == predicted_total);
 
@@ -1155,10 +994,9 @@ pub fn build_external_csr<P: AsRef<Path>>(
     })
 }
 
-/// The PR 8 reference builder: two merge passes (degree count, then
-/// targets), no footer use. Kept as the conformance oracle —
-/// [`build_external_csr`] must produce byte-identical files — and as the
-/// fallback shape for formats without footers.
+/// The reference builder: two merge passes (degree count, then targets),
+/// no footer use. Kept as the conformance oracle —
+/// [`build_external_csr`] must produce byte-identical files.
 pub fn build_external_csr_two_pass<P: AsRef<Path>>(
     paths: &[P],
     out: &Path,
@@ -1252,21 +1090,6 @@ impl CacheStats {
     }
 }
 
-/// SplitMix64 step — the deterministic eviction stream (the same
-/// generator the `kron-serve` row cache uses).
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    mix(*state)
-}
-
-/// SplitMix64 finalizer, doubling as the set-index hash.
-fn mix(v: u64) -> u64 {
-    let mut z = v;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 #[derive(Debug, Default)]
 struct CacheWay {
     /// Block id + 1; 0 = empty. Avoids an `Option` in the probe loop.
@@ -1299,7 +1122,7 @@ impl BlockCache {
         let sets = (0..sets)
             .map(|i| CacheSet {
                 ways: Default::default(),
-                rng: mix(cfg.seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+                rng: mix64(cfg.seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
             })
             .collect::<Vec<_>>();
         let set_mask = sets.len() as u64 - 1;
@@ -1313,7 +1136,7 @@ impl BlockCache {
         load: F,
     ) -> Result<&[u8]> {
         let tag = block_id + 1;
-        let set = &mut self.sets[(mix(block_id) & self.set_mask) as usize];
+        let set = &mut self.sets[(mix64(block_id) & self.set_mask) as usize];
         let slot = if let Some(hit) = set.ways.iter().position(|w| w.tag == tag) {
             self.stats.hits += 1;
             kron_obs::counter!("shard.block_cache_hits").add(1);
@@ -1591,21 +1414,11 @@ impl ExternalCsr {
     }
 }
 
-/// Sorts `arcs` and spills them as one (v2) run at `path` (helper for
-/// run buffers accumulated in arrival order).
+/// Sorts `arcs` and spills them as one run at `path` (helper for run
+/// buffers accumulated in arrival order).
 pub fn spill_sorted_run(path: &Path, n: u64, arcs: &mut Vec<Arc>) -> Result<ShardInfo> {
-    spill_sorted_run_versioned(path, n, arcs, ShardVersion::default())
-}
-
-/// [`spill_sorted_run`] with an explicit wire version.
-pub fn spill_sorted_run_versioned(
-    path: &Path,
-    n: u64,
-    arcs: &mut Vec<Arc>,
-    version: ShardVersion,
-) -> Result<ShardInfo> {
     arcs.sort_unstable();
-    let mut writer = ShardWriter::with_buffer_versioned(path, n, DEFAULT_IO_BUF, version)?;
+    let mut writer = ShardWriter::create(path, n)?;
     for &(u, v) in arcs.iter() {
         writer.push(u, v)?;
     }
@@ -1624,16 +1437,12 @@ mod tests {
         d
     }
 
-    fn write_run_versioned(path: &Path, n: u64, arcs: &[Arc], version: ShardVersion) -> ShardInfo {
-        let mut w = ShardWriter::with_buffer_versioned(path, n, DEFAULT_IO_BUF, version).unwrap();
+    fn write_run(path: &Path, n: u64, arcs: &[Arc]) -> ShardInfo {
+        let mut w = ShardWriter::create(path, n).unwrap();
         for &(u, v) in arcs {
             w.push(u, v).unwrap();
         }
         w.finish().unwrap()
-    }
-
-    fn write_run(path: &Path, n: u64, arcs: &[Arc]) -> ShardInfo {
-        write_run_versioned(path, n, arcs, ShardVersion::default())
     }
 
     fn drain(path: &Path) -> Result<Vec<Arc>> {
@@ -1691,7 +1500,6 @@ mod tests {
         assert_eq!(info.bytes, std::fs::metadata(&path).unwrap().len());
         let mut reader = ShardReader::open(&path).unwrap();
         assert_eq!(reader.n(), 4);
-        assert_eq!(reader.version(), ShardVersion::V2);
         let mut back = Vec::new();
         while let Some(arc) = reader.next_arc().unwrap() {
             back.push(arc);
@@ -1700,8 +1508,8 @@ mod tests {
     }
 
     #[test]
-    fn v1_and_v2_hold_the_same_stream_and_v2_is_smaller() {
-        let d = dir("versions");
+    fn run_is_at_most_a_quarter_of_fixed_width() {
+        let d = dir("compact");
         // Dense-ish sorted run with duplicates and row gaps.
         let mut arcs = Vec::new();
         for u in 0..64u64 {
@@ -1710,62 +1518,46 @@ mod tests {
             }
         }
         arcs.sort_unstable();
-        let p1 = d.join("run_v1.krsh");
-        let p2 = d.join("run_v2.krsh");
-        let i1 = write_run_versioned(&p1, 100, &arcs, ShardVersion::V1);
-        let i2 = write_run_versioned(&p2, 100, &arcs, ShardVersion::V2);
-        assert_eq!(drain(&p1).unwrap(), arcs);
-        assert_eq!(drain(&p2).unwrap(), arcs);
-        assert_eq!(i1.arcs, i2.arcs);
+        let path = d.join("run.krsh");
+        let info = write_run(&path, 100, &arcs);
+        assert_eq!(drain(&path).unwrap(), arcs);
+        // The retired fixed-width layout: a 24-byte header + 16 bytes/arc.
+        let fixed = 24 + 16 * info.arcs;
         assert!(
-            i2.bytes * 4 <= i1.bytes,
-            "v2 ({} bytes) is not <= 1/4 of v1 ({} bytes)",
-            i2.bytes,
-            i1.bytes
+            info.bytes * 4 <= fixed,
+            "run ({} bytes) is not <= 1/4 of fixed width ({fixed} bytes)",
+            info.bytes
         );
     }
 
     #[test]
-    fn empty_run_roundtrips_in_both_versions() {
+    fn empty_run_roundtrips() {
         let d = dir("empty");
-        for (name, version) in [("v1", ShardVersion::V1), ("v2", ShardVersion::V2)] {
-            let path = d.join(format!("{name}.krsh"));
-            let info = write_run_versioned(&path, 4, &[], version);
-            assert_eq!(info.arcs, 0);
-            assert_eq!(drain(&path).unwrap(), Vec::<Arc>::new());
-        }
+        let path = d.join("empty.krsh");
+        let info = write_run(&path, 4, &[]);
+        assert_eq!(info.arcs, 0);
+        assert_eq!(drain(&path).unwrap(), Vec::<Arc>::new());
     }
 
     #[test]
     fn writer_rejects_unsorted_and_out_of_range() {
         let d = dir("writer_rejects");
-        for (name, version) in [("v1", ShardVersion::V1), ("v2", ShardVersion::V2)] {
-            let mut w = ShardWriter::with_buffer_versioned(
-                d.join(format!("bad_{name}.krsh")),
-                4,
-                DEFAULT_IO_BUF,
-                version,
-            )
-            .unwrap();
-            w.push(2, 2).unwrap();
-            assert!(w.push(1, 0).is_err(), "{name}: descending arc accepted");
-            assert!(w.push(2, 9).is_err(), "{name}: out-of-range target accepted");
-        }
+        let mut w = ShardWriter::create(d.join("bad.krsh"), 4).unwrap();
+        w.push(2, 2).unwrap();
+        assert!(w.push(1, 0).is_err(), "descending arc accepted");
+        assert!(w.push(2, 9).is_err(), "out-of-range target accepted");
     }
 
     #[test]
     fn unfinished_shard_is_rejected() {
         let d = dir("unfinished");
-        for (name, version) in [("v1", ShardVersion::V1), ("v2", ShardVersion::V2)] {
-            let path = d.join(format!("dropped_{name}.krsh"));
-            {
-                let mut w =
-                    ShardWriter::with_buffer_versioned(&path, 4, DEFAULT_IO_BUF, version).unwrap();
-                w.push(0, 1).unwrap();
-                // Dropped without finish: lengths stay poisoned.
-            }
-            assert!(ShardReader::open(&path).is_err(), "{name}: unfinished shard accepted");
+        let path = d.join("dropped.krsh");
+        {
+            let mut w = ShardWriter::create(&path, 4).unwrap();
+            w.push(0, 1).unwrap();
+            // Dropped without finish: lengths stay poisoned.
         }
+        assert!(ShardReader::open(&path).is_err(), "unfinished shard accepted");
     }
 
     #[test]
@@ -1801,53 +1593,55 @@ mod tests {
     #[test]
     fn reader_rejects_forged_counts_without_allocating() {
         let d = dir("forged");
-        // v1: a count whose byte length cannot match the file.
-        let path = d.join("forged_v1.krsh");
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(SHARD_MAGIC);
-        bytes.extend_from_slice(&SHARD_V1_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&4u64.to_le_bytes());
-        bytes.extend_from_slice(&u64::MAX.to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(ShardReader::open(&path).is_err(), "u64::MAX count accepted");
-        // A count whose * 16 wraps to something tiny.
-        bytes.truncate(16);
-        bytes.extend_from_slice(&((u64::MAX / 16) + 1).to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(ShardReader::open(&path).is_err(), "wrapping count accepted");
-
-        // v2: a forged count dies on the payload-bounds check even when
-        // the total length still adds up.
-        let path2 = d.join("forged_v2.krsh");
-        write_run(&path2, 4, &[(0, 1), (1, 2)]);
-        let good = std::fs::read(&path2).unwrap();
+        // A forged count dies on the payload-bounds check even when the
+        // total length still adds up.
+        let path = d.join("forged.krsh");
+        write_run(&path, 4, &[(0, 1), (1, 2)]);
+        let good = std::fs::read(&path).unwrap();
         let mut bad = good.clone();
         bad[16..24].copy_from_slice(&1_000_000u64.to_le_bytes());
-        std::fs::write(&path2, &bad).unwrap();
-        assert!(ShardReader::open(&path2).is_err(), "inflated v2 count accepted");
+        std::fs::write(&path, &bad).unwrap();
+        assert!(ShardReader::open(&path).is_err(), "inflated count accepted");
         let mut bad = good.clone();
         bad[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
-        std::fs::write(&path2, &bad).unwrap();
-        assert!(ShardReader::open(&path2).is_err(), "u64::MAX v2 count accepted");
+        std::fs::write(&path, &bad).unwrap();
+        assert!(ShardReader::open(&path).is_err(), "u64::MAX count accepted");
     }
 
     #[test]
-    fn reader_rejects_unsorted_v1_payload() {
-        let d = dir("unsorted");
-        let path = d.join("run.krsh");
-        // Hand-build a v1 shard whose payload is out of order. The block
-        // decoder surfaces the violation on the first pull.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(SHARD_MAGIC);
-        bytes.extend_from_slice(&SHARD_V1_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&4u64.to_le_bytes());
-        bytes.extend_from_slice(&2u64.to_le_bytes());
-        for (u, v) in [(2u64, 0u64), (1, 0)] {
-            bytes.extend_from_slice(&u.to_le_bytes());
-            bytes.extend_from_slice(&v.to_le_bytes());
+    fn version_1_header_is_rejected() {
+        let d = dir("version1");
+        // The retired fixed-width layout — magic, version 1, n, count,
+        // then 16 bytes per arc — including one whose count is forged to
+        // u64::MAX: rejected on the version word before any size in the
+        // header is read, let alone allocated for.
+        let mut fixed = Vec::new();
+        fixed.extend_from_slice(SHARD_MAGIC);
+        fixed.extend_from_slice(&1u32.to_le_bytes());
+        fixed.extend_from_slice(&4u64.to_le_bytes());
+        fixed.extend_from_slice(&2u64.to_le_bytes());
+        for (u, v) in [(0u64, 1u64), (1, 2)] {
+            fixed.extend_from_slice(&u.to_le_bytes());
+            fixed.extend_from_slice(&v.to_le_bytes());
         }
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(drain(&path).is_err(), "ordering violation accepted");
+        let mut forged = fixed[..16].to_vec();
+        forged.extend_from_slice(&u64::MAX.to_le_bytes());
+        // A current file restamped as version 1.
+        let restamped = d.join("restamped.krsh");
+        write_run(&restamped, 4, &[(0, 1), (1, 2)]);
+        let mut bytes = std::fs::read(&restamped).unwrap();
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        for (name, bytes) in [("fixed", fixed), ("forged", forged), ("restamped", bytes)] {
+            let path = d.join(format!("{name}.krsh"));
+            std::fs::write(&path, &bytes).unwrap();
+            let err = ShardReader::open(&path).expect_err(name).to_string();
+            assert!(err.contains("unsupported shard version 1"), "{name}: {err}");
+            let mut counts = vec![0u64; 5];
+            assert!(sum_footer_degrees(&path, &mut counts, 512).is_err(), "{name}: footer scan");
+            assert!(counts.iter().all(|&c| c == 0), "{name}: degree table touched");
+            let out = d.join(format!("{name}.krsc"));
+            assert!(build_external_csr(&[&path], &out, 512).is_err(), "{name}: external build");
+        }
     }
 
     #[test]
@@ -1924,10 +1718,9 @@ mod tests {
     }
 
     #[test]
-    fn merge_handles_mixed_versions_and_many_runs() {
-        let d = dir("merge_mixed");
-        // 9 runs (pads the tournament to 16 leaves) in alternating wire
-        // versions, with heavy overlap.
+    fn merge_handles_many_runs() {
+        let d = dir("merge_many");
+        // 9 runs (pads the tournament to 16 leaves) with heavy overlap.
         let n = 50u64;
         let mut paths = Vec::new();
         let mut expect = std::collections::BTreeSet::new();
@@ -1939,9 +1732,8 @@ mod tests {
             for &a in &arcs {
                 expect.insert(a);
             }
-            let version = if r % 2 == 0 { ShardVersion::V2 } else { ShardVersion::V1 };
             let path = d.join(format!("run{r}.krsh"));
-            write_run_versioned(&path, n, &arcs, version);
+            write_run(&path, n, &arcs);
             paths.push(path);
         }
         let readers: Vec<ShardReader> =
@@ -1984,18 +1776,12 @@ mod tests {
         let path = d.join("run.krsh");
         write_run(&path, n, &arcs);
         let mut counts = vec![0u64; n as usize + 1];
-        assert!(sum_footer_degrees(&path, &mut counts, 1024).unwrap());
+        sum_footer_degrees(&path, &mut counts, 1024).unwrap();
         let mut expect = vec![0u64; n as usize + 1];
         for &(u, _) in &arcs {
             expect[u as usize + 1] += 1;
         }
         assert_eq!(counts, expect);
-        // v1 shards have no footer and leave the table untouched.
-        let p1 = d.join("run_v1.krsh");
-        write_run_versioned(&p1, n, &arcs, ShardVersion::V1);
-        let mut untouched = vec![0u64; n as usize + 1];
-        assert!(!sum_footer_degrees(&p1, &mut untouched, 1024).unwrap());
-        assert!(untouched.iter().all(|&c| c == 0));
     }
 
     #[test]
@@ -2076,39 +1862,21 @@ mod tests {
             a.dedup();
             a
         };
-        // (label, run splits, versions, expect a rewrite?)
+        // (label, run splits, expect a rewrite?)
         let halves = base.len() / 2;
-        let cases: Vec<(&str, Vec<Vec<Arc>>, Vec<ShardVersion>, bool)> = vec![
-            (
-                "v2 disjoint",
-                vec![base[..halves].to_vec(), base[halves..].to_vec()],
-                vec![ShardVersion::V2, ShardVersion::V2],
-                false,
-            ),
+        let cases: Vec<(&str, Vec<Vec<Arc>>, bool)> = vec![
+            ("v2 disjoint", vec![base[..halves].to_vec(), base[halves..].to_vec()], false),
             (
                 "v2 overlapping",
                 vec![base[..halves + 20].to_vec(), base[halves - 20..].to_vec()],
-                vec![ShardVersion::V2, ShardVersion::V2],
-                true,
-            ),
-            (
-                "v1 only",
-                vec![base[..halves].to_vec(), base[halves..].to_vec()],
-                vec![ShardVersion::V1, ShardVersion::V1],
-                true,
-            ),
-            (
-                "mixed versions",
-                vec![base[..halves].to_vec(), base[halves..].to_vec()],
-                vec![ShardVersion::V1, ShardVersion::V2],
                 true,
             ),
         ];
-        for (label, splits, versions, expect_rewrite) in cases {
+        for (label, splits, expect_rewrite) in cases {
             let mut paths = Vec::new();
-            for (i, (split, version)) in splits.iter().zip(&versions).enumerate() {
+            for (i, split) in splits.iter().enumerate() {
                 let path = d.join(format!("{}_{i}.krsh", label.replace(' ', "_")));
-                write_run_versioned(&path, n, split, *version);
+                write_run(&path, n, split);
                 paths.push(path);
             }
             let one = d.join(format!("{}_one.krsc", label.replace(' ', "_")));

@@ -3,9 +3,8 @@
 //! rejection, v2 run roundtrips over random sorted streams, a corruption
 //! corpus aimed at the v2-specific surfaces (truncation mid-varint,
 //! forged payload/footer lengths, bit flips in the compressed region,
-//! forged footers), and cross-version equivalence: v1, v2, and mixed run
-//! sets must merge to identical streams, and the single-pass external
-//! build must emit files byte-identical to the two-pass reference.
+//! forged footers), and the single-pass external build emitting files
+//! byte-identical to the two-pass reference.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -13,8 +12,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use proptest::prelude::*;
 
 use kron_graph::shard::{
-    build_external_csr, build_external_csr_two_pass, decode_varint, encode_varint, merge_shards,
-    ShardReader, ShardVersion, ShardWriter, Varint, MAX_VARINT_BYTES,
+    build_external_csr, build_external_csr_two_pass, decode_varint, encode_varint, ShardReader,
+    ShardWriter, Varint, MAX_VARINT_BYTES,
 };
 
 static CASE: AtomicUsize = AtomicUsize::new(0);
@@ -34,10 +33,10 @@ fn sorted_run(n: u64, max: usize) -> impl Strategy<Value = Vec<(u64, u64)>> {
     })
 }
 
-/// Writes one finished shard in the given format and returns its path.
-fn write_run(tag: &str, n: u64, arcs: &[(u64, u64)], version: ShardVersion) -> PathBuf {
+/// Writes one finished shard and returns its path.
+fn write_run(tag: &str, n: u64, arcs: &[(u64, u64)]) -> PathBuf {
     let path = scratch(tag);
-    let mut w = ShardWriter::with_buffer_versioned(&path, n, 4096, version).expect("create shard");
+    let mut w = ShardWriter::with_buffer(&path, n, 4096).expect("create shard");
     for &(u, v) in arcs {
         w.push(u, v).expect("sorted in-range push");
     }
@@ -137,22 +136,20 @@ proptest! {
         prop_assert!(decode_varint(&no_terminator).is_err());
     }
 
-    /// v2 encode→decode identity, and the compressed payload beats v1's
-    /// 16 bytes/arc on any non-trivial stream.
+    /// v2 encode→decode identity, and the compressed run beats the
+    /// retired fixed-width layout (24-byte header + 16 bytes/arc) on any
+    /// non-trivial stream.
     #[test]
     fn v2_roundtrip_identity(arcs in sorted_run(64, 300)) {
-        let p2 = write_run("rt2", 64, &arcs, ShardVersion::V2);
+        let p2 = write_run("rt2", 64, &arcs);
         let reader = ShardReader::open(&p2).expect("open v2 shard");
-        prop_assert_eq!(reader.version(), ShardVersion::V2);
         prop_assert_eq!(reader.arcs_total(), arcs.len() as u64);
         drop(reader);
         prop_assert_eq!(drain(&p2).expect("drain v2 shard"), arcs.clone());
         if arcs.len() >= 16 {
-            let p1 = write_run("rt1", 64, &arcs, ShardVersion::V1);
-            let b1 = std::fs::metadata(&p1).unwrap().len();
+            let fixed = 24 + 16 * arcs.len() as u64;
             let b2 = std::fs::metadata(&p2).unwrap().len();
-            prop_assert!(b2 < b1, "v2 file {b2}B not smaller than v1 {b1}B for {} arcs", arcs.len());
-            std::fs::remove_file(&p1).ok();
+            prop_assert!(b2 < fixed, "v2 file {b2}B not smaller than fixed width {fixed}B");
         }
         std::fs::remove_file(&p2).ok();
     }
@@ -161,7 +158,7 @@ proptest! {
     /// mid-varint in the payload or footer — is a clean error.
     #[test]
     fn v2_truncation_rejected(arcs in sorted_run(32, 100), cut in 0usize..100_000) {
-        let path = write_run("trunc", 32, &arcs, ShardVersion::V2);
+        let path = write_run("trunc", 32, &arcs);
         let full = std::fs::metadata(&path).unwrap().len();
         let keep = (cut as u64) % full;
         let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
@@ -176,7 +173,7 @@ proptest! {
     /// preserved — a stream still satisfying every format invariant.
     #[test]
     fn v2_bit_flips_never_panic(arcs in sorted_run(32, 80), pos in 0usize..100_000, bit in 0u8..8) {
-        let path = write_run("flip", 32, &arcs, ShardVersion::V2);
+        let path = write_run("flip", 32, &arcs);
         let mut bytes = std::fs::read(&path).unwrap();
         let idx = pos % bytes.len();
         bytes[idx] ^= 1 << bit;
@@ -199,7 +196,7 @@ proptest! {
         field in 0usize..3,
         forged in 0u64..=u64::MAX,
     ) {
-        let path = write_run("forge", 32, &arcs, ShardVersion::V2);
+        let path = write_run("forge", 32, &arcs);
         let mut bytes = std::fs::read(&path).unwrap();
         let off = 16 + field * 8;
         let original = u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap());
@@ -217,51 +214,13 @@ proptest! {
         std::fs::remove_file(&path).ok();
     }
 
-    /// v1, v2, and mixed run sets over the same arcs merge to identical
-    /// streams — the merge is format-blind.
-    #[test]
-    fn cross_version_merge_equivalence(
-        arcs in sorted_run(48, 200),
-        assign in proptest::collection::vec(0usize..3, 200),
-    ) {
-        let mut runs: [Vec<(u64, u64)>; 3] = Default::default();
-        for (i, &arc) in arcs.iter().enumerate() {
-            runs[assign[i]].push(arc);
-        }
-        let merged = |versions: [ShardVersion; 3]| {
-            let paths: Vec<PathBuf> = runs
-                .iter()
-                .zip(versions)
-                .map(|(run, ver)| write_run("xver", 48, run, ver))
-                .collect();
-            let readers: Vec<ShardReader> =
-                paths.iter().map(|p| ShardReader::with_buffer(p, 256).unwrap()).collect();
-            let mut out = Vec::new();
-            merge_shards(readers, |u, v| out.push((u, v))).expect("merge");
-            for p in &paths {
-                std::fs::remove_file(p).ok();
-            }
-            out
-        };
-        use ShardVersion::{V1, V2};
-        let all_v1 = merged([V1, V1, V1]);
-        let all_v2 = merged([V2, V2, V2]);
-        let mixed = merged([V1, V2, V1]);
-        let mut want = arcs;
-        want.dedup();
-        prop_assert_eq!(&all_v1, &want, "v1 merge differs from the deduplicated union");
-        prop_assert_eq!(&all_v2, &want, "v2 merge differs from the deduplicated union");
-        prop_assert_eq!(&mixed, &want, "mixed-version merge differs");
-    }
-
     /// The single-pass external build writes files byte-identical to the
-    /// two-pass reference, for pure-v1, pure-v2, and mixed run sets.
+    /// two-pass reference, including when arcs repeat across runs.
     #[test]
     fn one_pass_build_matches_two_pass(
         arcs in sorted_run(40, 150),
         assign in proptest::collection::vec(0usize..3, 150),
         dup_mask in proptest::collection::vec(proptest::bool::ANY, 150),
-        versions in proptest::collection::vec(0usize..2, 3),
     ) {
         let mut runs: [Vec<(u64, u64)>; 3] = Default::default();
         for (i, &arc) in arcs.iter().enumerate() {
@@ -270,14 +229,7 @@ proptest! {
                 runs[(assign[i] + 1) % 3].push(arc);
             }
         }
-        let paths: Vec<PathBuf> = runs
-            .iter()
-            .enumerate()
-            .map(|(i, run)| {
-                let ver = if versions[i] == 0 { ShardVersion::V1 } else { ShardVersion::V2 };
-                write_run("onep", 40, run, ver)
-            })
-            .collect();
+        let paths: Vec<PathBuf> = runs.iter().map(|run| write_run("onep", 40, run)).collect();
         let one = scratch("one.krsc");
         let two = scratch("two.krsc");
         let s1 = build_external_csr(&paths, &one, 512).expect("single-pass build");

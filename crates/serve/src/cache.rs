@@ -26,6 +26,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use kron_graph::hash::{mix64, splitmix64};
+
 const WAYS: usize = 4;
 
 #[derive(Default)]
@@ -72,25 +74,6 @@ pub struct RowCache {
     evictions: AtomicU64,
 }
 
-#[inline]
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E3779B97F4A7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
-
-/// Finalizer-style vertex→set mix (splitmix64 output function), so
-/// consecutive vertex ids spread across sets.
-#[inline]
-fn mix(v: u64) -> u64 {
-    let mut z = v.wrapping_add(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
-
 impl RowCache {
     /// A cache holding about `capacity` rows (rounded up to a
     /// power-of-two set count times 4 ways; minimum one set).
@@ -121,7 +104,7 @@ impl RowCache {
 
     #[inline]
     fn set_of(&self, vertex: u64) -> &Mutex<Set> {
-        &self.sets[(mix(vertex) & self.set_mask) as usize]
+        &self.sets[(mix64(vertex) & self.set_mask) as usize]
     }
 
     /// On hit, copies the cached row into `out` (cleared first) and

@@ -30,9 +30,9 @@
 # Then the shard tier: `shard_bench` writes the 2D generation, v2 shard
 # spill, loser-tree merge, and single-/two-pass external build phases to
 # BENCH_PR9.json (every phase verified bit-identical to the sequential
-# build first, v1/v2/mixed formats cross-checked, one-pass output
-# byte-compared to two-pass), gated the same way against the previous
-# BENCH_PR9.json, with its own injected-regression self-test.
+# build first, v2 spill size checked against the v1 layout, one-pass
+# output byte-compared to two-pass), gated the same way against the
+# previous BENCH_PR9.json, with its own injected-regression self-test.
 #
 # Finally the observability tier: `obs_bench` times the flight recorder
 # itself (record on vs off on a ~1 µs synthetic request, ring drain,
@@ -149,10 +149,10 @@ echo "bench.sh: serve gate self-test OK (injected regression was rejected)"
 # shard spill, the loser-tree k-way merge, and the single-pass (plus
 # reference two-pass) external CSR build into BENCH_PR9.json
 # (median-of-5 per phase, all outputs verified bit-identical to the
-# sequential materialization before any timing, v2-vs-v1 disk footprint
-# asserted at <= 1/4). A previous BENCH_PR9.json becomes the baseline
-# for the same >15% comparator, and the gate gets its own
-# injected-regression self-test.
+# sequential materialization before any timing, v2 disk footprint
+# asserted at <= 1/4 of the exact fixed-width v1 size of the same runs).
+# A previous BENCH_PR9.json becomes the baseline for the same >15%
+# comparator, and the gate gets its own injected-regression self-test.
 # ---------------------------------------------------------------------------
 
 SHARD_OUT=BENCH_PR9.json

@@ -13,7 +13,7 @@
 #                loopback serving, bit-exact load validation, graceful
 #                shutdown, steady-state zero-allocation proof
 #   5. shard:    scripts/shard.sh — out-of-core tier smoke: verified
-#                generate → spill (v1 + v2 formats) → single-pass
+#                generate → spill (KRSH v2) → single-pass
 #                external-build pass with a scratch-dir-clean assertion,
 #                plus the shard format, v2 codec, and conformance suites
 #   6. bench:    scripts/bench.sh — instrumented benchmark with the >15%

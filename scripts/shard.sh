@@ -3,11 +3,10 @@
 #
 # Runs `shard_bench --smoke` against a scratch directory under mktemp:
 # one fully verified pass of 2D rank-grid generation, direct per-rank
-# spill into sorted KRSH runs in BOTH wire formats (v1 raw pairs and v2
-# delta varints), `from_shards` over each plus the mixed-version union,
-# and the single-pass external KRSC build byte-compared against the
-# two-pass reference — every output bit-compared against the sequential
-# materialization in-process. Afterwards the scratch directory must be
+# spill into sorted KRSH v2 runs (delta varints; a version-1 file is
+# rejected), `from_shards` over them, and the single-pass external KRSC
+# build byte-compared against the two-pass reference — every output
+# bit-compared against the sequential materialization in-process. Afterwards the scratch directory must be
 # empty: a shard file the pipeline forgot to clean up (or an unfinished
 # run left behind by an early exit) fails the stage.
 #

@@ -325,7 +325,7 @@ fn metrics_counters_match_ground_truth() {
     };
     assert_eq!(u128::from(counter("core.synthesized_arcs")), pair.nnz_c());
     assert!(
-        report.spans.iter().any(|s| s.path.ends_with("synthesize_csr")),
+        report.spans.iter().any(|s| s.path.ends_with("core/materialize")),
         "synthesis span missing: {:?}",
         report.spans.iter().map(|s| &s.path).collect::<Vec<_>>()
     );

@@ -12,6 +12,23 @@
 //! delivered a `Done` payload from every peer (in-order delivery implies
 //! it then holds every batch too) *and* every payload it sent is acked,
 //! so no peer still needs its retransmissions.
+//!
+//! The exchange is flow-controlled, as §III's generator is: edges travel
+//! to their owners while they are being generated, not after. A rank
+//! drains its inbox once every `batch_size` generated arcs (local or
+//! remote), and never holds more than [`CREDIT_WINDOW`] unacked batches
+//! toward one peer: after a send that fills a link's window it keeps
+//! draining until an ack frees a slot. Resident exchange memory is thus
+//! bounded by the window (see [`CREDIT_WINDOW`]), never by `|E_C|`.
+//!
+//! The credit wait cannot deadlock. A waiting rank drains, stores and
+//! acks everything delivered to it, so it keeps serving the peers that
+//! wait on it. The peer it waits on is generating (and drains every
+//! `batch_size` arcs), waiting for credit itself (and drains), or
+//! finishing — and a finishing rank drains until it holds a `Done` from
+//! every rank, which the waiting rank sends only after its generation
+//! ends. So the awaited acks always come, and the reliable layer's
+//! retransmissions cover a dropped batch.
 
 use std::path::PathBuf;
 use std::time::Instant;
@@ -39,16 +56,26 @@ pub enum StorageMode {
     CountOnly,
 }
 
-/// When incoming edges are drained relative to generation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExchangeMode {
-    /// Generate everything, then drain — simplest; channel occupancy can
-    /// reach the full remote volume.
-    Phased,
-    /// Poll the inbox after every sent batch (HavoqGT-style asynchrony):
-    /// channel occupancy stays near `ranks × batch_size`.
-    Interleaved,
-}
+/// Credit window of the edge exchange: the most unacked batches a rank
+/// holds toward any one peer. After a send leaves this many batches
+/// unacked on a link, the sender drains its own inbox until an ack frees
+/// a slot ([`RankStats::window_waits`] counts those waits).
+///
+/// It bounds what a spilling rank keeps resident: its run buffer and IO
+/// buffer, its open outboxes, and per outgoing link at most
+/// `CREDIT_WINDOW` batches in flight plus their retained copies (the
+/// reliable layer keeps each payload until the receiver has taken it,
+/// so "in flight" covers the wire and the receiver's delivery queue).
+/// That is `O(ranks · CREDIT_WINDOW · batch_size)` arcs per rank, never
+/// `O(|E_C|)`.
+///
+/// The window has to cover the time a receiver spends sorting and writing
+/// one spill run without polling; the default 64Ki-arc run is 64 default
+/// batches. On a 2-rank 2D spill build of 20.5M arcs (2 vCPUs), a window
+/// of 16 made generation about 1.6–1.8× slower, 64, 128 and 256 ran
+/// within noise of each other, and the process's peak RSS grew with the
+/// window (about 6, 9, 13 and 21 MiB for 16, 64, 128 and 256).
+pub const CREDIT_WINDOW: usize = 128;
 
 /// Storage-owner mapping choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,8 +98,10 @@ pub enum OwnerConfig {
 }
 
 /// Out-of-core storage: ranks spill their stored arcs as sorted shard
-/// runs (`kron_graph::shard`) instead of resident [`EdgeList`]s, bounding
-/// a rank's storage memory to one run buffer + one IO buffer.
+/// runs (`kron_graph::shard`) instead of resident [`EdgeList`]s. A
+/// spilling rank's storage holds one run buffer and one IO buffer; its
+/// exchange adds at most [`CREDIT_WINDOW`] batches in flight per
+/// outgoing link, plus their retained copies.
 #[derive(Debug, Clone)]
 pub struct SpillConfig {
     /// Directory the per-rank run files are written to.
@@ -101,14 +130,13 @@ pub struct DistConfig {
     pub ranks: usize,
     /// Factor partition scheme (§III 1D or Rem. 1 2D).
     pub scheme: PartitionScheme,
-    /// Arcs per exchange message.
+    /// Arcs per exchange message; a rank also drains its inbox once every
+    /// `batch_size` generated arcs.
     pub batch_size: usize,
     /// Store or count-only.
     pub storage: StorageMode,
     /// Storage owner mapping.
     pub owner: OwnerConfig,
-    /// Drain strategy.
-    pub exchange: ExchangeMode,
     /// The rank mesh the exchange runs over: perfect channels or the
     /// seeded fault-injecting adversary.
     pub transport: TransportConfig,
@@ -128,7 +156,6 @@ impl DistConfig {
             batch_size: 1024,
             storage: StorageMode::Store,
             owner: OwnerConfig::VertexBlock,
-            exchange: ExchangeMode::Phased,
             transport: TransportConfig::Perfect,
             spill: None,
         }
@@ -483,16 +510,18 @@ impl RankStore {
 
 /// The per-rank exchange engine shared by the 1D and 2D generation
 /// loops: owner routing, batch outboxes with buffer recycling, the
-/// interleaved drain, the Done protocol, and the memory-or-spill store.
-/// Generation loops differ only in how they enumerate `(p, q)`; they
-/// call [`Exchange::emit`] per arc and [`Exchange::finish`] once.
+/// periodic drain and credit window, the Done protocol, and the
+/// memory-or-spill store. Generation loops differ only in how they
+/// enumerate `(p, q)`; they call [`Exchange::emit`] per arc and
+/// [`Exchange::finish`] once.
 struct Exchange<'a> {
     link: ReliableEndpoint<Message>,
     rank: usize,
     ranks: usize,
     batch_size: usize,
     count_only: bool,
-    interleaved: bool,
+    /// Generated arcs left until the next inbox drain.
+    until_drain: usize,
     owner: &'a (dyn EdgeOwner + Send + Sync),
     // The rank's counters live in a LocalRegistry (index-handle adds in
     // the per-arc loop); RankStats is snapshotted from it at the end.
@@ -508,6 +537,7 @@ struct Exchange<'a> {
     c_buffers_reused: LocalCounter,
     c_spill_runs: LocalCounter,
     c_spill_arcs: LocalCounter,
+    c_window_waits: LocalCounter,
     store: RankStore,
     outboxes: Vec<Vec<Arc>>,
     // Recycled batch buffers: drained inbound `Vec`s are cleared and
@@ -532,7 +562,7 @@ impl<'a> Exchange<'a> {
             ranks: config.ranks,
             batch_size: config.batch_size,
             count_only: config.storage == StorageMode::CountOnly,
-            interleaved: config.exchange == ExchangeMode::Interleaved,
+            until_drain: config.batch_size,
             owner,
             c_generated: reg.counter(RankStats::GENERATED),
             c_sent_remote: reg.counter(RankStats::SENT_REMOTE),
@@ -545,6 +575,7 @@ impl<'a> Exchange<'a> {
             c_buffers_reused: reg.counter(RankStats::BATCH_BUFFERS_REUSED),
             c_spill_runs: reg.counter(RankStats::SPILL_RUNS),
             c_spill_arcs: reg.counter(RankStats::SPILL_ARCS),
+            c_window_waits: reg.counter(RankStats::WINDOW_WAITS),
             reg,
             store: RankStore::new(config, rank, n_c),
             outboxes: vec![Vec::new(); config.ranks],
@@ -560,12 +591,20 @@ impl<'a> Exchange<'a> {
     }
 
     /// Routes one generated product arc: store locally, or batch toward
-    /// its owner (sending + optionally draining when a batch fills).
+    /// its owner (sending, then waiting for credit, when a batch fills).
+    /// Every `batch_size` arcs the inbox is drained once, so a rank whose
+    /// current arcs are all local still stores and acks its peers'
+    /// batches.
     #[inline]
     fn emit(&mut self, p: u64, q: u64) {
         self.reg.inc(self.c_generated);
         if self.count_only {
             return;
+        }
+        self.until_drain -= 1;
+        if self.until_drain == 0 {
+            self.until_drain = self.batch_size;
+            self.drain_ready();
         }
         let dest = self.owner.owner(p, q);
         if dest == self.rank {
@@ -580,36 +619,48 @@ impl<'a> Exchange<'a> {
                 self.reg.add(self.c_buffers_reused, u64::from(refill.is_some()));
                 let batch =
                     std::mem::replace(&mut self.outboxes[dest], refill.unwrap_or_default());
-                self.reg.inc(self.c_messages);
-                self.link.send(dest, Message::Batch(batch));
-                if self.interleaved {
-                    // Drain whatever the reliable layer has already
-                    // delivered so the inbox never builds up
-                    // (HavoqGT-style asynchrony). Peers that finished
-                    // early may already send Dones.
-                    self.drain_ready();
-                }
+                self.send_batch(dest, batch);
             }
         }
     }
 
-    /// Stores every batch the reliable layer has already delivered,
-    /// recycling the drained buffers.
+    /// Sends one batch to `dest`, then drains until the link is back
+    /// under its [`CREDIT_WINDOW`].
+    fn send_batch(&mut self, dest: usize, batch: Vec<Arc>) {
+        self.reg.inc(self.c_messages);
+        self.link.send(dest, Message::Batch(batch));
+        if self.link.in_flight(dest) < CREDIT_WINDOW {
+            return;
+        }
+        self.reg.inc(self.c_window_waits);
+        while self.link.in_flight(dest) >= CREDIT_WINDOW {
+            if let Some((_, message)) = self.link.poll_for_credit(dest) {
+                self.deliver(message);
+            }
+        }
+    }
+
+    /// Stores every batch the reliable layer has already delivered.
     fn drain_ready(&mut self) {
         while let Some((_, message)) = self.link.poll() {
-            match message {
-                Message::Batch(mut batch) => {
-                    for &(p, q) in &batch {
-                        self.reg.inc(self.c_stored);
-                        self.store.store(p, q);
-                    }
-                    batch.clear();
-                    if self.spare.len() < self.ranks {
-                        self.spare.push(batch);
-                    }
+            self.deliver(message);
+        }
+    }
+
+    /// Stores one delivered batch, recycling its buffer, or counts a Done.
+    fn deliver(&mut self, message: Message) {
+        match message {
+            Message::Batch(mut batch) => {
+                for &(p, q) in &batch {
+                    self.reg.inc(self.c_stored);
+                    self.store.store(p, q);
                 }
-                Message::Done => self.dones += 1,
+                batch.clear();
+                if self.spare.len() < self.ranks {
+                    self.spare.push(batch);
+                }
             }
+            Message::Done => self.dones += 1,
         }
     }
 
@@ -618,11 +669,13 @@ impl<'a> Exchange<'a> {
         // Flush remainders and signal completion to every rank, self
         // included — Done is an ordinary sequenced payload, so delivering
         // it proves every earlier batch on that link was delivered too.
+        // Done goes out only now that generation has ended: a peer that
+        // waits on this rank's Done keeps draining, so it keeps granting
+        // credit to ranks that still generate.
         for dest in 0..self.ranks {
             if !self.outboxes[dest].is_empty() {
-                self.reg.inc(self.c_messages);
                 let batch = std::mem::take(&mut self.outboxes[dest]);
-                self.link.send(dest, Message::Batch(batch));
+                self.send_batch(dest, batch);
             }
         }
         for dest in 0..self.ranks {
@@ -636,15 +689,8 @@ impl<'a> Exchange<'a> {
         // flushes held traffic whenever the mesh goes idle, which
         // guarantees progress under bounded fair loss.
         while self.dones < self.ranks || !self.link.all_acked() {
-            match self.link.poll() {
-                Some((_, Message::Batch(batch))) => {
-                    for (p, q) in batch {
-                        self.reg.inc(self.c_stored);
-                        self.store.store(p, q);
-                    }
-                }
-                Some((_, Message::Done)) => self.dones += 1,
-                None => {}
+            if let Some((_, message)) = self.link.poll() {
+                self.deliver(message);
             }
         }
         // Late acks and held duplicates must still reach draining peers.
@@ -976,36 +1022,33 @@ mod tests {
     }
 
     #[test]
-    fn interleaved_matches_phased() {
+    fn small_batches_match_sequential() {
         let pair = KroneckerPair::as_is(erdos_renyi(10, 0.5, 21), cycle(6)).unwrap();
         for ranks in [2usize, 4, 7] {
-            let mut phased = DistConfig::new(ranks);
-            phased.batch_size = 8;
-            let mut interleaved = phased.clone();
-            interleaved.exchange = ExchangeMode::Interleaved;
-            let a = generate_distributed(&pair, &phased);
-            let b = generate_distributed(&pair, &interleaved);
+            let mut cfg = DistConfig::new(ranks);
+            cfg.batch_size = 8;
+            let result = generate_distributed(&pair, &cfg);
             assert_eq!(
-                a.union(pair.n_c()),
-                b.union(pair.n_c()),
-                "ranks {ranks}: interleaved differs from phased"
+                result.union(pair.n_c()),
+                reference(&pair),
+                "ranks {ranks}: exchange differs from sequential"
             );
             assert_eq!(
-                b.stats.total_stored() as u128,
+                result.stats.total_stored() as u128,
                 pair.nnz_c(),
-                "ranks {ranks}: interleaved lost arcs"
+                "ranks {ranks}: exchange lost arcs"
             );
         }
     }
 
     #[test]
-    fn interleaved_tiny_batches_stress() {
-        // batch_size 1 forces an inbox poll after every remote arc —
-        // maximal interleaving pressure on the Done accounting.
+    fn tiny_batches_stress() {
+        // batch_size 1 drains the inbox after every generated arc and
+        // sends one payload per remote arc — maximal interleaving
+        // pressure on the Done accounting.
         let pair = KroneckerPair::with_full_self_loops(clique(4), cycle(5)).unwrap();
         let mut cfg = DistConfig::new(5);
         cfg.batch_size = 1;
-        cfg.exchange = ExchangeMode::Interleaved;
         let result = generate_distributed(&pair, &cfg);
         assert_eq!(result.union(pair.n_c()), reference(&pair));
     }
@@ -1066,17 +1109,16 @@ mod tests {
     }
 
     #[test]
-    fn interleaved_exchange_recycles_buffers() {
+    fn exchange_recycles_buffers() {
         // batch_size 1 with a scattering owner: every remote arc is a
-        // send followed by an inbox poll, so drained receive buffers are
-        // recycled into outbox refills throughout generation. Whichever
-        // rank's sends are scheduled later necessarily polls after the
-        // other has delivered, so the total reuse count is positive under
-        // any interleaving.
+        // send and every arc an inbox poll, so drained receive buffers
+        // are recycled into outbox refills throughout generation.
+        // Whichever rank's sends are scheduled later necessarily polls
+        // after the other has delivered, so the total reuse count is
+        // positive under any interleaving.
         let pair = KroneckerPair::as_is(clique(6), clique(6)).unwrap();
         let mut cfg = DistConfig::new(2);
         cfg.batch_size = 1;
-        cfg.exchange = ExchangeMode::Interleaved;
         cfg.owner = OwnerConfig::Hash { seed: 5 };
         let result = generate_distributed(&pair, &cfg);
         assert_eq!(result.union(pair.n_c()), reference(&pair));

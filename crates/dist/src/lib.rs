@@ -12,7 +12,8 @@
 //!   and Rem. 1's 2D scheme (distribute both factors over a rank grid).
 //! * [`owner`] — which rank stores a generated edge (block or hash map).
 //! * [`generator`] — the rank threads: generate `C_r = A_r ⊗ B_r`, route
-//!   every edge to its owner, drain incoming edges, report stats.
+//!   every edge to its owner under a per-link credit window while
+//!   draining incoming edges, report stats.
 //! * [`transport`] — the swappable rank mesh: perfect channels or a
 //!   seeded adversary injecting drop/duplication/delay/reordering.
 //! * [`reliability`] — seq/ack/retry exactly-once links for the edge
@@ -31,8 +32,7 @@ pub mod validate;
 
 pub use generator::{
     generate_distributed, materialize_shards_direct, spill_shards_direct, DirectSpillResult,
-    DistConfig, DistResult,
-    ExchangeMode, OwnerConfig, SpillConfig, StorageMode,
+    DistConfig, DistResult, OwnerConfig, SpillConfig, StorageMode, CREDIT_WINDOW,
 };
 pub use owner::{EdgeOwner, HashOwner, VertexBlockOwner};
 pub use partition::{grid_dims, FactorPartition, FactorSlice, GridPartition, PartitionScheme};

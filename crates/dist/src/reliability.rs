@@ -4,13 +4,20 @@
 //!
 //! * [`ReliableEndpoint`] — the edge-exchange data plane. Every payload
 //!   is sequence-numbered per link; the receiver delivers **in order,
-//!   exactly once**, acks cumulatively, and the sender retransmits
-//!   unacked payloads when the mesh goes idle. Redelivery dedup is
-//!   *bounded*: one `u64` cumulative counter per peer kills every
-//!   duplicate below it, and only the (small, transient) out-of-order
-//!   window is buffered — no unbounded seen-set. Only a mesh that can
-//!   drop payloads retransmits; on a loss-free one a quiet link is just
-//!   a slow peer, so idling only releases held (delayed) traffic.
+//!   exactly once**, acks cumulatively as its protocol takes each
+//!   payload, and the sender retransmits unacked payloads when the mesh
+//!   goes idle. Redelivery dedup is *bounded*: one `u64` cumulative
+//!   counter per peer kills every duplicate below it, and only the
+//!   (small, transient) out-of-order window is buffered — no unbounded
+//!   seen-set. Only a mesh that can drop payloads retransmits; on a
+//!   loss-free one a quiet link is just a slow peer, so idling only
+//!   releases held (delayed) traffic.
+//!   [`ReliableEndpoint::in_flight`] exposes the per-link unacked count
+//!   a sender bounds with a credit window — since an ack covers only
+//!   what the receiver's protocol has taken, that count also bounds the
+//!   payloads on the wire and in the receiver's delivery queue;
+//!   `poll_for_credit` is the poll such a sender spins on while its
+//!   window is full.
 //! * [`EpochTally`] — the analytics control plane (BFS levels, triangle
 //!   rounds). Senders tag every item with `(epoch, per-link sequence)`
 //!   and close each epoch with a count-carrying done marker; the tally
@@ -48,19 +55,21 @@ pub enum Packet<T> {
         /// The protocol message.
         payload: T,
     },
-    /// Cumulative ack: every `seq < upto` on the link is delivered.
+    /// Cumulative ack: every `seq < upto` on the link was delivered and
+    /// taken by the receiving protocol.
     Ack {
         /// Acking rank.
         from: usize,
-        /// One past the highest contiguously delivered sequence.
+        /// One past the highest sequence the protocol has taken.
         upto: u64,
     },
 }
 
 /// How many consecutive empty polls an idle rank waits before flushing
 /// held traffic and, on a mesh that can drop payloads, retransmitting its
-/// unacked ones. Purely event-counted — no wall clock — so behaviour is
-/// identical on loaded and idle machines.
+/// unacked ones — and how many wire reads a rank blocked on credit makes
+/// without freeing a slot before doing the same. Purely event-counted —
+/// no wall clock — so behaviour is identical on loaded and idle machines.
 const RETRY_IDLE_POLLS: u32 = 32;
 
 /// Reliable, exactly-once, per-link-FIFO endpoint for the edge exchange.
@@ -76,7 +85,12 @@ pub struct ReliableEndpoint<T: Clone + Send> {
     ooo: Vec<BTreeMap<u64, T>>,
     /// Payloads delivered in order, ready for the protocol.
     ready: VecDeque<(usize, T)>,
+    /// Payloads the protocol has taken, per source — the ack cursor.
+    taken: Vec<u64>,
     idle_polls: u32,
+    /// Consecutive wire reads by `poll_for_credit` that did not shrink
+    /// the blocked link's unacked set.
+    credit_stalls: u32,
     /// First transmissions of payloads.
     pub data_sent: u64,
     /// Idle-triggered retransmissions.
@@ -100,7 +114,9 @@ impl<T: Clone + Send> ReliableEndpoint<T> {
             next_expected: vec![0; ranks],
             ooo: vec![BTreeMap::new(); ranks],
             ready: VecDeque::new(),
+            taken: vec![0; ranks],
             idle_polls: 0,
+            credit_stalls: 0,
             data_sent: 0,
             retransmissions: 0,
             duplicates_discarded: 0,
@@ -194,11 +210,19 @@ impl<T: Clone + Send> ReliableEndpoint<T> {
         self.unacked.iter().all(BTreeMap::is_empty)
     }
 
+    /// Payloads sent to `dest` and not yet acked: the retained copies a
+    /// retransmission would resend. An ack covers only what `dest`'s
+    /// protocol has taken, so this also bounds the copies on the wire and
+    /// in `dest`'s delivery queue.
+    pub fn in_flight(&self, dest: usize) -> usize {
+        self.unacked[dest].len()
+    }
+
     /// Delivers the next in-order payload if one is available, else
     /// `None`. Processes all transport traffic that has arrived (acks
     /// included) before answering.
     pub fn poll(&mut self) -> Option<(usize, T)> {
-        if let Some(out) = self.ready.pop_front() {
+        if let Some(out) = self.take_ready() {
             return Some(out);
         }
         let mut processed_any = false;
@@ -224,21 +248,60 @@ impl<T: Clone + Send> ReliableEndpoint<T> {
                 .recorder()
                 .record(EventKind::InboxDepth, kron_obs::events::NO_PEER, depth, 0);
         }
-        let out = self.ready.pop_front();
+        let out = self.take_ready();
         if out.is_none() {
             self.idle_polls += 1;
             if self.idle_polls >= RETRY_IDLE_POLLS {
-                self.idle_polls = 0;
-                // Without drops every payload arrives once held traffic
-                // is released, so a resend would only duplicate it.
-                if self.ep.can_drop() {
-                    self.retransmit();
-                }
-                self.ep.flush();
+                self.on_idle();
             }
             std::thread::yield_now();
         }
         out
+    }
+
+    /// [`poll`](Self::poll) for a sender blocked until
+    /// [`in_flight(dest)`](Self::in_flight) shrinks. Every wire read that
+    /// leaves `dest`'s unacked set as it was counts toward the idle
+    /// action (flush held traffic; retransmit on a mesh that can drop),
+    /// even when other traffic arrives: a peer that keeps sending keeps
+    /// the plain idle count at zero, so one dropped payload would
+    /// otherwise pin the blocked link until that peer stops sending.
+    pub(crate) fn poll_for_credit(&mut self, dest: usize) -> Option<(usize, T)> {
+        if let Some(out) = self.take_ready() {
+            return Some(out);
+        }
+        let before = self.unacked[dest].len();
+        let out = self.poll();
+        if self.unacked[dest].len() < before {
+            self.credit_stalls = 0;
+        } else {
+            self.credit_stalls += 1;
+            if self.credit_stalls >= RETRY_IDLE_POLLS {
+                self.on_idle();
+            }
+        }
+        out
+    }
+
+    /// Hands the next delivered payload to the protocol and acks it.
+    fn take_ready(&mut self) -> Option<(usize, T)> {
+        let (from, payload) = self.ready.pop_front()?;
+        self.taken[from] += 1;
+        self.send_ack(from);
+        Some((from, payload))
+    }
+
+    /// The liveness action of a rank that is making no progress: release
+    /// held traffic and, where payloads can be lost, resend the unacked.
+    fn on_idle(&mut self) {
+        self.idle_polls = 0;
+        self.credit_stalls = 0;
+        // Without drops every payload arrives once held traffic is
+        // released, so a resend would only duplicate it.
+        if self.ep.can_drop() {
+            self.retransmit();
+        }
+        self.ep.flush();
     }
 
     fn on_data(&mut self, from: usize, seq: u64, payload: T) {
@@ -247,14 +310,17 @@ impl<T: Clone + Send> ReliableEndpoint<T> {
         match seq.cmp(&expected) {
             Ordering::Less => {
                 // Redelivery below the cumulative cursor: dedup is the
-                // single counter — nothing stored. Re-ack so the sender
-                // stops retransmitting (its ack may have been delayed).
+                // single counter — nothing stored. Re-ack what the
+                // protocol has taken so the sender stops retransmitting
+                // (its ack may have been delayed); the rest is acked as
+                // the protocol takes it.
                 self.duplicates_discarded += 1;
                 self.duplicates_from[from] += 1;
                 self.ep.recorder().record(EventKind::DedupDiscard, from as u32, seq, 0);
                 self.send_ack(from);
             }
             Ordering::Equal => {
+                // Acked once the protocol takes it (`take_ready`).
                 self.ep.recorder().record(EventKind::Deliver, from as u32, seq, 0);
                 self.ready.push_back((from, payload));
                 self.next_expected[from] += 1;
@@ -263,7 +329,6 @@ impl<T: Clone + Send> ReliableEndpoint<T> {
                     self.ready.push_back((from, p));
                     self.next_expected[from] += 1;
                 }
-                self.send_ack(from);
             }
             Ordering::Greater => {
                 if self.ooo[from].insert(seq, payload).is_some() {
@@ -276,7 +341,7 @@ impl<T: Clone + Send> ReliableEndpoint<T> {
     }
 
     fn send_ack(&mut self, to: usize) {
-        let upto = self.next_expected[to];
+        let upto = self.taken[to];
         let from = self.ep.rank();
         // Acks are control class: never dropped, may be duplicated,
         // delayed, reordered — all harmless for a cumulative counter.
@@ -403,11 +468,13 @@ mod tests {
         for v in 0..100 {
             a.send(1, v);
         }
+        assert_eq!((a.in_flight(0), a.in_flight(1)), (0, 100));
         assert_eq!(drain_count(&mut b, 100), (0..100).collect::<Vec<_>>());
         // Drive a so it processes b's acks.
         while !a.all_acked() {
             let _ = a.poll();
         }
+        assert_eq!(a.in_flight(1), 0);
     }
 
     #[test]

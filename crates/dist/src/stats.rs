@@ -38,6 +38,10 @@ pub struct RankStats {
     pub spill_runs: u64,
     /// Arcs this rank spilled into shard runs instead of resident memory.
     pub spill_arcs: u64,
+    /// Batch sends that left their link's credit window full, so the rank
+    /// drained its inbox until an ack freed a slot
+    /// (`kron_dist::generator::CREDIT_WINDOW`).
+    pub window_waits: u64,
 }
 
 impl RankStats {
@@ -63,6 +67,8 @@ impl RankStats {
     pub const SPILL_RUNS: &'static str = "dist.rank.spill_runs";
     /// Registry name of [`RankStats::spill_arcs`].
     pub const SPILL_ARCS: &'static str = "dist.rank.spill_arcs";
+    /// Registry name of [`RankStats::window_waits`].
+    pub const WINDOW_WAITS: &'static str = "dist.rank.window_waits";
 
     /// Snapshots a rank's [`LocalRegistry`] into the public struct
     /// (counters the rank never touched read as 0).
@@ -79,6 +85,7 @@ impl RankStats {
             batch_buffers_reused: reg.get(Self::BATCH_BUFFERS_REUSED),
             spill_runs: reg.get(Self::SPILL_RUNS),
             spill_arcs: reg.get(Self::SPILL_ARCS),
+            window_waits: reg.get(Self::WINDOW_WAITS),
         }
     }
 }
@@ -149,6 +156,11 @@ impl GenStats {
     /// was configured with `DistConfig::spill`).
     pub fn total_spilled_arcs(&self) -> u64 {
         self.per_rank.iter().map(|r| r.spill_arcs).sum()
+    }
+
+    /// Total credit-window waits across ranks.
+    pub fn total_window_waits(&self) -> u64 {
+        self.per_rank.iter().map(|r| r.window_waits).sum()
     }
 
     /// Generation throughput in arcs/second.

@@ -1,9 +1,12 @@
 //! Seeded chaos matrix for the distributed layer.
 //!
-//! Every cell of the grid — seed × fault mix × rank count × exchange
-//! mode — replays distributed generation (and the BFS / triangle-count
-//! analytics) over a fault-injecting transport and asserts the results
-//! are **bit-identical** to the perfect-transport run. Fault schedules
+//! Every cell of the grid — seed × fault mix × rank count × scheme ×
+//! batch size — replays distributed generation (and the BFS /
+//! triangle-count analytics) over a fault-injecting transport and asserts
+//! the results are **bit-identical** to the perfect-transport run. The
+//! batch-1 generation and spill cells send one payload per remote arc,
+//! more than twice the exchange's credit window per link, so they drive
+//! the window full under drops, duplicates and reordering. Fault schedules
 //! are pure functions of the seed, so every failure is replayable: each
 //! assertion message carries the full cell coordinates, and — with event
 //! recording switched on for the whole suite — a failing cell dumps its
@@ -17,8 +20,8 @@ use kron_core::generate::materialize;
 use kron_core::KroneckerPair;
 use kron_dist::{
     distributed_bfs_traced, distributed_triangle_count_traced, generate_distributed, DistConfig,
-    DistResult, ExchangeMode, FaultConfig, PartitionScheme, SpillConfig, TransportConfig,
-    VertexBlockOwner,
+    DistResult, FaultConfig, PartitionScheme, SpillConfig, TransportConfig, VertexBlockOwner,
+    CREDIT_WINDOW,
 };
 use kron_graph::generators::{cycle, erdos_renyi};
 use kron_graph::shard::{
@@ -30,7 +33,10 @@ use kron_obs::events::{EventKind, Timeline, NO_PEER};
 const DEFAULT_SEED_COUNT: u64 = 4;
 /// Rank axis. 8 ranks puts the 2D scheme on its non-square 2×4 grid.
 const RANK_COUNTS: [usize; 4] = [1, 2, 4, 8];
-const MODES: [ExchangeMode; 2] = [ExchangeMode::Phased, ExchangeMode::Interleaved];
+/// Batch-size axis: the default batch, and single-arc batches that
+/// push more than `2 · CREDIT_WINDOW` payloads over each link of the
+/// multi-rank cells.
+const BATCH_SIZES: [usize; 2] = [1024, 1];
 /// Scheme axis: §III's 1D partition and Rem. 1's real 2D grid path.
 const SCHEMES: [PartitionScheme; 2] = [PartitionScheme::OneD, PartitionScheme::TwoD];
 
@@ -59,15 +65,22 @@ fn test_pair() -> KroneckerPair {
     KroneckerPair::with_full_self_loops(erdos_renyi(6, 0.5, 77), cycle(5)).unwrap()
 }
 
+/// The generation and spill matrices' product: large enough that at
+/// batch size 1 every link of a 2-rank cell carries more than
+/// `2 · CREDIT_WINDOW` payloads, so the credit window fills.
+fn window_pair() -> KroneckerPair {
+    KroneckerPair::with_full_self_loops(erdos_renyi(16, 0.5, 77), cycle(9)).unwrap()
+}
+
 fn config(
     ranks: usize,
     scheme: PartitionScheme,
-    mode: ExchangeMode,
+    batch_size: usize,
     transport: TransportConfig,
 ) -> DistConfig {
     let mut cfg = DistConfig::new(ranks);
     cfg.scheme = scheme;
-    cfg.exchange = mode;
+    cfg.batch_size = batch_size;
     cfg.transport = transport;
     cfg
 }
@@ -156,17 +169,27 @@ fn check_link_conservation(timeline: &Timeline, cell: &str) {
 #[test]
 fn chaos_matrix_generation_is_bit_identical() {
     kron_obs::events::set_enabled(true);
-    let pair = test_pair();
+    let pair = window_pair();
     let sequential = sequential_reference(&pair);
     let mut chaos_retransmissions = 0u64;
     let mut chaos_redeliveries = 0u64;
+    let mut lossy_window_waits = 0u64;
     for scheme in SCHEMES {
         for ranks in RANK_COUNTS {
-            for mode in MODES {
+            for batch in BATCH_SIZES {
                 let baseline = generate_distributed(
                     &pair,
-                    &config(ranks, scheme, mode, TransportConfig::Perfect),
+                    &config(ranks, scheme, batch, TransportConfig::Perfect),
                 );
+                if ranks == 2 && batch == 1 {
+                    // Each rank's batches all cross the one remote link.
+                    let sent = baseline.stats.per_rank.iter().map(|r| r.messages).min();
+                    let sent = sent.unwrap_or(0);
+                    assert!(
+                        sent > 2 * CREDIT_WINDOW as u64,
+                        "scheme={scheme:?}: {sent} payloads per link cannot fill the window"
+                    );
+                }
                 let expected = canonical_stores(&baseline);
                 assert_eq!(
                     u128::from(baseline.stats.total_stored()),
@@ -178,7 +201,7 @@ fn chaos_matrix_generation_is_bit_identical() {
                 assert_eq!(
                     baseline.union(pair.n_c()),
                     sequential,
-                    "scheme={scheme:?} ranks={ranks} mode={mode:?}: \
+                    "scheme={scheme:?} ranks={ranks} batch={batch}: \
                      perfect run differs from sequential materialization"
                 );
                 // A perfect transport never drops or duplicates, so the
@@ -191,11 +214,11 @@ fn chaos_matrix_generation_is_bit_identical() {
                 for seed in seeds() {
                     for (mix, faults) in mixes(seed) {
                         let cell = format!(
-                            "repro: seed={seed} mix={mix} scheme={scheme:?} ranks={ranks} mode={mode:?}"
+                            "repro: seed={seed} mix={mix} scheme={scheme:?} ranks={ranks} batch={batch}"
                         );
                         let run = generate_distributed(
                             &pair,
-                            &config(ranks, scheme, mode, TransportConfig::Faulty(faults)),
+                            &config(ranks, scheme, batch, TransportConfig::Faulty(faults)),
                         );
                         assert_cell_eq(
                             &u128::from(run.stats.total_stored()),
@@ -237,6 +260,9 @@ fn chaos_matrix_generation_is_bit_identical() {
                         );
                         chaos_retransmissions += run.stats.total_retransmissions();
                         chaos_redeliveries += run.stats.total_redeliveries_discarded();
+                        if batch == 1 && faults.drop_p > 0.0 {
+                            lossy_window_waits += run.stats.total_window_waits();
+                        }
                     }
                 }
             }
@@ -247,18 +273,24 @@ fn chaos_matrix_generation_is_bit_identical() {
     // must have forced receive-side dedup.
     assert!(chaos_retransmissions > 0, "no fault schedule ever dropped a payload");
     assert!(chaos_redeliveries > 0, "no fault schedule ever duplicated a payload");
+    // A dropped payload stalls its link's cumulative ack, so a link that
+    // carries more than CREDIT_WINDOW payloads after a drop must wait.
+    assert!(
+        lossy_window_waits > 0,
+        "no batch-1 cell with drops ever filled its credit window"
+    );
 }
 
 /// Spill tier under the same matrix: {OneD, TwoD} × {Perfect + every
-/// fault mix} × ranks (incl. the 2×4 grid). Each rank's merged shard
-/// runs must equal the per-rank store of the perfect in-memory run, and
-/// the union of all runs must be bit-identical to the sequential
-/// materialization — chaos on the exchange must never corrupt, drop, or
-/// duplicate an arc on its way to disk.
+/// fault mix} × ranks (incl. the 2×4 grid) × batch size. Each rank's
+/// merged shard runs must equal the per-rank store of the perfect
+/// in-memory run, and the union of all runs must be bit-identical to the
+/// sequential materialization — chaos on the exchange must never
+/// corrupt, drop, or duplicate an arc on its way to disk.
 #[test]
 fn chaos_matrix_spilled_shards_are_bit_identical() {
     kron_obs::events::set_enabled(true);
-    let pair = test_pair();
+    let pair = window_pair();
     let sequential = sequential_reference(&pair);
     let base_dir = std::env::temp_dir().join("kron_chaos_spill");
     for scheme in SCHEMES {
@@ -267,7 +299,7 @@ fn chaos_matrix_spilled_shards_are_bit_identical() {
             // run (ownership is owner-determined, not scheme-determined).
             let in_memory = generate_distributed(
                 &pair,
-                &config(ranks, scheme, ExchangeMode::Phased, TransportConfig::Perfect),
+                &config(ranks, scheme, BATCH_SIZES[0], TransportConfig::Perfect),
             );
             let expected_stores = canonical_stores(&in_memory);
             let mut transports = vec![("perfect".to_string(), TransportConfig::Perfect)];
@@ -277,66 +309,70 @@ fn chaos_matrix_spilled_shards_are_bit_identical() {
                         .push((format!("{mix} seed={seed}"), TransportConfig::Faulty(faults)));
                 }
             }
-            for (tname, transport) in transports {
-                let cell = format!("repro: spill {tname} scheme={scheme:?} ranks={ranks}");
-                let mut cfg = config(ranks, scheme, ExchangeMode::Phased, transport);
-                let dir = base_dir.join(format!("{tname}_{scheme:?}_{ranks}"));
-                let mut spill = SpillConfig::new(dir.clone());
-                spill.run_arcs = 100; // force multi-run merges per rank
-                cfg.spill = Some(spill);
-                let run = generate_distributed(&pair, &cfg);
-                assert!(
-                    run.per_rank.iter().all(EdgeList::is_empty),
-                    "spill mode kept resident edges — {cell}"
-                );
-                assert_cell_eq(
-                    &(run.stats.total_spilled_arcs() as u128),
-                    &pair.nnz_c(),
-                    &run.timeline,
-                    &cell,
-                    "spilled arc count drifted",
-                );
-                // Per-rank shard unions: merge each rank's runs.
-                for (rank, rank_runs) in run.shard_runs.iter().enumerate() {
-                    let readers: Vec<ShardReader> = rank_runs
-                        .iter()
-                        .map(|p| ShardReader::open(p).expect("open spilled run"))
-                        .collect();
-                    let mut merged = Vec::new();
-                    merge_shards(readers, |p, q| merged.push((p, q)))
-                        .expect("merge spilled runs");
-                    assert_cell_eq(
-                        &merged,
-                        &expected_stores[rank],
-                        &run.timeline,
-                        &format!("{cell} rank={rank}"),
-                        "rank's merged shard runs differ from perfect in-memory store",
+            for (tname, transport) in &transports {
+                for batch in BATCH_SIZES {
+                    let cell = format!(
+                        "repro: spill {tname} scheme={scheme:?} ranks={ranks} batch={batch}"
                     );
+                    let mut cfg = config(ranks, scheme, batch, *transport);
+                    let dir = base_dir.join(format!("{tname}_{scheme:?}_{ranks}_{batch}"));
+                    let mut spill = SpillConfig::new(dir.clone());
+                    spill.run_arcs = 100; // force multi-run merges per rank
+                    cfg.spill = Some(spill);
+                    let run = generate_distributed(&pair, &cfg);
+                    assert!(
+                        run.per_rank.iter().all(EdgeList::is_empty),
+                        "spill mode kept resident edges — {cell}"
+                    );
+                    assert_cell_eq(
+                        &(run.stats.total_spilled_arcs() as u128),
+                        &pair.nnz_c(),
+                        &run.timeline,
+                        &cell,
+                        "spilled arc count drifted",
+                    );
+                    // Per-rank shard unions: merge each rank's runs.
+                    for (rank, rank_runs) in run.shard_runs.iter().enumerate() {
+                        let readers: Vec<ShardReader> = rank_runs
+                            .iter()
+                            .map(|p| ShardReader::open(p).expect("open spilled run"))
+                            .collect();
+                        let mut merged = Vec::new();
+                        merge_shards(readers, |p, q| merged.push((p, q)))
+                            .expect("merge spilled runs");
+                        assert_cell_eq(
+                            &merged,
+                            &expected_stores[rank],
+                            &run.timeline,
+                            &format!("{cell} rank={rank}"),
+                            "rank's merged shard runs differ from perfect in-memory store",
+                        );
+                    }
+                    // Whole-graph union via the external-memory CSR build.
+                    let paths: Vec<_> = run.shard_runs.iter().flatten().collect();
+                    let rebuilt = CsrGraph::from_shards(&paths, 4096).expect("from_shards");
+                    assert_cell_eq(
+                        &rebuilt.to_edge_list(),
+                        &sequential,
+                        &run.timeline,
+                        &cell,
+                        "union of spilled shards differs from sequential run",
+                    );
+                    // Single-pass external build vs the two-pass reference:
+                    // byte-identical KRSC output in every fault cell.
+                    let one = dir.join("one.krsc");
+                    let two = dir.join("two.krsc");
+                    build_external_csr(&paths, &one, 4096).expect("single-pass build");
+                    build_external_csr_two_pass(&paths, &two, 4096).expect("two-pass build");
+                    assert_cell_eq(
+                        &std::fs::read(&one).expect("read single-pass KRSC"),
+                        &std::fs::read(&two).expect("read two-pass KRSC"),
+                        &run.timeline,
+                        &cell,
+                        "single-pass external CSR bytes differ from two-pass",
+                    );
+                    std::fs::remove_dir_all(&dir).expect("clean up spill dir");
                 }
-                // Whole-graph union via the external-memory CSR build.
-                let paths: Vec<_> = run.shard_runs.iter().flatten().collect();
-                let rebuilt = CsrGraph::from_shards(&paths, 4096).expect("from_shards");
-                assert_cell_eq(
-                    &rebuilt.to_edge_list(),
-                    &sequential,
-                    &run.timeline,
-                    &cell,
-                    "union of spilled shards differs from sequential run",
-                );
-                // Single-pass external build vs the two-pass reference:
-                // byte-identical KRSC output in every fault cell.
-                let one = dir.join("one.krsc");
-                let two = dir.join("two.krsc");
-                build_external_csr(&paths, &one, 4096).expect("single-pass build");
-                build_external_csr_two_pass(&paths, &two, 4096).expect("two-pass build");
-                assert_cell_eq(
-                    &std::fs::read(&one).expect("read single-pass KRSC"),
-                    &std::fs::read(&two).expect("read two-pass KRSC"),
-                    &run.timeline,
-                    &cell,
-                    "single-pass external CSR bytes differ from two-pass",
-                );
-                std::fs::remove_dir_all(&dir).expect("clean up spill dir");
             }
         }
     }
@@ -354,7 +390,7 @@ fn chaos_matrix_bfs_distances_are_bit_identical() {
         for ranks in RANK_COUNTS {
             let result = generate_distributed(
                 &pair,
-                &config(ranks, scheme, ExchangeMode::Phased, TransportConfig::Perfect),
+                &config(ranks, scheme, BATCH_SIZES[0], TransportConfig::Perfect),
             );
             let owner = VertexBlockOwner::new(pair.n_c(), ranks);
             for source in [0u64, pair.n_c() / 2] {
@@ -411,7 +447,7 @@ fn chaos_matrix_triangle_counts_are_bit_identical() {
         for ranks in RANK_COUNTS {
             let result = generate_distributed(
                 &pair,
-                &config(ranks, scheme, ExchangeMode::Phased, TransportConfig::Perfect),
+                &config(ranks, scheme, BATCH_SIZES[0], TransportConfig::Perfect),
             );
             let owner = VertexBlockOwner::new(pair.n_c(), ranks);
             let (baseline, timeline) =

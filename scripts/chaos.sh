@@ -3,14 +3,16 @@
 # DESIGN.md §7).
 #
 # Runs the seeded fault-injection matrix over 32 fixed seeds — every
-# cell (seed × fault mix × ranks × exchange mode) must produce results
-# bit-identical to the perfect-transport run — plus the owner property
-# tests and the §I brute-force conformance sweep, which replays every
-# ground-truth property under both transports.
+# cell (seed × fault mix × ranks × scheme × batch size) must produce
+# results bit-identical to the perfect-transport run; the batch-1 cells
+# fill the exchange's credit window — plus the owner property tests and
+# the §I brute-force conformance sweep, which replays every ground-truth
+# property under both transports.
 #
 # A failing cell prints its repro coordinates
-# (seed=… mix=… ranks=… mode=…); re-run with the same KRON_CHAOS_SEEDS
-# to reproduce exactly — fault schedules are pure functions of the seed.
+# (seed=… mix=… scheme=… ranks=… batch=…); re-run with the same
+# KRON_CHAOS_SEEDS to reproduce exactly — fault schedules are pure
+# functions of the seed.
 #
 # Usage: scripts/chaos.sh [seed-count]   (default 32)
 
@@ -19,7 +21,7 @@ cd "$(dirname "$0")/.."
 
 SEEDS="${1:-32}"
 
-echo "== chaos matrix: ${SEEDS} seeds x {drops_only, dup_reorder_only, chaos} x ranks {1,2,4,8} x {Phased, Interleaved} =="
+echo "== chaos matrix: ${SEEDS} seeds x {drops_only, dup_reorder_only, chaos} x ranks {1,2,4,8} x {OneD, TwoD} x batch {1024, 1} =="
 KRON_CHAOS_SEEDS="${SEEDS}" cargo test -q --offline -p kron-dist --test chaos
 
 echo "== owner map properties (total / deterministic / in-range / balance bound) =="

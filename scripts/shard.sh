@@ -13,7 +13,10 @@
 # Then runs the shard-format test batteries: the kron-graph unit +
 # property suites (roundtrip, truncation/bit-flip/forged-count corpus,
 # plus the v2 varint/delta codec corpus in shard_v2_props) and the
-# cross-crate conformance suite in kron-dist.
+# cross-crate conformance suite in kron-dist — and both spill paths'
+# counting-allocator memory bounds: the direct spill + external build
+# (external_alloc) and the exchanged spill under the credit window
+# (exchange_alloc).
 #
 # Usage: scripts/shard.sh [--scale S] [--ranks R]
 
@@ -43,5 +46,9 @@ cargo test -q --offline -p kron-graph --test shard_v2_props
 
 echo "== shard: cross-crate conformance suite (kron-dist) =="
 cargo test -q --offline -p kron-dist --test shard_conformance
+
+echo "== shard: peak-heap bounds of both spill paths (kron-bench) =="
+cargo test -q --offline -p kron-bench --test external_alloc
+cargo test -q --offline -p kron-bench --test exchange_alloc
 
 echo "shard.sh: all shard checks passed"

@@ -24,7 +24,7 @@ use kron_core::generate::materialize_threads;
 use kron_core::KroneckerPair;
 use kron_dist::{
     distributed_bfs_with, distributed_triangle_count_with, generate_distributed, DistConfig,
-    ExchangeMode, FaultConfig, TransportConfig, VertexBlockOwner,
+    FaultConfig, TransportConfig, VertexBlockOwner,
 };
 use kron_graph::generators::{cycle, erdos_renyi};
 use kron_graph::VertexId;
@@ -54,7 +54,6 @@ fn test_pair() -> KroneckerPair {
 
 fn dist_config(ranks: usize, transport: TransportConfig) -> DistConfig {
     let mut cfg = DistConfig::new(ranks);
-    cfg.exchange = ExchangeMode::Interleaved;
     cfg.transport = transport;
     cfg
 }

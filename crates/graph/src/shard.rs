@@ -40,8 +40,8 @@
 //!   reference two-pass build ([`build_external_csr_two_pass`]) in every
 //!   case. [`ExternalCsr`] reads that file back — whole (for
 //!   validation-scale equality checks), row-at-a-time through an
-//!   optional bounded block cache (seeded-eviction, the
-//!   `kron-serve` row-cache design), or via streaming visitors
+//!   optional bounded block cache (4-way set-associative, seeded
+//!   random eviction), or via streaming visitors
 //!   ([`ExternalCsr::for_each_degree`], [`ExternalCsr::for_each_row`])
 //!   for beyond-RAM analytics.
 //!
@@ -1103,10 +1103,9 @@ struct CacheSet {
     rng: u64,
 }
 
-/// Bounded 4-way set-associative block cache with seeded random
-/// eviction — the `kron-serve` row-cache design applied to fixed-size
-/// file blocks. Way data is allocated lazily on first fill, so an idle
-/// cache costs only its set table.
+/// Bounded 4-way set-associative cache of fixed-size file blocks with
+/// seeded random eviction. Way data is allocated lazily on first fill,
+/// so an idle cache costs only its set table.
 #[derive(Debug)]
 struct BlockCache {
     block_bytes: usize,

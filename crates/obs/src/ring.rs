@@ -62,7 +62,10 @@ pub const ETYPE_SPAN_ENTER: u8 = 1;
 /// `FlightEvent::etype`: a span was exited (`id` indexes `span_names`).
 pub const ETYPE_SPAN_EXIT: u8 = 2;
 
-/// `FlightEvent::flags` bit: at least one row in the frame was a row-cache hit.
+/// `FlightEvent::flags` bit: at least one row in the frame was a row-cache
+/// hit. `kron-serve` keeps no row cache and never sets it; the bit stays
+/// with [`StageNs::cache_ns`], which `benchmark/src/serve.rs` reads, until
+/// a benchmark change retires both.
 pub const FLAG_CACHE_HIT: u8 = 1;
 
 /// Per-stage durations of one served frame, nanoseconds. `read_ns` spans
@@ -77,7 +80,9 @@ pub struct StageNs {
     pub queue_ns: u64,
     /// Oracle evaluation inside `answer`.
     pub engine_ns: u64,
-    /// Row-cache lookup/fill share of the engine stage (Neighbors only).
+    /// Row-cache lookup/fill share of the engine stage. `kron-serve`
+    /// keeps no row cache and records 0; the field stays only because
+    /// `benchmark/src/serve.rs` reads it.
     pub cache_ns: u64,
     /// Encoding + writing the response frame.
     pub write_ns: u64,

@@ -11,11 +11,10 @@
 //! whatever the still-running workers hold. The scrape protocol's
 //! headline numbers must instead be exact at any instant — `kron-load`
 //! cross-checks them bit-for-bit against its client-side tallies mid
-//! run — so [`ServeCounters`] keeps one relaxed `AtomicU64` per fact
-//! (the same always-on pattern as [`crate::cache::RowCache`]'s
-//! hit/miss/eviction atomics). A relaxed add per served query is
-//! allocation-free and a few nanoseconds; the sharded registry remains
-//! the home of histograms and everything else.
+//! run — so [`ServeCounters`] keeps one relaxed `AtomicU64` per fact.
+//! A relaxed add per served query is allocation-free and a few
+//! nanoseconds; the sharded registry remains the home of histograms and
+//! everything else.
 //!
 //! The `Stats` reply therefore carries three tiers of data:
 //!
@@ -36,11 +35,11 @@ use kron_obs::metrics::{quantiles_from_buckets, HistQuantiles, MetricsSnapshot};
 use kron_obs::ring::{self, FlightEvent, FlightSnapshot};
 use serde::Serialize;
 
-use crate::cache::CacheStats;
 use crate::protocol::QueryKind;
 
-/// Version stamp embedded in every admin reply; bump on layout change.
-pub const ADMIN_SCHEMA: u32 = 1;
+/// Version stamp embedded in every admin reply; bump on layout change
+/// (2: `Stats` lost its `cache_*` fields with the row cache).
+pub const ADMIN_SCHEMA: u32 = 2;
 
 /// Hard cap on `SlowQueries` results regardless of the requested limit,
 /// so a pretty-printed reply always fits one frame.
@@ -138,8 +137,6 @@ impl ServeCounters {
 pub struct StatsInput {
     /// Exact always-on counters.
     pub counters: CountersSnapshot,
-    /// Row-cache totals (zeros when caching is off).
-    pub cache: CacheStats,
     /// Jobs queued right now.
     pub queue_len: u64,
     /// Queue capacity.
@@ -191,9 +188,6 @@ struct StatsReply {
     served_closeness: u64,
     served_community: u64,
     served_hops: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    cache_evictions: u64,
     flight_recorded: u64,
     flight_overflow: u64,
     flight_dropped_threads: u64,
@@ -266,9 +260,6 @@ pub fn stats_json(input: &StatsInput) -> String {
         served_closeness: c.served[3],
         served_community: c.served[4],
         served_hops: c.served[5],
-        cache_hits: input.cache.hits,
-        cache_misses: input.cache.misses,
-        cache_evictions: input.cache.evictions,
         flight_recorded: flight.total_written(),
         flight_overflow: flight.total_overflow(),
         flight_dropped_threads: flight.dropped_threads,
@@ -353,7 +344,6 @@ mod tests {
                 write_failures: 0,
                 served: [7, 1, 1, 1, 1, 1],
             },
-            cache: CacheStats { hits: 5, misses: 2, evictions: 0 },
             queue_len: 0,
             queue_depth: 256,
             workers: 1,
@@ -368,7 +358,8 @@ mod tests {
         // The sidecar's line-oriented parser keys on these exact forms.
         assert!(json.contains("\"served_neighbors\": 7"), "{json}");
         assert!(json.contains("\"served_total\": 12"), "{json}");
-        assert!(json.contains("\"admin_schema\": 1"));
+        assert!(json.contains("\"admin_schema\": 2"));
+        assert!(!json.contains("cache_hits"), "{json}");
         assert!(json.contains("\"registry\":"));
     }
 

@@ -29,7 +29,7 @@
 //!   |-------------------------|----------------------------------------|
 //!   | `serve_closed_loop_mixed` | window 1, batch 1 — true per-query RTT |
 //!   | `serve_pipelined_mixed`   | window 8, batch 16 — peak throughput   |
-//!   | `serve_neighbors_hot`     | zipf 1.2, neighbors only — cache phase |
+//!   | `serve_neighbors_hot`     | zipf 1.2, neighbors only — hub rows    |
 //!
 //!   Each phase record carries `name` + `secs_threads_1` (wall seconds
 //!   for its fixed query count) on their own lines, so `bench_smoke
@@ -80,7 +80,6 @@ struct ServePhase {
     queries: u64,
     frames: u64,
     mismatched_frames: u64,
-    cache_hit_rate: f64,
 }
 
 #[derive(Serialize)]
@@ -91,17 +90,16 @@ struct ServeReport {
     seed_a: u64,
     seed_b: u64,
     workers: usize,
-    cache_capacity: usize,
     phases: Vec<ServePhase>,
     obs: ObsReport,
 }
 
-fn print_stats(label: &str, s: &LoadStats, hit_rate: f64) {
+fn print_stats(label: &str, s: &LoadStats) {
     eprintln!(
         "kron-load: {label}: {} queries in {:.3}s = {:.0} q/s; RTT p50 {:.0}us p90 {:.0}us p99 {:.0}us; \
-         {}/{} frames validated, {} mismatched; cache hit rate {:.1}%",
+         {}/{} frames validated, {} mismatched",
         s.queries, s.secs, s.qps, s.p50_us, s.p90_us, s.p99_us,
-        s.validated_frames, s.frames, s.mismatched_frames, hit_rate * 100.0,
+        s.validated_frames, s.frames, s.mismatched_frames,
     );
 }
 
@@ -276,7 +274,7 @@ fn main() {
         (scrape_interval > 0).then(|| spawn_scraper(addr, scrape_interval, Arc::clone(&stop)));
 
     let stats = run_load(&engine, addr, &cfg);
-    print_stats("run", &stats, 0.0);
+    print_stats("run", &stats);
 
     stop.store(true, Ordering::Relaxed);
     let polls = scraper.map(|h| h.join().expect("scraper panicked")).unwrap_or(0);
@@ -323,7 +321,6 @@ fn main() {
 fn self_mode(args: &[String], scale: u32, seed_a: u64, seed_b: u64, root: u64, seed: u64) {
     let out_path = arg_value(args, "--out").unwrap_or_else(|| "BENCH_PR7.json".to_string());
     let workers: usize = parsed(args, "--workers", 1);
-    let cache_capacity: usize = parsed(args, "--cache-capacity", 4096);
 
     kron_obs::set_enabled(true);
     kron_obs::reset();
@@ -332,11 +329,7 @@ fn self_mode(args: &[String], scale: u32, seed_a: u64, seed_b: u64, root: u64, s
     let n_c = engine.n_c();
     let handle = server::spawn(
         Arc::clone(&engine),
-        ServerConfig {
-            workers,
-            cache_capacity,
-            ..ServerConfig::default()
-        },
+        ServerConfig { workers, ..ServerConfig::default() },
     )
     .expect("bind loopback");
     let addr = handle.addr();
@@ -360,7 +353,6 @@ fn self_mode(args: &[String], scale: u32, seed_a: u64, seed_b: u64, root: u64, s
     for (name, clients, frames, window, batch, zipf_s, weights) in shapes {
         let mut runs = Vec::with_capacity(REPS);
         for _ in 0..REPS {
-            let before = handle.cache_stats();
             let stats = run_load(
                 &engine,
                 addr,
@@ -374,19 +366,12 @@ fn self_mode(args: &[String], scale: u32, seed_a: u64, seed_b: u64, root: u64, s
                     weights,
                 },
             );
-            let after = handle.cache_stats();
-            let lookups = (after.hits + after.misses) - (before.hits + before.misses);
-            let hit_rate = if lookups == 0 {
-                0.0
-            } else {
-                (after.hits - before.hits) as f64 / lookups as f64
-            };
             total_mismatches += stats.mismatched_frames;
-            runs.push((stats, hit_rate));
+            runs.push(stats);
         }
-        runs.sort_by(|a, b| a.0.secs.total_cmp(&b.0.secs));
-        let (stats, hit_rate) = runs.swap_remove(REPS / 2);
-        print_stats(name, &stats, hit_rate);
+        runs.sort_by(|a, b| a.secs.total_cmp(&b.secs));
+        let stats = runs.swap_remove(REPS / 2);
+        print_stats(name, &stats);
         phases.push(ServePhase {
             name: name.to_string(),
             secs_threads_1: stats.secs,
@@ -398,7 +383,6 @@ fn self_mode(args: &[String], scale: u32, seed_a: u64, seed_b: u64, root: u64, s
             queries: stats.queries,
             frames: stats.frames,
             mismatched_frames: stats.mismatched_frames,
-            cache_hit_rate: hit_rate,
         });
     }
 
@@ -418,7 +402,6 @@ fn self_mode(args: &[String], scale: u32, seed_a: u64, seed_b: u64, root: u64, s
         seed_a,
         seed_b,
         workers,
-        cache_capacity,
         phases,
         obs: ObsReport::capture(),
     };

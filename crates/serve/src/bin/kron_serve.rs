@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! kron-serve [--scale S] [--seed-a A] [--seed-b B] [--root R]
-//!            [--port P] [--workers W] [--queue-depth Q]
-//!            [--cache-capacity N] [--cache-seed X] [--quiet]
+//!            [--port P] [--workers W] [--queue-depth Q] [--quiet]
 //! ```
 //!
 //! Builds two graph500 R-MAT factors at `--scale` (so the served
@@ -51,8 +50,6 @@ fn main() {
         port: parsed(&args, "--port", 0),
         workers: parsed(&args, "--workers", 1),
         queue_depth: parsed(&args, "--queue-depth", 256),
-        cache_capacity: parsed(&args, "--cache-capacity", 4096),
-        cache_seed: parsed(&args, "--cache-seed", 0x6B72_6F6E),
         ..ServerConfig::default()
     };
 
@@ -90,17 +87,13 @@ fn main() {
     std::io::stdout().flush().expect("stdout");
 
     handle.wait_shutdown_requested();
-    let cache = handle.cache_stats();
     let stats = handle.shutdown();
     if !quiet {
         kron_obs::metrics::flush_thread();
         let report = kron_obs::report::ObsReport::capture();
         eprintln!(
-            "kron-serve: drained and stopped ({} workers, {} readers joined; cache {:.1}% hit over {} lookups)",
-            stats.workers_joined,
-            stats.readers_joined,
-            cache.hit_rate() * 100.0,
-            cache.hits + cache.misses,
+            "kron-serve: drained and stopped ({} workers, {} readers joined)",
+            stats.workers_joined, stats.readers_joined,
         );
         eprintln!("{}", report.summary());
     }

@@ -16,6 +16,10 @@
 //! | CommunityId   | factor connected-component labels (Def. 16)  | O(1)      |
 //! | HopsFromRoot  | the root's two factor hop rows (Thm. 3)      | O(1)      |
 //!
+//! A Neighbors reply is written straight from the two factor rows into
+//! the caller's reply buffer: no product row is stored anywhere, not
+//! even for the duration of one request.
+//!
 //! Closeness follows the `closeness_batch` collapse: one
 //! `closeness_from_cumulative` evaluation per distinct table-class pair,
 //! memoized eagerly into a dense grid of `f64` bits at startup — the
@@ -164,23 +168,6 @@ impl QueryEngine {
         self.root
     }
 
-    /// Synthesizes the sorted neighbor row of `p` into `out` (cleared
-    /// first). `j` outer / `l` inner over sorted factor rows makes
-    /// `j·n_B + l` strictly increasing — same argument as
-    /// `synthesize_row_block`. No allocation once `out` has capacity.
-    pub fn synthesize_row(&self, p: u64, out: &mut Vec<u64>) {
-        out.clear();
-        let (i, k) = self.pair.split(p);
-        let nb = self.pair.b().n();
-        let row_b = self.pair.b().neighbors(k);
-        for &j in self.pair.a().neighbors(i) {
-            let base = j * nb;
-            for &l in row_b {
-                out.push(base + l);
-            }
-        }
-    }
-
     /// `d_C(p) = d_A(i)·d_B(k)`.
     pub fn degree(&self, p: u64) -> u64 {
         let (i, k) = self.pair.split(p);
@@ -229,19 +216,18 @@ impl QueryEngine {
         }
     }
 
-    /// Appends the wire reply for `q` to `out`, using `row` as neighbor
-    /// scratch. Out-of-range vertices become error replies; nothing here
-    /// allocates in steady state.
-    pub fn reply_into(&self, q: Query, row: &mut Vec<u64>, out: &mut Vec<u8>) {
+    /// Appends the wire reply for `q` to `out`. Out-of-range vertices
+    /// become error replies, and so does a Neighbors row whose reply
+    /// would take more than `room` bytes (the frame's reply budget, see
+    /// the [`protocol`] docs). Nothing here allocates once `out` has
+    /// grown to the largest reply.
+    pub fn reply_into(&self, q: Query, room: usize, out: &mut Vec<u8>) {
         if q.vertex >= self.n_c() {
             protocol::put_err(out, ErrorCode::VertexOutOfRange, q.vertex);
             return;
         }
         match q.kind {
-            QueryKind::Neighbors => {
-                self.synthesize_row(q.vertex, row);
-                protocol::put_ok_neighbors(out, row);
-            }
+            QueryKind::Neighbors => self.neighbors_into(q.vertex, room, out),
             QueryKind::Degree => {
                 protocol::put_ok_u64(out, QueryKind::Degree, self.degree(q.vertex));
             }
@@ -259,6 +245,39 @@ impl QueryEngine {
             }
         }
     }
+
+    /// Writes the Neighbors reply of `p` straight from the two factor
+    /// rows: the header, the count `d_A(i)·d_B(k)`, then `j·n_B + l` for
+    /// `j` in row_A(i) and `l` in row_B(k). `j` outer / `l` inner over
+    /// sorted factor rows makes the row strictly increasing — the same
+    /// argument as `synthesize_row_block`. `out` is sized once for the
+    /// whole row, so the loop does one add and one store per arc.
+    fn neighbors_into(&self, p: u64, room: usize, out: &mut Vec<u8>) {
+        let (i, k) = self.pair.split(p);
+        let row_a = self.pair.a().neighbors(i);
+        let row_b = self.pair.b().neighbors(k);
+        let deg = (row_a.len() * row_b.len()) as u64;
+        if !protocol::neighbors_fit(deg, room) {
+            protocol::put_err(out, ErrorCode::ReplyTooLarge, deg);
+            return;
+        }
+        out.push(0);
+        out.push(QueryKind::Neighbors.as_u8());
+        // Fits: the room check bounds `deg` by MAX_FRAME_LEN / 8.
+        out.extend_from_slice(&(deg as u32).to_le_bytes());
+        let at = out.len();
+        out.resize(at + 8 * deg as usize, 0);
+        let nb = self.pair.b().n();
+        // FullBoth puts a self loop in every factor row, so `row_b` is
+        // never empty and the chunk length is never 0.
+        let rows = out[at..].chunks_exact_mut(8 * row_b.len());
+        for (dst, &j) in rows.zip(row_a) {
+            let base = j * nb;
+            for (cell, &l) in dst.chunks_exact_mut(8).zip(row_b) {
+                cell.copy_from_slice(&(base + l).to_le_bytes());
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -273,16 +292,37 @@ mod tests {
         QueryEngine::from_pair(pair, 5).unwrap()
     }
 
+    const ROOM: usize = protocol::MAX_FRAME_LEN - protocol::HEADER_LEN;
+
     #[test]
     fn rows_match_synthesize_row_block() {
         let e = engine();
-        let mut row = Vec::new();
+        let (mut got, mut want) = (Vec::new(), Vec::new());
         for p in 0..e.n_c() {
-            e.synthesize_row(p, &mut row);
+            got.clear();
+            e.reply_into(Query { kind: QueryKind::Neighbors, vertex: p }, ROOM, &mut got);
             let (offsets, cols) = synthesize_row_block(e.pair(), p..p + 1);
             assert_eq!(offsets, vec![0, cols.len()]);
-            assert_eq!(row, cols, "row {p}");
+            want.clear();
+            protocol::put_ok_neighbors(&mut want, &cols);
+            assert_eq!(got, want, "row {p}");
         }
+    }
+
+    #[test]
+    fn row_past_its_room_becomes_reply_too_large() {
+        let e = engine();
+        let q = Query { kind: QueryKind::Neighbors, vertex: 11 };
+        let deg = e.degree(q.vertex);
+        let exact = 6 + 8 * deg as usize;
+        let mut out = Vec::new();
+        e.reply_into(q, exact, &mut out);
+        assert_eq!(out.len(), exact, "a row that exactly fits is served");
+        out.clear();
+        e.reply_into(q, exact - 1, &mut out);
+        let mut want = Vec::new();
+        protocol::put_err(&mut want, ErrorCode::ReplyTooLarge, deg);
+        assert_eq!(out, want);
     }
 
     #[test]
@@ -326,13 +366,8 @@ mod tests {
     #[test]
     fn out_of_range_becomes_error_reply() {
         let e = engine();
-        let mut row = Vec::new();
         let mut out = Vec::new();
-        e.reply_into(
-            Query { kind: QueryKind::Degree, vertex: e.n_c() },
-            &mut row,
-            &mut out,
-        );
+        e.reply_into(Query { kind: QueryKind::Degree, vertex: e.n_c() }, ROOM, &mut out);
         assert_eq!(out[0], 1); // error status
         assert_eq!(out[1], ErrorCode::VertexOutOfRange.as_u8());
     }

@@ -19,10 +19,11 @@
 //! * [`admin`] — always-on exact [`admin::ServeCounters`] plus the JSON
 //!   builders behind the admin opcodes.
 //! * [`engine`] — [`engine::QueryEngine`]: factor CSRs + precomputed
-//!   class tables; answers every query kind without touching `C`.
+//!   class tables; answers every query kind without touching `C`, and
+//!   writes Neighbors rows from the factor rows straight into the reply
+//!   frame (no product row is ever stored).
 //! * [`queue`] — the bounded blocking MPMC queue between connection
 //!   readers and the worker pool.
-//! * [`cache`] — the bounded, seeded-eviction neighbor-row cache.
 //! * [`server`] — accept loop, readers, workers, graceful shutdown.
 //! * [`load`] — the seeded zipfian load generator with bit-for-bit
 //!   response validation against the independent `kron_core` oracles.
@@ -32,7 +33,6 @@
 //! the `BENCH_PR7.json` phases consumed by `scripts/bench.sh`).
 
 pub mod admin;
-pub mod cache;
 pub mod engine;
 pub mod load;
 pub mod protocol;

@@ -1,9 +1,8 @@
 //! Seeded load generation and bit-exact response validation.
 //!
 //! The harness drives a running server over real TCP connections with a
-//! reproducible query stream — zipfian vertex popularity (hot heads are
-//! what the row cache exists for), weighted query-kind mix, and a
-//! configurable pipelining window:
+//! reproducible query stream — zipfian vertex popularity, weighted
+//! query-kind mix, and a configurable pipelining window:
 //!
 //! * `window = 1` is the **closed loop**: one frame in flight per
 //!   client, so each recorded latency is a true request RTT.
@@ -16,8 +15,8 @@
 //! `kron_core` oracle path (`synthesize_row_block`, `TriangleOracle`,
 //! `closeness_fast`, `CommunityOracle`, `DistanceOracle::hops_of`) and
 //! the client `==`-compares whole payloads. A server that drops a bit
-//! anywhere — synthesis, cache, encoding — fails the run, not just a
-//! spot check.
+//! anywhere — synthesis, encoding, the reply budget — fails the run,
+//! not just a spot check.
 //!
 //! Determinism: client `c` draws from `SmallRng::seed_from_u64(seed ⊕
 //! mix(c))`, so a given `(seed, clients, weights, zipf_s)` always
@@ -143,14 +142,27 @@ impl<'a> Validator<'a> {
         })
     }
 
-    /// Appends the expected wire reply for `q`.
+    /// Appends the expected wire reply for `q` sent as a single-query
+    /// frame (whose reply may take `MAX_FRAME_LEN - HEADER_LEN` bytes).
     pub fn expected_reply(&self, q: Query, out: &mut Vec<u8>) {
+        self.expected_reply_within(q, protocol::MAX_FRAME_LEN - protocol::HEADER_LEN, out);
+    }
+
+    /// Appends the expected wire reply for `q` when it may take `room`
+    /// bytes: the protocol's reply budget, decided here from the
+    /// `kron_core` degree oracle.
+    fn expected_reply_within(&self, q: Query, room: usize, out: &mut Vec<u8>) {
         if q.vertex >= self.n_c {
             protocol::put_err(out, ErrorCode::VertexOutOfRange, q.vertex);
             return;
         }
         match q.kind {
             QueryKind::Neighbors => {
+                let deg = degree_of(self.pair, q.vertex).expect("vertex checked");
+                if !protocol::neighbors_fit(deg, room) {
+                    protocol::put_err(out, ErrorCode::ReplyTooLarge, deg);
+                    return;
+                }
                 let (_, cols) = synthesize_row_block(self.pair, q.vertex..q.vertex + 1);
                 protocol::put_ok_neighbors(out, &cols);
             }
@@ -183,7 +195,8 @@ impl<'a> Validator<'a> {
     }
 
     /// Builds the complete expected response frame (length prefix
-    /// included) for a request frame carrying `queries`.
+    /// included) for a request frame carrying `queries`, applying the
+    /// reply budget entry by entry in query order.
     pub fn expected_response_frame(&self, request_id: u64, queries: &[Query], out: &mut Vec<u8>) {
         if queries.len() == 1 {
             let start = protocol::begin_frame(out, 0, request_id);
@@ -192,8 +205,9 @@ impl<'a> Validator<'a> {
         } else {
             let start = protocol::begin_frame(out, 1, request_id);
             out.extend_from_slice(&(queries.len() as u32).to_le_bytes());
-            for &q in queries {
-                self.expected_reply(q, out);
+            for (e, &q) in queries.iter().enumerate() {
+                let room = protocol::reply_room(out, start, queries.len() - 1 - e);
+                self.expected_reply_within(q, room, out);
             }
             protocol::finish_frame(out, start);
         }

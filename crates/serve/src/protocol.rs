@@ -27,7 +27,9 @@
 //!   3      admin reply                      body := UTF-8 JSON document
 //!
 //! reply    := 0:u8 kind:u8 value            (ok)
-//!           | 1:u8 code:u8 detail:u64le     (error; detail echoes the input)
+//!           | 1:u8 code:u8 detail:u64le     (error)
+//! code     := 0 VertexOutOfRange            (detail = the vertex)
+//!           | 1 ReplyTooLarge               (detail = the row's arc count)
 //! value    := count:u32le neighbor:u64le^count   (Neighbors)
 //!           | v:u64le                            (Degree, TriangleCount)
 //!           | bits:u64le                         (Closeness — f64::to_bits, so
@@ -43,8 +45,19 @@
 //! a forged `count = u64::MAX` costs one comparison, not an OOM. Frame
 //! lengths outside `[HEADER_LEN, MAX_FRAME_LEN]` are rejected before the
 //! payload is read. Framing violations are connection-fatal (the server
-//! drops the connection); semantic errors (vertex out of range) travel
-//! back as error replies and the connection lives on.
+//! drops the connection); semantic errors (vertex out of range, a row
+//! too large for its frame) travel back as error replies and the
+//! connection lives on.
+//!
+//! ## Reply budget
+//!
+//! Every reply frame fits in [`MAX_FRAME_LEN`] by construction. Entries
+//! are answered in query order; a Neighbors entry gets its row only if
+//! the payload so far, plus the row's `6 + 8·deg` bytes, plus 10 bytes
+//! (the largest other reply) for each entry still to come, stays within
+//! the cap (`reply_room`, `neighbors_fit`). Otherwise it gets a
+//! [`ErrorCode::ReplyTooLarge`] reply. The decision depends on the
+//! request and the factor degrees alone, so a client can predict it.
 
 use std::io::{self, Read};
 
@@ -56,6 +69,10 @@ pub const HEADER_LEN: usize = 10;
 pub const MAX_FRAME_LEN: usize = 1 << 20;
 /// Upper bound on queries per batch frame.
 pub const MAX_BATCH: usize = 4096;
+/// Largest reply other than a Neighbors row: an error or a `u64` value.
+const SCALAR_REPLY_MAX: usize = 10;
+// A full batch of the largest scalar replies always fits one frame.
+const _: () = assert!(HEADER_LEN + 4 + SCALAR_REPLY_MAX * MAX_BATCH <= MAX_FRAME_LEN);
 
 /// The six per-vertex query kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -131,8 +148,8 @@ pub struct Query {
 /// [`Response::AdminJson`] documents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdminRequest {
-    /// Full metrics snapshot: always-on serve counters, cache stats,
-    /// registry counters/gauges/histograms with derived p50/p90/p99.
+    /// Full metrics snapshot: always-on serve counters and registry
+    /// counters/gauges/histograms with derived p50/p90/p99.
     Stats,
     /// Recent queries whose processing time met the threshold, with
     /// per-stage breakdowns from the flight recorder.
@@ -167,6 +184,9 @@ pub enum Request {
 pub enum ErrorCode {
     /// The queried vertex is `≥ n_C`; `detail` echoes the vertex.
     VertexOutOfRange,
+    /// The Neighbors row does not fit the reply frame's budget (module
+    /// docs); `detail` is the row's arc count.
+    ReplyTooLarge,
 }
 
 impl ErrorCode {
@@ -174,6 +194,7 @@ impl ErrorCode {
     pub fn as_u8(self) -> u8 {
         match self {
             ErrorCode::VertexOutOfRange => 0,
+            ErrorCode::ReplyTooLarge => 1,
         }
     }
 
@@ -181,6 +202,7 @@ impl ErrorCode {
     pub fn from_u8(v: u8) -> Option<ErrorCode> {
         match v {
             0 => Some(ErrorCode::VertexOutOfRange),
+            1 => Some(ErrorCode::ReplyTooLarge),
             _ => None,
         }
     }
@@ -331,8 +353,8 @@ pub fn begin_frame(out: &mut Vec<u8>, tag: u8, request_id: u64) -> usize {
 
 /// Completes a frame begun at `start`: patches the length prefix.
 /// Panics if the payload outgrew [`MAX_FRAME_LEN`] — encoders own their
-/// data and must size batches/rows to fit (a scale-7 bench row is ~80 KB,
-/// far under the 1 MiB cap).
+/// data and must size batches/rows to fit; the server's replies do by
+/// the reply budget (module docs).
 pub fn finish_frame(out: &mut Vec<u8>, start: usize) {
     let len = out.len() - start - 4;
     assert!(
@@ -340,6 +362,22 @@ pub fn finish_frame(out: &mut Vec<u8>, start: usize) {
         "frame payload of {len} bytes outside [{HEADER_LEN}, {MAX_FRAME_LEN}]"
     );
     out[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+}
+
+/// Bytes the next reply of the frame begun at `start` in `out` may take
+/// so that `later` more replies of at most [`SCALAR_REPLY_MAX`] bytes
+/// still fit in [`MAX_FRAME_LEN`].
+#[inline]
+pub(crate) fn reply_room(out: &[u8], start: usize, later: usize) -> usize {
+    let payload = out.len() - start - 4;
+    MAX_FRAME_LEN.saturating_sub(payload + SCALAR_REPLY_MAX * later)
+}
+
+/// Whether an ok Neighbors reply carrying `deg` neighbors (`6 + 8·deg`
+/// bytes) fits in `room` bytes.
+#[inline]
+pub(crate) fn neighbors_fit(deg: u64, room: usize) -> bool {
+    deg.saturating_mul(8).saturating_add(6) <= room as u64
 }
 
 /// Appends an ok-reply with a `u64` value (Degree, TriangleCount,
@@ -788,12 +826,27 @@ mod tests {
             Reply::Ok(Value::Degree(12)),
             Reply::Ok(Value::ClosenessBits(1.5f64.to_bits())),
             Reply::Err { code: ErrorCode::VertexOutOfRange, detail: 999 },
+            Reply::Err { code: ErrorCode::ReplyTooLarge, detail: 160_000 },
             Reply::Ok(Value::CommunityId(4)),
             Reply::Ok(Value::Hops(2)),
         ]);
         let mut buf = Vec::new();
         encode_response(5, &resp, &mut buf);
         assert_eq!(decode_response(&buf[4..]).unwrap(), (5, resp));
+    }
+
+    #[test]
+    fn reply_budget_boundaries() {
+        let mut out = Vec::new();
+        let start = begin_frame(&mut out, RESP_BATCH, 1);
+        out.extend_from_slice(&8u32.to_le_bytes());
+        // 14 payload bytes so far, 7 entries still to come.
+        let room = reply_room(&out, start, 7);
+        assert_eq!(room, MAX_FRAME_LEN - 14 - 7 * SCALAR_REPLY_MAX);
+        let deg = ((room - 6) / 8) as u64;
+        assert!(neighbors_fit(deg, room));
+        assert!(!neighbors_fit(deg + 1, room));
+        assert!(!neighbors_fit(u64::MAX, room));
     }
 
     #[test]

@@ -22,7 +22,8 @@
 //!
 //! Framing violations (bad length prefix, undecodable payload) are
 //! connection-fatal: the connection is shut down, a counter ticks, and
-//! the server lives on. Semantic errors (vertex out of range) travel
+//! the server lives on. Semantic errors (vertex out of range, a row too
+//! large for its reply frame under the protocol's reply budget) travel
 //! back as error replies. A worker can always make progress — nothing a
 //! client sends can panic the process.
 //!
@@ -34,19 +35,23 @@
 //! still decoded, evaluated, and its reply flushed before the workers
 //! exit. All threads are joined; the returned stats prove it.
 //!
-//! ## Steady-state allocation
+//! ## Memory
 //!
-//! Payload buffers cycle through a bounded pool; workers own reusable
-//! decode/evaluate/encode scratch; the row cache refills slots in place.
-//! After warmup a request is handled end to end with zero heap
-//! allocation (asserted in `tests/steady_state_alloc.rs`) — including
-//! the flight-recorder write and the always-on counter bumps.
+//! Payload buffers cycle through a bounded pool, and each worker owns a
+//! decode scratch and one reply buffer. Neighbors rows are written from
+//! the factor rows straight into that reply buffer, which grows to the
+//! largest reply frame (at most `MAX_FRAME_LEN`) and stays there; no
+//! product row is kept between requests. After warmup a request is
+//! handled end to end with zero heap allocation (asserted in
+//! `tests/steady_state_alloc.rs`) — including the flight-recorder write
+//! and the always-on counter bumps — and serving every row of a product
+//! holds no more heap than the largest reply (`tests/reply_memory.rs`).
 //!
 //! ## Observability (DESIGN.md §14)
 //!
 //! Every query frame is stage-timed (read → queue-wait → engine →
-//! cache → write) and recorded in the [`kron_obs::ring`] flight
-//! recorder; [`admin::ServeCounters`] keeps exact always-on totals; the
+//! write) and recorded in the [`kron_obs::ring`] flight recorder;
+//! [`admin::ServeCounters`] keeps exact always-on totals; the
 //! admin opcodes (`Stats`, `SlowQueries`, `FlightDump`, `ResetStats`)
 //! are answered by the same worker pool under the same backpressure as
 //! query traffic. `read_ns` covers the blocking `read_frame` call and
@@ -60,10 +65,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use kron_obs::ring::{self, StageNs, FLAG_CACHE_HIT};
+use kron_obs::ring::{self, StageNs};
 
 use crate::admin::{self, CountersSnapshot, ServeCounters};
-use crate::cache::{CacheStats, RowCache};
 use crate::engine::QueryEngine;
 use crate::protocol::{self, AdminRequest, Query, QueryKind, RequestBody};
 use crate::queue::BoundedQueue;
@@ -77,10 +81,9 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Bounded queue depth (jobs).
     pub queue_depth: usize,
-    /// Row-cache capacity in rows (0 disables caching).
+    /// Ignored: the server keeps no row cache. The field stays only
+    /// because `benchmark/src/serve.rs` still sets it.
     pub cache_capacity: usize,
-    /// Seed for the cache's eviction stream.
-    pub cache_seed: u64,
     /// Bound on a worker's blocking write to a slow client.
     pub write_timeout: Duration,
 }
@@ -91,8 +94,7 @@ impl Default for ServerConfig {
             port: 0,
             workers: 1,
             queue_depth: 256,
-            cache_capacity: 4096,
-            cache_seed: 0x6B72_6F6E, // "kron"
+            cache_capacity: 0,
             write_timeout: Duration::from_secs(10),
         }
     }
@@ -127,7 +129,6 @@ const INITIAL_BUF_CAP: usize = 4096;
 
 struct Shared {
     engine: Arc<QueryEngine>,
-    cache: Option<RowCache>,
     queue: BoundedQueue<Job>,
     pool: Mutex<Vec<Vec<u8>>>,
     pool_cap: usize,
@@ -203,44 +204,11 @@ fn served_counter(kind: QueryKind) -> kron_obs::metrics::Counter {
     }
 }
 
-/// Per-frame cache-stage accumulator filled by [`answer`] and folded
-/// into the frame's flight-recorder entry.
-#[derive(Default, Clone, Copy)]
-struct CacheAcc {
-    /// Time spent inside row-cache lookups and inserts.
-    cache_ns: u64,
-    /// Whether any query in the frame hit the cache.
-    hit: bool,
-}
-
-/// Answers one query into `out`, routing Neighbors through the cache;
-/// cache lookup/insert time and hit status accumulate into `acc`.
-fn answer(shared: &Shared, q: Query, row: &mut Vec<u64>, out: &mut Vec<u8>, acc: &mut CacheAcc) {
+/// Answers one query into `out` within `room` bytes (the frame's reply
+/// budget) and bumps its latency histogram and served counters.
+fn answer(shared: &Shared, q: Query, room: usize, out: &mut Vec<u8>) {
     let t0 = Instant::now();
-    if q.kind == QueryKind::Neighbors && q.vertex < shared.engine.n_c() {
-        match &shared.cache {
-            Some(cache) => {
-                let c0 = Instant::now();
-                let hit = cache.lookup(q.vertex, row);
-                acc.cache_ns += c0.elapsed().as_nanos() as u64;
-                if hit {
-                    acc.hit = true;
-                } else {
-                    shared.engine.synthesize_row(q.vertex, row);
-                    let c1 = Instant::now();
-                    cache.insert(q.vertex, row);
-                    acc.cache_ns += c1.elapsed().as_nanos() as u64;
-                }
-                protocol::put_ok_neighbors(out, row);
-            }
-            None => {
-                shared.engine.synthesize_row(q.vertex, row);
-                protocol::put_ok_neighbors(out, row);
-            }
-        }
-    } else {
-        shared.engine.reply_into(q, row, out);
-    }
+    shared.engine.reply_into(q, room, out);
     latency_histogram(q.kind).observe(t0.elapsed().as_nanos() as u64);
     served_counter(q.kind).inc();
     shared.counters.bump_served(q.kind);
@@ -268,11 +236,6 @@ fn answer_admin(shared: &Shared, req: AdminRequest, id: u64, resp: &mut Vec<u8>)
     let json = match req {
         AdminRequest::Stats => admin::stats_json(&admin::StatsInput {
             counters: shared.counters.snapshot(),
-            cache: shared
-                .cache
-                .as_ref()
-                .map(|c| c.stats())
-                .unwrap_or(CacheStats { hits: 0, misses: 0, evictions: 0 }),
             queue_len: shared.queue.len() as u64,
             queue_depth: shared.queue_depth,
             workers: shared.workers_n,
@@ -283,13 +246,10 @@ fn answer_admin(shared: &Shared, req: AdminRequest, id: u64, resp: &mut Vec<u8>)
         }
         AdminRequest::FlightDump => admin::flight_dump_json(),
         AdminRequest::ResetStats => {
-            // Exact for the always-on counters, the cache atomics and
-            // the flight rings; best-effort for the sharded registry
-            // (other threads' unflushed shards survive the reset).
+            // Exact for the always-on counters and the flight rings;
+            // best-effort for the sharded registry (other threads'
+            // unflushed shards survive the reset).
             shared.counters.reset();
-            if let Some(cache) = &shared.cache {
-                cache.reset_stats();
-            }
             ring::reset();
             kron_obs::reset();
             admin::reset_json()
@@ -300,7 +260,6 @@ fn answer_admin(shared: &Shared, req: AdminRequest, id: u64, resp: &mut Vec<u8>)
 
 fn worker_loop(shared: &Shared) {
     let mut batch: Vec<Query> = Vec::new();
-    let mut row: Vec<u64> = Vec::new();
     let mut resp: Vec<u8> = Vec::new();
     while let Some(Job { conn, payload, read_ns, enqueued }) = shared.queue.pop() {
         let queue_ns = enqueued.elapsed().as_nanos() as u64;
@@ -320,30 +279,29 @@ fn worker_loop(shared: &Shared) {
             }
             Ok((id, RequestBody::Single(q))) => {
                 shared.counters.frames_single.fetch_add(1, Ordering::Relaxed);
-                let mut acc = CacheAcc::default();
                 let t_engine = Instant::now();
                 let start = protocol::begin_frame(&mut resp, 0, id);
-                answer(shared, q, &mut row, &mut resp, &mut acc);
+                answer(shared, q, protocol::reply_room(&resp, start, 0), &mut resp);
                 protocol::finish_frame(&mut resp, start);
                 let engine_ns = t_engine.elapsed().as_nanos() as u64;
                 let t_write = Instant::now();
                 write_frame(shared, &conn, &resp);
-                record_frame(id, q.kind as u8, 1, acc, StageNs {
+                ring::record_query(id, q.kind as u8, NO_FLAGS, 1, StageNs {
                     read_ns,
                     queue_ns,
                     engine_ns,
-                    cache_ns: acc.cache_ns,
+                    cache_ns: 0,
                     write_ns: t_write.elapsed().as_nanos() as u64,
                 });
             }
             Ok((id, RequestBody::Batch)) => {
                 shared.counters.frames_batch.fetch_add(1, Ordering::Relaxed);
-                let mut acc = CacheAcc::default();
                 let t_engine = Instant::now();
                 let start = protocol::begin_frame(&mut resp, 1, id);
                 resp.extend_from_slice(&(batch.len() as u32).to_le_bytes());
-                for e in 0..batch.len() {
-                    answer(shared, batch[e], &mut row, &mut resp, &mut acc);
+                for (e, &q) in batch.iter().enumerate() {
+                    let room = protocol::reply_room(&resp, start, batch.len() - 1 - e);
+                    answer(shared, q, room, &mut resp);
                 }
                 protocol::finish_frame(&mut resp, start);
                 let engine_ns = t_engine.elapsed().as_nanos() as u64;
@@ -351,11 +309,11 @@ fn worker_loop(shared: &Shared) {
                 write_frame(shared, &conn, &resp);
                 // MAX_BATCH (4096) fits u16; saturate defensively.
                 let n = batch.len().min(u16::MAX as usize) as u16;
-                record_frame(id, FLIGHT_KIND_BATCH, n, acc, StageNs {
+                ring::record_query(id, FLIGHT_KIND_BATCH, NO_FLAGS, n, StageNs {
                     read_ns,
                     queue_ns,
                     engine_ns,
-                    cache_ns: acc.cache_ns,
+                    cache_ns: 0,
                     write_ns: t_write.elapsed().as_nanos() as u64,
                 });
             }
@@ -379,12 +337,9 @@ fn worker_loop(shared: &Shared) {
 /// use the 0–5 wire tags).
 pub const FLIGHT_KIND_BATCH: u8 = 6;
 
-/// Records one answered query frame in the flight recorder.
-#[inline]
-fn record_frame(id: u64, kind: u8, count: u16, acc: CacheAcc, stages: StageNs) {
-    let flags = if acc.hit { FLAG_CACHE_HIT } else { 0 };
-    ring::record_query(id, kind, flags, count, stages);
-}
+/// Flight-recorder flags of a query frame. The server sets none, and it
+/// records `cache_ns = 0`: it keeps no row cache.
+const NO_FLAGS: u8 = 0;
 
 fn reader_loop(shared: &Shared, conn: Arc<ConnState>, mut stream: TcpStream) {
     loop {
@@ -462,6 +417,19 @@ fn accept_loop(shared: Arc<Shared>, listener: TcpListener) {
     }
 }
 
+/// What [`ServerHandle::cache_stats`] returns: always zeros, since the
+/// server keeps no row cache. The type stays only because
+/// `benchmark/src/serve.rs` still reads it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Always 0.
+    pub hits: u64,
+    /// Always 0.
+    pub misses: u64,
+    /// Always 0.
+    pub evictions: u64,
+}
+
 /// Joined-thread counts returned by [`ServerHandle::shutdown`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShutdownStats {
@@ -488,13 +456,10 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Row-cache totals (zeros when caching is disabled).
+    /// Always zeros: the server keeps no row cache. The method stays
+    /// only because `benchmark/src/serve.rs` still calls it.
     pub fn cache_stats(&self) -> CacheStats {
-        self.shared
-            .cache
-            .as_ref()
-            .map(|c| c.stats())
-            .unwrap_or(CacheStats { hits: 0, misses: 0, evictions: 0 })
+        CacheStats::default()
     }
 
     /// Exact always-on serving counters at this instant (the same
@@ -576,11 +541,9 @@ impl ServerHandle {
 pub fn spawn(engine: Arc<QueryEngine>, cfg: ServerConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(("127.0.0.1", cfg.port))?;
     let addr = listener.local_addr()?;
-    let cache = (cfg.cache_capacity > 0).then(|| RowCache::new(cfg.cache_capacity, cfg.cache_seed));
     let pool_cap = cfg.queue_depth.max(1) + cfg.workers.max(1) + 4;
     let shared = Arc::new(Shared {
         engine,
-        cache,
         queue: BoundedQueue::new(cfg.queue_depth.max(1)),
         pool: Mutex::new(
             (0..pool_cap).map(|_| Vec::with_capacity(INITIAL_BUF_CAP)).collect(),

@@ -1,17 +1,21 @@
 //! End-to-end loopback tests: concurrent clients over real TCP against
 //! a small engine, bit-identical validation against the `kron_core`
-//! oracles, malformed-frame resilience, graceful shutdown, and the live
-//! admin scrape plane (DESIGN.md §14).
+//! oracles, malformed-frame resilience, the reply budget for rows too
+//! large for one frame, graceful shutdown, and the live admin scrape
+//! plane (DESIGN.md §14).
 
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
 
+use kron_core::generate::synthesize_row_block;
 use kron_core::KroneckerPair;
-use kron_graph::generators::{cycle, erdos_renyi};
+use kron_graph::generators::{cycle, erdos_renyi, star};
 use kron_serve::engine::QueryEngine;
-use kron_serve::load::{run_load, LoadConfig};
-use kron_serve::protocol::{self, AdminRequest, Query, QueryKind, Reply, Request, Response, Value};
+use kron_serve::load::{run_load, LoadConfig, Validator};
+use kron_serve::protocol::{
+    self, AdminRequest, ErrorCode, Query, QueryKind, Reply, Request, Response, Value,
+};
 use kron_serve::server::{self, ServerConfig};
 
 /// The flight recorder and metrics registry are process-global; the two
@@ -27,14 +31,20 @@ fn small_engine() -> Arc<QueryEngine> {
     Arc::new(QueryEngine::from_pair(pair, 5).unwrap())
 }
 
+fn spawn_engine(engine: Arc<QueryEngine>, workers: usize) -> server::ServerHandle {
+    server::spawn(engine, ServerConfig { workers, ..ServerConfig::default() })
+        .expect("bind loopback")
+}
+
 fn spawn_small(workers: usize) -> (Arc<QueryEngine>, server::ServerHandle) {
     let engine = small_engine();
-    let handle = server::spawn(
-        Arc::clone(&engine),
-        ServerConfig { workers, cache_capacity: 32, ..ServerConfig::default() },
-    )
-    .expect("bind loopback");
+    let handle = spawn_engine(Arc::clone(&engine), workers);
     (engine, handle)
+}
+
+/// The product row of `p` through the `kron_core` oracle path.
+fn oracle_row(engine: &QueryEngine, p: u64) -> Vec<u64> {
+    synthesize_row_block(engine.pair(), p..p + 1).1
 }
 
 fn connect(handle: &server::ServerHandle) -> TcpStream {
@@ -82,7 +92,6 @@ fn concurrent_mixed_clients_validate_bit_identical() {
 fn single_queries_match_engine_values() {
     let (engine, handle) = spawn_small(1);
     let mut stream = connect(&handle);
-    let mut row = Vec::new();
     for p in [0u64, 1, engine.n_c() / 2, engine.n_c() - 1] {
         for kind in QueryKind::ALL {
             let (id, resp) =
@@ -90,10 +99,7 @@ fn single_queries_match_engine_values() {
             assert_eq!(id, p * 10 + kind.as_u8() as u64);
             let Response::Single(reply) = resp else { panic!("expected single reply") };
             let expect = match kind {
-                QueryKind::Neighbors => {
-                    engine.synthesize_row(p, &mut row);
-                    Value::Neighbors(row.clone())
-                }
+                QueryKind::Neighbors => Value::Neighbors(oracle_row(&engine, p)),
                 QueryKind::Degree => Value::Degree(engine.degree(p)),
                 QueryKind::TriangleCount => Value::Triangles(engine.triangles(p)),
                 QueryKind::Closeness => Value::ClosenessBits(engine.closeness_bits(p)),
@@ -248,8 +254,7 @@ fn admin_opcodes_answer_live_with_lint_clean_json() {
     assert!(stats.contains("\"served_degree\": 7"), "{stats}");
     assert!(stats.contains("\"served_neighbors\": 2"), "{stats}");
     assert!(stats.contains("\"served_total\": 9"), "{stats}");
-    assert!(stats.contains("\"admin_schema\": 1"), "{stats}");
-    assert!(stats.contains("\"cache_hits\": 1"), "second neighbors query hit: {stats}");
+    assert!(stats.contains("\"admin_schema\": 2"), "{stats}");
     assert!(stats.contains("\"registry\":"), "{stats}");
 
     // The in-process accessor agrees with the wire answer.
@@ -333,7 +338,7 @@ fn single_client_closed_loop_queue_wait_is_negligible() {
 }
 
 #[test]
-fn cache_serves_repeat_neighbors_identically() {
+fn repeat_neighbors_serve_identical_bytes() {
     let (engine, handle) = spawn_small(1);
     let mut stream = connect(&handle);
     let p = 3u64;
@@ -341,11 +346,88 @@ fn cache_serves_repeat_neighbors_identically() {
         roundtrip(&mut stream, 1, &Request::Single(Query { kind: QueryKind::Neighbors, vertex: p }));
     let (_, second) =
         roundtrip(&mut stream, 2, &Request::Single(Query { kind: QueryKind::Neighbors, vertex: p }));
-    assert_eq!(first, second, "cache hit must serve identical bytes");
-    let mut row = Vec::new();
-    engine.synthesize_row(p, &mut row);
-    assert_eq!(first, Response::Single(Reply::Ok(Value::Neighbors(row))));
-    let stats = handle.cache_stats();
-    assert!(stats.hits >= 1, "second lookup must hit the row cache");
+    assert_eq!(first, second, "a repeated row must serve identical bytes");
+    assert_eq!(first, Response::Single(Reply::Ok(Value::Neighbors(oracle_row(&engine, p)))));
+    handle.shutdown();
+}
+
+/// The scale-8 bench engine (`kron-serve`'s default seeds 12/13) and its
+/// highest-degree vertex: 24,964 arcs, a 199,718-byte Neighbors reply.
+fn hub_engine() -> (Arc<QueryEngine>, u64) {
+    let engine = Arc::new(QueryEngine::bench(8, 12, 13));
+    let hub = (0..engine.n_c()).max_by_key(|&p| engine.degree(p)).expect("n_c > 0");
+    assert_eq!(engine.degree(hub), 24_964);
+    (engine, hub)
+}
+
+#[test]
+fn oversized_batch_answers_late_hub_rows_with_reply_too_large() {
+    let (engine, hub) = hub_engine();
+    let deg = engine.degree(hub);
+    let handle = spawn_engine(Arc::clone(&engine), 1);
+    let validator = Validator::new(engine.pair(), engine.root()).expect("valid pair");
+
+    // Eight hub rows would take 8 × 199,718 bytes, past the 1 MiB frame
+    // cap: the first five fit with room left for three more replies.
+    let queries = vec![Query { kind: QueryKind::Neighbors, vertex: hub }; 8];
+    let mut stream = connect(&handle);
+    let mut req = Vec::new();
+    protocol::encode_request(7, &Request::Batch(queries.clone()), &mut req);
+    stream.write_all(&req).expect("send batch");
+    let mut payload = Vec::new();
+    assert!(protocol::read_frame(&mut stream, &mut payload).expect("read"), "unexpected EOF");
+    let mut expected = Vec::new();
+    validator.expected_response_frame(7, &queries, &mut expected);
+    assert!(payload == expected[4..], "batch reply must match the validator bit for bit");
+    let (_, resp) = protocol::decode_response(&payload).expect("decode");
+    let Response::Batch(replies) = resp else { panic!("expected a batch reply") };
+    let row = Reply::Ok(Value::Neighbors(oracle_row(&engine, hub)));
+    let too_large = Reply::Err { code: ErrorCode::ReplyTooLarge, detail: deg };
+    assert_eq!(replies.len(), 8);
+    for (e, reply) in replies.iter().enumerate() {
+        assert_eq!(*reply, if e < 5 { row.clone() } else { too_large.clone() }, "entry {e}");
+    }
+
+    // The worker survived: a second connection is still answered.
+    let mut other = connect(&handle);
+    let (_, resp) = roundtrip(
+        &mut other,
+        8,
+        &Request::Single(Query { kind: QueryKind::Degree, vertex: hub }),
+    );
+    assert_eq!(resp, Response::Single(Reply::Ok(Value::Degree(deg))));
+    let stats = handle.shutdown();
+    assert_eq!((stats.workers_joined, stats.jobs_left), (1, 0));
+}
+
+#[test]
+fn single_row_past_the_frame_cap_is_reply_too_large() {
+    // FullBoth star(400) ⊗ star(400): the hub (0, 0) has 400 · 400 =
+    // 160,000 neighbors, 1,280,006 reply bytes on its own.
+    let pair = KroneckerPair::with_full_self_loops(star(400), star(400)).unwrap();
+    let engine = Arc::new(QueryEngine::from_pair(pair, 0).unwrap());
+    let handle = spawn_engine(Arc::clone(&engine), 1);
+    let validator = Validator::new(engine.pair(), engine.root()).expect("valid pair");
+    let mut stream = connect(&handle);
+
+    let hub = Query { kind: QueryKind::Neighbors, vertex: 0 };
+    let (_, resp) = roundtrip(&mut stream, 1, &Request::Single(hub));
+    let too_large = Reply::Err { code: ErrorCode::ReplyTooLarge, detail: 160_000 };
+    assert_eq!(resp, Response::Single(too_large));
+    let mut expected = Vec::new();
+    validator.expected_reply(hub, &mut expected);
+    let mut encoded = Vec::new();
+    protocol::encode_response(1, &resp, &mut encoded);
+    assert_eq!(encoded[4 + protocol::HEADER_LEN..], expected[..], "validator mirrors the rule");
+
+    // Vertex 1 = (hub, leaf), 400 · 2 arcs, is still served on the same
+    // connection.
+    let leaf = 1;
+    let (_, resp) = roundtrip(
+        &mut stream,
+        2,
+        &Request::Single(Query { kind: QueryKind::Neighbors, vertex: leaf }),
+    );
+    assert_eq!(resp, Response::Single(Reply::Ok(Value::Neighbors(oracle_row(&engine, leaf)))));
     handle.shutdown();
 }

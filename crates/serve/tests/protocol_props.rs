@@ -13,14 +13,15 @@ fn query_of((kind, vertex): (u8, u64)) -> Query {
 }
 
 fn reply_of((variant, v, row): (u8, u64, Vec<u64>)) -> Reply {
-    match variant % 7 {
+    match variant % 8 {
         0 => Reply::Ok(Value::Neighbors(row)),
         1 => Reply::Ok(Value::Degree(v)),
         2 => Reply::Ok(Value::Triangles(v)),
         3 => Reply::Ok(Value::ClosenessBits(v)),
         4 => Reply::Ok(Value::CommunityId(v as u32)),
         5 => Reply::Ok(Value::Hops(v as u32)),
-        _ => Reply::Err { code: ErrorCode::VertexOutOfRange, detail: v },
+        6 => Reply::Err { code: ErrorCode::VertexOutOfRange, detail: v },
+        _ => Reply::Err { code: ErrorCode::ReplyTooLarge, detail: v },
     }
 }
 

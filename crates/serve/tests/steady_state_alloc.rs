@@ -1,7 +1,7 @@
 //! Proves the zero-per-request-allocation claim: after a warmup pass,
 //! replaying the *identical* request sequence over the same connection
 //! performs zero heap allocations anywhere in the process — client,
-//! readers, queue, cache, and workers included.
+//! readers, queue, and workers included.
 //!
 //! Runs only with `--features measure-alloc` (the counting global
 //! allocator). This file is its own test binary with a single `#[test]`,
@@ -51,15 +51,15 @@ fn steady_state_request_handling_does_not_allocate() {
     let n_c = engine.n_c();
     let handle = server::spawn(
         Arc::clone(&engine),
-        ServerConfig { workers: 1, cache_capacity: 64, ..ServerConfig::default() },
+        ServerConfig { workers: 1, ..ServerConfig::default() },
     )
     .expect("bind loopback");
     let mut stream = TcpStream::connect(handle.addr()).expect("connect");
     stream.set_nodelay(true).expect("nodelay");
 
-    // Fixed sequence: every kind over a small hot vertex set (so cache
-    // ways fill during warmup), singles and one batch frame. The replay
-    // reuses the same request ids so every reply byte is identical.
+    // Fixed sequence: every kind over a small vertex set, singles and one
+    // batch frame. The replay reuses the same request ids so every reply
+    // byte is identical.
     let hot: Vec<u64> = (0..8).map(|i| (i * 7) % n_c).collect();
     let mut requests = Vec::new();
     let mut frames = 0usize;
@@ -83,9 +83,10 @@ fn steady_state_request_handling_does_not_allocate() {
     let mut payload = Vec::with_capacity(protocol::MAX_FRAME_LEN);
     let mut expected: Vec<Vec<u8>> = Vec::with_capacity(frames);
 
-    // Two warmup passes: the first populates the cache and grows every
-    // scratch buffer; the second confirms the sequence is stable and
-    // lets any lazily-initialized metric slots settle.
+    // Two warmup passes: the first grows every scratch buffer (the
+    // worker's reply buffer to the largest reply); the second confirms
+    // the sequence is stable and lets any lazily-initialized metric
+    // slots settle.
     pass(&mut stream, &requests, frames, &mut payload, &mut expected, true);
     pass(&mut stream, &requests, frames, &mut payload, &mut expected, false);
 

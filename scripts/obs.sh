@@ -90,7 +90,7 @@ wait "${SERVE_PID}"
 SERVE_PID=""
 
 test -s "${SCRAPE_OUT}" || { echo "obs.sh: no final Stats scrape saved" >&2; exit 1; }
-grep -q '"admin_schema": 1' "${SCRAPE_OUT}" || {
+grep -q '"admin_schema": 2' "${SCRAPE_OUT}" || {
     echo "obs.sh: scrape output lacks the admin_schema stamp" >&2; exit 1;
 }
 if command -v python3 >/dev/null 2>&1; then

@@ -7,7 +7,7 @@
 # the in-process oracles), sends the Shutdown frame, and requires the
 # server process to exit 0 after its graceful drain. Then runs the
 # serve crate's test suite including the steady-state zero-allocation
-# proof (`--features measure-alloc`).
+# proof and the reply-memory bound (`--features measure-alloc`).
 #
 # Usage: scripts/serve.sh [--scale S]
 
@@ -58,5 +58,8 @@ cargo test -q --offline -p kron-serve
 
 echo "== serve: steady-state zero-allocation proof (measure-alloc) =="
 cargo test -q --offline -p kron-serve --features measure-alloc --test steady_state_alloc
+
+echo "== serve: every row served within the largest reply's memory (measure-alloc) =="
+cargo test -q --offline -p kron-serve --features measure-alloc --test reply_memory
 
 echo "serve.sh: all serve checks passed"

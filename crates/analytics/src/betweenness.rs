@@ -44,6 +44,7 @@ pub fn betweenness(g: &CsrGraph) -> Vec<f64> {
             stack.push(v);
             let dv = dist[v as usize];
             for &w in g.neighbors(v) {
+                let w = u64::from(w);
                 if w == v {
                     continue; // self loops carry no shortest paths
                 }

@@ -54,7 +54,7 @@ fn edge_counts_from_mask(g: &CsrGraph, in_set: &[bool]) -> (u64, u64) {
             continue;
         }
         for &v in g.neighbors(u) {
-            if v == u {
+            if u64::from(v) == u {
                 continue; // diagonal excluded per [C − I_C]
             }
             if in_set[v as usize] {
@@ -95,7 +95,7 @@ pub fn partition_profiles(g: &CsrGraph, labels: &[u32], num_parts: usize) -> Vec
     for u in 0..g.n() {
         let lu = labels[u as usize] as usize;
         for &v in g.neighbors(u) {
-            if v == u {
+            if u64::from(v) == u {
                 continue;
             }
             let lv = labels[v as usize] as usize;

@@ -73,6 +73,7 @@ pub fn directed_triangles(g: &CsrGraph) -> DirectedTriangleCounts {
                 continue;
             }
             for &w in g.neighbors(v) {
+                let w = u64::from(w);
                 if w == v || w == u {
                     continue;
                 }

@@ -30,10 +30,12 @@ pub fn bfs_distances(g: &CsrGraph, source: VertexId) -> Vec<u32> {
     let mut dist = vec![UNREACHABLE; n];
     let mut queue = VecDeque::new();
     dist[source as usize] = 0;
-    queue.push_back(source);
+    // In range (indexed above), so below n ≤ 2^32: the queue holds the
+    // CSR's own u32 ids.
+    queue.push_back(source as u32);
     while let Some(u) = queue.pop_front() {
         let du = dist[u as usize];
-        for &v in g.neighbors(u) {
+        for &v in g.neighbors(u64::from(u)) {
             if dist[v as usize] == UNREACHABLE {
                 dist[v as usize] = du + 1;
                 queue.push_back(v);

@@ -64,7 +64,7 @@ impl EdgeTriangles {
 
 /// Counts common neighbors of two sorted neighbor slices, skipping entries
 /// equal to `a` or `b` (self-loop arcs in either list).
-fn intersect_count(left: &[VertexId], right: &[VertexId], a: VertexId, b: VertexId) -> u64 {
+fn intersect_count(left: &[u32], right: &[u32], a: u32, b: u32) -> u64 {
     let mut i = 0;
     let mut j = 0;
     let mut count = 0;
@@ -125,9 +125,8 @@ const PACK_MIN_FORWARD: usize = 16;
 /// Chiba–Nishizeki. Vertices are ranked ascending by `(degree, id)` (the
 /// cached [`CsrGraph::degree_rank_order`] permutation); every undirected
 /// non-loop edge is oriented from its lower-ranked to its higher-ranked
-/// endpoint; forward lists live in rank space. Ranks are stored as `u32`
-/// (a materialized graph beyond `u32::MAX` vertices cannot exist in
-/// memory), halving the kernel's streamed bytes.
+/// endpoint; forward lists live in rank space. Ranks are `u32`, like the
+/// CSR's own neighbor ids (a `CsrGraph` holds at most 2^32 vertices).
 ///
 /// The payoff is the classic `O(m^{3/2})` bound: each forward list has at
 /// most `O(√m)` entries, so closing an oriented edge is cheap even at hub
@@ -260,11 +259,6 @@ struct Kernel<'g> {
 impl<'g> Forward<'g> {
     fn build(g: &'g CsrGraph) -> Self {
         let n = g.n() as usize;
-        assert!(
-            g.n() <= u32::MAX as u64,
-            "triangle kernel rank space exceeds u32 ({} vertices)",
-            g.n()
-        );
         let order = g.degree_rank_order();
         let mut rank = vec![0u32; n];
         for (r, &v) in order.iter().enumerate() {
@@ -601,9 +595,10 @@ pub fn edge_triangles(g: &CsrGraph) -> EdgeTriangles {
     let mut counts = Vec::new();
     for u in 0..g.n() {
         for &v in g.neighbors(u) {
-            if u < v {
-                edges.push((u, v));
-                counts.push(intersect_count(g.neighbors(u), g.neighbors(v), u, v));
+            let v64 = u64::from(v);
+            if u < v64 {
+                edges.push((u, v64));
+                counts.push(intersect_count(g.neighbors(u), g.neighbors(v64), u as u32, v));
             }
         }
     }
@@ -637,12 +632,13 @@ pub fn enumerate_triangles_in<F: FnMut(VertexId, VertexId, VertexId)>(
     // per-pair binary searches located, so the visit order is
     // bit-identical to the old enumeration.
     let n = g.n() as usize;
-    let forward_start: Vec<usize> =
-        (0..n).map(|v| g.neighbors(v as u64).partition_point(|&w| w <= v as u64)).collect();
+    let forward_start: Vec<usize> = (0..n)
+        .map(|v| g.neighbors(v as u64).partition_point(|&w| u64::from(w) <= v as u64))
+        .collect();
     for u in anchors {
         let nu = g.neighbors(u);
         for t in forward_start[u as usize]..nu.len() {
-            let v = nu[t];
+            let v = u64::from(nu[t]);
             // Walk the intersection of N(u) and N(v) above v.
             let nv = g.neighbors(v);
             let mut i = t + 1;
@@ -652,7 +648,7 @@ pub fn enumerate_triangles_in<F: FnMut(VertexId, VertexId, VertexId)>(
                     std::cmp::Ordering::Less => i += 1,
                     std::cmp::Ordering::Greater => j += 1,
                     std::cmp::Ordering::Equal => {
-                        visit(u, v, nu[i]);
+                        visit(u, v, u64::from(nu[i]));
                         i += 1;
                         j += 1;
                     }
@@ -796,8 +792,9 @@ mod tests {
             let sum: u64 = g
                 .neighbors(u)
                 .iter()
-                .filter(|&&v| v != u)
-                .map(|&v| et.get(u, v).expect("edge exists"))
+                .map(|&v| u64::from(v))
+                .filter(|&v| v != u)
+                .map(|v| et.get(u, v).expect("edge exists"))
                 .sum();
             assert_eq!(sum % 2, 0);
             assert_eq!(tv.per_vertex[u as usize], sum / 2, "vertex {u}");

@@ -2,7 +2,9 @@
 //! product to sorted shard runs and building its CSR *externally* keeps
 //! peak live heap under a budget of O(merge buffers + degree table) —
 //! while the in-memory pipeline over the same product measurably needs
-//! more than 10× that, because it must hold every arc at once.
+//! more than 10× that, because it must hold every arc at once. It also
+//! pins the in-memory footprint itself: `materialize` peaks at its 4-byte
+//! targets, its offsets and one factor-degree table, nothing more.
 //!
 //! Runs only with `--features measure-alloc` (a kron-bench default
 //! feature). This file is its own test binary with a single `#[test]`, so
@@ -17,9 +19,9 @@ use kron_graph::shard::{build_external_csr, ExternalCsr};
 
 #[test]
 fn external_build_peak_memory_stays_under_budget() {
-    // Two ER(40) factors: ~780 arcs each, so C carries ~600k arcs — at 8
-    // bytes per CSR target the in-memory build must hold several MB live.
-    let pair = KroneckerPair::as_is(erdos_renyi(40, 0.5, 71), erdos_renyi(40, 0.5, 72)).unwrap();
+    // Two ER(48) factors: ~1,100 arcs each, so C carries ~1.2M arcs — at
+    // 4 bytes per CSR target the in-memory build must hold several MB live.
+    let pair = KroneckerPair::as_is(erdos_renyi(48, 0.5, 71), erdos_renyi(48, 0.5, 72)).unwrap();
     let nnz_c = pair.nnz_c() as u64;
     assert!(nnz_c > 400_000, "product too small to make the comparison meaningful: {nnz_c}");
 
@@ -66,9 +68,20 @@ fn external_build_peak_memory_stays_under_budget() {
     );
 
     // The in-memory pipeline over the same pair: materialize holds the
-    // full product at once, so its peak is Ω(16 bytes per arc).
+    // full product at once, so its peak is Ω(4 bytes per arc). Exactly:
+    // the u32 target array, the n_C + 1 offsets, a factor-degree table
+    // (at most n_A + n_B words), and a few KiB of slack.
     let (in_memory_nnz, in_memory) = kron_obs::alloc::measure(|| materialize(&pair).nnz());
     assert_eq!(in_memory_nnz as u64, nnz_c);
+    let (n_a, n_b) = (pair.a().n(), pair.b().n());
+    let footprint = 4 * nnz_c + 8 * (pair.n_c() + 1) + 8 * (n_a + n_b) + 4 * 1024;
+    assert!(
+        in_memory.peak_bytes <= footprint,
+        "materialize peak {} bytes exceeds its {}-byte footprint ({} arcs)",
+        in_memory.peak_bytes,
+        footprint,
+        nnz_c
+    );
     assert!(
         in_memory.peak_bytes > 10 * budget,
         "scale too small: in-memory peak {} bytes is not >10× the {}-byte external budget",

@@ -43,7 +43,7 @@ impl CsrCursor {
     /// The arc under the cursor; callers guarantee one remains.
     #[inline]
     fn current(&self, g: &CsrGraph) -> Arc {
-        (self.row, g.neighbors(self.row)[self.idx])
+        (self.row, u64::from(g.neighbors(self.row)[self.idx]))
     }
 
     /// Moves to the next arc; returns `false` when the graph is exhausted.
@@ -133,10 +133,10 @@ pub fn for_each_arc<F: FnMut(u64, u64)>(pair: &KroneckerPair, mut visit: F) {
             // `KroneckerPair::new` checked n_A·n_B ≤ u64::MAX, so these
             // cannot wrap; checked_mul keeps that contract explicit.
             let row_base = i.checked_mul(nb).expect("product index fits u64");
-            let col_base = j.checked_mul(nb).expect("product index fits u64");
+            let col_base = u64::from(j).checked_mul(nb).expect("product index fits u64");
             for k in 0..b.n() {
                 for &l in b.neighbors(k) {
-                    visit(row_base + k, col_base + l);
+                    visit(row_base + k, col_base + u64::from(l));
                 }
             }
         }
@@ -173,13 +173,14 @@ fn product_offsets(pair: &KroneckerPair) -> Vec<usize> {
 /// sorted row). Since `l < n_B`, consecutive targets are strictly
 /// increasing across the whole row — each row lands already sorted and
 /// duplicate-free, which is what lets [`CsrGraph::from_sorted_parts`]
-/// skip the counting sort entirely.
+/// skip the counting sort entirely. Every target is below `n_C`, which
+/// the callers checked is at most 2^32, so the `u32` store is exact.
 fn fill_product_rows(
     pair: &KroneckerPair,
     i_range: std::ops::Range<u64>,
     offsets: &[usize],
     base: usize,
-    out: &mut [u64],
+    out: &mut [u32],
 ) {
     let a = pair.a();
     let b = pair.b();
@@ -191,14 +192,21 @@ fn fill_product_rows(
             let mut w = offsets[p] - base;
             let row_b = b.neighbors(k);
             for &j in row_a {
-                let col_base = j * nb;
+                let col_base = u64::from(j) * nb;
                 for &l in row_b {
-                    out[w] = col_base + l;
+                    out[w] = (col_base + u64::from(l)) as u32;
                     w += 1;
                 }
             }
         }
     }
+}
+
+/// Panics unless `C` has at most [`CsrGraph::MAX_VERTICES`] vertices and
+/// its arc count fits `usize` — checked before anything is allocated.
+fn assert_materializable(pair: &KroneckerPair) {
+    CsrGraph::check_vertex_count(pair.n_c()).unwrap_or_else(|e| panic!("cannot materialize: {e}"));
+    assert!(pair.nnz_c() <= usize::MAX as u128, "product too large to materialize");
 }
 
 /// Materializes `C` as an explicit CSR graph, built **directly from the
@@ -210,15 +218,17 @@ fn fill_product_rows(
 /// `CsrGraph::from_edge_list` over the product arc stream while doing
 /// `O(nnz_C)` writes straight into the output.
 ///
-/// Memory is `O(nnz_A · nnz_B)` — intended for validation-scale products
-/// only; panics if the arc count would exceed `usize`.
+/// Memory is `4·nnz_C + 8·(n_C + 1)` bytes, after a transient
+/// `n_B`-entry degree table — intended for validation-scale products
+/// only; panics, before allocating, when `n_C` exceeds
+/// [`CsrGraph::MAX_VERTICES`] (2^32) or the arc count exceeds `usize`.
 pub fn materialize(pair: &KroneckerPair) -> CsrGraph {
     let _span = kron_obs::span::enter("core/materialize");
+    assert_materializable(pair);
     let total = pair.nnz_c();
-    assert!(total <= usize::MAX as u128, "product too large to materialize");
     kron_obs::counter!("core.synthesized_arcs").add(total as u64);
     let offsets = product_offsets(pair);
-    let mut targets = vec![0u64; total as usize];
+    let mut targets = vec![0u32; total as usize];
     fill_product_rows(pair, 0..pair.a().n(), &offsets, 0, &mut targets);
     CsrGraph::from_sorted_parts(pair.n_c(), offsets, targets)
 }
@@ -236,11 +246,11 @@ pub fn materialize_threads(pair: &KroneckerPair, threads: Option<usize>) -> CsrG
         return materialize(pair);
     }
     let _span = kron_obs::span::enter("core/materialize_threads");
+    assert_materializable(pair);
     let total = pair.nnz_c();
-    assert!(total <= usize::MAX as u128, "product too large to materialize");
     kron_obs::counter!("core.synthesized_arcs").add(total as u64);
     let offsets = product_offsets(pair);
-    let mut targets = vec![0u64; total as usize];
+    let mut targets = vec![0u32; total as usize];
     let na = pair.a().n() as usize;
     let nb = pair.b().n() as usize;
     // Prefix of product arcs per A-row block: block i spans product rows
@@ -291,9 +301,9 @@ pub fn synthesize_row_block(
         let mut w = offsets[idx];
         let row_b = b.neighbors(k);
         for &j in a.neighbors(i) {
-            let col_base = j * nb;
+            let col_base = u64::from(j) * nb;
             for &l in row_b {
-                targets[w] = col_base + l;
+                targets[w] = col_base + u64::from(l);
                 w += 1;
             }
         }
@@ -324,9 +334,9 @@ pub fn for_each_synthesized_row<F: FnMut(u64, &[u64])>(
         row_buf.clear();
         let row_b = b.neighbors(k);
         for &j in a.neighbors(i) {
-            let col_base = j * nb;
+            let col_base = u64::from(j) * nb;
             for &l in row_b {
-                row_buf.push(col_base + l);
+                row_buf.push(col_base + u64::from(l));
             }
         }
         visit(p, &row_buf);
@@ -497,8 +507,7 @@ mod tests {
             let mut offsets = off_lo.clone();
             offsets.pop();
             offsets.extend(off_hi.iter().map(|&o| o + tgt_lo.len()));
-            let mut targets = tgt_lo;
-            targets.extend(tgt_hi);
+            let targets = tgt_lo.iter().chain(&tgt_hi).map(|&v| v as u32).collect();
             let rebuilt = CsrGraph::from_sorted_parts(pair.n_c(), offsets, targets);
             assert_eq!(rebuilt, c, "cut={cut}");
         }
@@ -544,6 +553,25 @@ mod tests {
         let c = materialize(&pair);
         use kron_graph::connectivity::is_connected;
         assert!(is_connected(&c));
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot materialize: 17179869184 vertices exceed the 2^32")]
+    fn materialize_refuses_more_than_2_pow_32_vertices() {
+        // n_C = 2^34 with no arcs: the offset array alone would be 128 GiB,
+        // so the limit must trip before anything is allocated.
+        let arcless = || CsrGraph::from_arcs(1 << 17, vec![]).unwrap();
+        let pair = KroneckerPair::as_is(arcless(), arcless()).unwrap();
+        assert_eq!(pair.nnz_c(), 0);
+        materialize(&pair);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot materialize: 17179869184 vertices exceed the 2^32")]
+    fn threaded_materialize_refuses_more_than_2_pow_32_vertices() {
+        let arcless = || CsrGraph::from_arcs(1 << 17, vec![]).unwrap();
+        let pair = KroneckerPair::as_is(arcless(), arcless()).unwrap();
+        materialize_threads(&pair, Some(2));
     }
 
     #[test]

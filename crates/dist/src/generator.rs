@@ -762,9 +762,9 @@ fn run_rank_2d(
             }
             let p = row_base + k;
             for &j in row_a {
-                let col_base = j * n_b;
+                let col_base = u64::from(j) * n_b;
                 for &l in row_b {
-                    ex.emit(p, col_base + l);
+                    ex.emit(p, col_base + u64::from(l));
                 }
             }
         }

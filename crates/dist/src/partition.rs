@@ -172,13 +172,13 @@ pub fn grid_dims(ranks: usize) -> (usize, usize) {
 }
 
 /// A row-contiguous CSR slice of one factor: the rows in `rows` with
-/// offsets rebased to the slice (`offsets[0] == 0`). This is *all* of
-/// that factor a 2D rank holds.
+/// offsets rebased to the slice (`offsets[0] == 0`) and the factor's
+/// `u32` neighbor ids. This is *all* of that factor a 2D rank holds.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FactorSlice {
     rows: Range<u64>,
     offsets: Vec<usize>,
-    targets: Vec<u64>,
+    targets: Vec<u32>,
 }
 
 impl FactorSlice {
@@ -204,7 +204,7 @@ impl FactorSlice {
     }
 
     /// Sorted neighbor row of factor vertex `v` (must lie in `rows`).
-    pub fn neighbors(&self, v: u64) -> &[u64] {
+    pub fn neighbors(&self, v: u64) -> &[u32] {
         let local = (v - self.rows.start) as usize;
         &self.targets[self.offsets[local]..self.offsets[local + 1]]
     }

@@ -59,9 +59,9 @@ pub fn connected_components(g: &CsrGraph) -> Components {
         let comp = count;
         count += 1;
         labels[start] = comp;
-        queue.push_back(start as VertexId);
+        queue.push_back(start as u32);
         while let Some(u) = queue.pop_front() {
-            for &v in g.neighbors(u) {
+            for &v in g.neighbors(u64::from(u)) {
                 if labels[v as usize] == UNSEEN {
                     labels[v as usize] = comp;
                     queue.push_back(v);

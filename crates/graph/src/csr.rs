@@ -3,6 +3,14 @@
 //! [`CsrGraph`] is the immutable, query-oriented representation used by all
 //! analytics: O(1) degree lookup, sorted neighbor slices, and
 //! binary-search `has_arc`.
+//!
+//! Neighbor ids are stored as `u32`, 4 bytes per arc. An in-memory CSR
+//! over more than 2^32 vertices would need an offset array of at least
+//! 32 GiB before its first arc, so [`CsrGraph::MAX_VERTICES`] rules out
+//! no practical in-memory graph, while the narrow ids halve the bytes
+//! synthesis writes and the triangle and BFS kernels stream. Vertex ids
+//! everywhere else ([`VertexId`], [`Arc`], degrees) stay `u64`, as does
+//! the out-of-core path (`shard`), which has no such limit.
 
 use std::sync::OnceLock;
 
@@ -24,7 +32,7 @@ use crate::{Arc, GraphError, Result, VertexId};
 pub struct CsrGraph {
     n: u64,
     offsets: Vec<usize>,
-    targets: Vec<VertexId>,
+    targets: Vec<u32>,
     cache: CsrCache,
 }
 
@@ -63,9 +71,27 @@ impl std::fmt::Debug for CsrCache {
 }
 
 impl CsrGraph {
+    /// Largest vertex count a `CsrGraph` holds: every neighbor id must fit
+    /// the `u32` target array.
+    pub const MAX_VERTICES: u64 = 1 << 32;
+
+    /// `Ok` when a graph of `n` vertices fits in memory as a `CsrGraph`,
+    /// else [`GraphError::TooManyVertices`]. Loaders call this on a
+    /// declared `n` before they allocate anything sized by it.
+    pub fn check_vertex_count(n: u64) -> Result<()> {
+        if n > Self::MAX_VERTICES {
+            return Err(GraphError::TooManyVertices { n });
+        }
+        Ok(())
+    }
+
     /// Builds a CSR graph from an edge list (sorting and deduplicating arcs).
+    ///
+    /// Panics when the list has more than [`CsrGraph::MAX_VERTICES`]
+    /// vertices.
     pub fn from_edge_list(list: &EdgeList) -> Self {
         let _span = kron_obs::span::enter("graph/csr_from_edge_list");
+        Self::check_vertex_count(list.n()).unwrap_or_else(|e| panic!("{e}"));
         kron_obs::counter!("graph.csr_input_arcs").add(list.nnz() as u64);
         let n = list.n() as usize;
         let mut counts = vec![0usize; n + 1];
@@ -75,10 +101,12 @@ impl CsrGraph {
         for i in 0..n {
             counts[i + 1] += counts[i];
         }
-        let mut targets = vec![0u64; list.nnz()];
+        // Every arc is in range (`EdgeList` checks) and n ≤ 2^32, so each
+        // target fits a u32.
+        let mut targets = vec![0u32; list.nnz()];
         let mut cursor = counts.clone();
         for &(u, v) in list.arcs() {
-            targets[cursor[u as usize]] = v;
+            targets[cursor[u as usize]] = v as u32;
             cursor[u as usize] += 1;
         }
         // Sort + dedup each row in place.
@@ -88,7 +116,7 @@ impl CsrGraph {
             let (start, end) = (counts[u], counts[u + 1]);
             let row = &mut targets[start..end];
             row.sort_unstable();
-            let mut prev: Option<u64> = None;
+            let mut prev: Option<u32> = None;
             let mut kept = 0usize;
             for idx in 0..row.len() {
                 let t = row[idx];
@@ -130,6 +158,7 @@ impl CsrGraph {
             return Self::from_edge_list(list);
         }
         let _span = kron_obs::span::enter("graph/csr_from_edge_list_threads");
+        Self::check_vertex_count(list.n()).unwrap_or_else(|e| panic!("{e}"));
         kron_obs::counter!("graph.csr_input_arcs").add(list.nnz() as u64);
         let n = list.n() as usize;
         let arcs = list.arcs();
@@ -164,7 +193,7 @@ impl CsrGraph {
         debug_assert_eq!(cursor, m);
 
         // Phase 3: scatter targets through disjoint precomputed cursors.
-        let mut targets = vec![0u64; m];
+        let mut targets = vec![0u32; m];
         {
             let writer = parallel::DisjointWriter::new(&mut targets);
             let writer = &writer;
@@ -174,7 +203,7 @@ impl CsrGraph {
                     // SAFETY: phase 2 gave every (chunk, vertex) pair a
                     // private destination sub-range, so no two workers
                     // ever write the same index.
-                    unsafe { writer.write(cursors[u], v) };
+                    unsafe { writer.write(cursors[u], v as u32) };
                     cursors[u] += 1;
                 }
             });
@@ -184,17 +213,17 @@ impl CsrGraph {
         // arc weight. Each worker emits its rows' deduplicated entries
         // contiguously plus per-row kept counts.
         let row_ranges = parallel::split_by_weight(&row_start, t);
-        let parts: Vec<(Vec<usize>, Vec<u64>)> = parallel::map_ranges(row_ranges, |_, rows| {
+        let parts: Vec<(Vec<usize>, Vec<u32>)> = parallel::map_ranges(row_ranges, |_, rows| {
             let mut kept = Vec::with_capacity(rows.len());
             let mut local =
                 Vec::with_capacity(row_start[rows.end] - row_start[rows.start]);
-            let mut scratch: Vec<u64> = Vec::new();
+            let mut scratch: Vec<u32> = Vec::new();
             for v in rows {
                 scratch.clear();
                 scratch.extend_from_slice(&targets[row_start[v]..row_start[v + 1]]);
                 scratch.sort_unstable();
                 let before = local.len();
-                let mut prev: Option<u64> = None;
+                let mut prev: Option<u32> = None;
                 for &x in &scratch {
                     if prev != Some(x) {
                         local.push(x);
@@ -237,11 +266,12 @@ impl CsrGraph {
     /// in canonical order (direct Kronecker CSR synthesis emits each
     /// product row sorted and duplicate-free by construction), skipping
     /// the counting sort and per-row sort/dedup of [`from_edge_list`].
-    /// The invariants are checked in debug builds; a release caller is
-    /// trusted.
+    /// The row invariants are checked in debug builds; a release caller is
+    /// trusted. `n` above [`CsrGraph::MAX_VERTICES`] panics in every build.
     ///
     /// [`from_edge_list`]: CsrGraph::from_edge_list
-    pub fn from_sorted_parts(n: u64, offsets: Vec<usize>, targets: Vec<VertexId>) -> Self {
+    pub fn from_sorted_parts(n: u64, offsets: Vec<usize>, targets: Vec<u32>) -> Self {
+        Self::check_vertex_count(n).unwrap_or_else(|e| panic!("{e}"));
         kron_obs::counter!("graph.csr_sorted_part_arcs").add(targets.len() as u64);
         debug_assert_eq!(offsets.len(), n as usize + 1, "offsets must have n + 1 entries");
         debug_assert_eq!(offsets.first(), Some(&0));
@@ -254,7 +284,7 @@ impl CsrGraph {
                 debug_assert!(w[0] < w[1], "row {v} not strictly increasing");
             }
             if let Some(&last) = row.last() {
-                debug_assert!(last < n, "row {v} has out-of-range target {last}");
+                debug_assert!(u64::from(last) < n, "row {v} has out-of-range target {last}");
             }
         }
         CsrGraph { n, offsets, targets, cache: CsrCache::default() }
@@ -267,7 +297,7 @@ impl CsrGraph {
     }
 
     /// The concatenated sorted neighbor rows (one entry per stored arc).
-    pub fn targets(&self) -> &[VertexId] {
+    pub fn targets(&self) -> &[u32] {
         &self.targets
     }
 
@@ -281,8 +311,9 @@ impl CsrGraph {
         self.targets.len()
     }
 
-    /// Sorted neighbor slice of `v`.
-    pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
+    /// Sorted neighbor slice of `v`; ids are `u32` (see
+    /// [`CsrGraph::MAX_VERTICES`]).
+    pub fn neighbors(&self, v: VertexId) -> &[u32] {
         let v = v as usize;
         &self.targets[self.offsets[v]..self.offsets[v + 1]]
     }
@@ -300,7 +331,7 @@ impl CsrGraph {
 
     /// True when arc `(u, v)` is present (binary search).
     pub fn has_arc(&self, u: VertexId, v: VertexId) -> bool {
-        self.neighbors(u).binary_search(&v).is_ok()
+        u32::try_from(v).is_ok_and(|v| self.neighbors(u).binary_search(&v).is_ok())
     }
 
     /// True when `v` has a self loop.
@@ -314,7 +345,7 @@ impl CsrGraph {
     /// unlike a per-vertex binary search.
     #[inline]
     fn row_has_loop(&self, v: usize) -> bool {
-        let diag = v as u64;
+        let diag = v as u32;
         for &t in &self.targets[self.offsets[v]..self.offsets[v + 1]] {
             if t >= diag {
                 return t == diag;
@@ -348,6 +379,7 @@ impl CsrGraph {
     pub fn check_undirected(&self) -> Result<()> {
         for u in 0..self.n {
             for &v in self.neighbors(u) {
+                let v = u64::from(v);
                 if !self.has_arc(v, u) {
                     return Err(GraphError::NotUndirected { missing_reverse: (u, v) });
                 }
@@ -363,7 +395,7 @@ impl CsrGraph {
 
     /// Iterates over all arcs in row-major order.
     pub fn arcs(&self) -> impl Iterator<Item = Arc> + '_ {
-        (0..self.n).flat_map(move |u| self.neighbors(u).iter().map(move |&v| (u, v)))
+        (0..self.n).flat_map(move |u| self.neighbors(u).iter().map(move |&v| (u, u64::from(v))))
     }
 
     /// Iterates over canonical unordered edges (`u <= v`).
@@ -559,7 +591,7 @@ mod tests {
         let rebuilt = CsrGraph::from_sorted_parts(
             g.n(),
             g.offsets().to_vec(),
-            g.arcs().map(|(_, v)| v).collect(),
+            g.arcs().map(|(_, v)| v as u32).collect(),
         );
         assert_eq!(rebuilt, g);
         // Empty rows and an arc-free graph round-trip too.

@@ -9,7 +9,9 @@
 //!
 //! ## Conventions
 //!
-//! * Vertex ids are `u64`, 0-based and dense in `0..n`.
+//! * Vertex ids are `u64`, 0-based and dense in `0..n`. [`CsrGraph`]
+//!   stores its neighbor ids as `u32` and so holds at most 2^32 vertices;
+//!   the out-of-core [`shard`] tier has no such limit.
 //! * Undirected graphs store **both arcs** `(u, v)` and `(v, u)`; a self
 //!   loop is the single arc `(v, v)`.
 //! * `nnz` counts stored arcs (= nonzeros of the adjacency matrix);
@@ -54,6 +56,9 @@ pub enum GraphError {
     Io(std::io::Error),
     /// A file being parsed is malformed.
     Parse { line: usize, message: String },
+    /// More vertices than an in-memory [`CsrGraph`] can index
+    /// (`n > CsrGraph::MAX_VERTICES = 2^32`).
+    TooManyVertices { n: u64 },
 }
 
 impl std::fmt::Display for GraphError {
@@ -72,6 +77,10 @@ impl std::fmt::Display for GraphError {
             GraphError::Parse { line, message } => {
                 write!(f, "parse error at line {line}: {message}")
             }
+            GraphError::TooManyVertices { n } => write!(
+                f,
+                "{n} vertices exceed the 2^32-vertex limit of an in-memory CSR graph"
+            ),
         }
     }
 }

@@ -829,7 +829,9 @@ impl CsrGraph {
     /// budget per run plus the tournament tree.
     ///
     /// `n` comes from the shard headers (which must agree). An empty
-    /// `paths` slice is rejected — there is no `n` to build over.
+    /// `paths` slice is rejected — there is no `n` to build over — and so
+    /// is an `n` above [`CsrGraph::MAX_VERTICES`], before anything sized
+    /// by it is allocated.
     pub fn from_shards<P: AsRef<Path>>(paths: &[P], buf_bytes: usize) -> Result<CsrGraph> {
         let _span = kron_obs::span::enter("shard/from_shards");
         let readers = open_all(paths, buf_bytes)?;
@@ -837,11 +839,12 @@ impl CsrGraph {
             .first()
             .ok_or_else(|| corrupt(Path::new("<no shards>"), "from_shards needs >= 1 run"))?;
         let n = first.n();
+        CsrGraph::check_vertex_count(n)?;
         // Upper bound (duplicates only shrink it): reserving exactly once
         // keeps the peak at one targets array, no doubling.
         let declared: u64 = readers.iter().map(ShardReader::arcs_total).sum();
         let mut offsets = Vec::with_capacity(n as usize + 1);
-        let mut targets: Vec<u64> = Vec::with_capacity(declared as usize);
+        let mut targets: Vec<u32> = Vec::with_capacity(declared as usize);
         offsets.push(0usize);
         let mut row = 0u64;
         merge_shards(readers, |u, v| {
@@ -850,7 +853,8 @@ impl CsrGraph {
                 offsets.push(targets.len());
                 row += 1;
             }
-            targets.push(v);
+            // The reader checked v < n ≤ 2^32.
+            targets.push(v as u32);
         })?;
         while row < n {
             offsets.push(targets.len());
@@ -1383,8 +1387,12 @@ impl ExternalCsr {
     }
 
     /// Loads the whole file as an in-memory [`CsrGraph`] — validation-
-    /// scale only; this is the one method that allocates O(arcs).
+    /// scale only; this is the one method that allocates O(arcs). A file
+    /// over more than [`CsrGraph::MAX_VERTICES`] vertices is rejected
+    /// before any allocation; row reads and the streaming visitors have
+    /// no such limit.
     pub fn load(&mut self) -> Result<CsrGraph> {
+        CsrGraph::check_vertex_count(self.n)?;
         self.file.seek(SeekFrom::Start(24))?;
         let mut reader = BufReader::with_capacity(DEFAULT_IO_BUF, &self.file);
         let mut buf = [0u8; 8];
@@ -1407,7 +1415,7 @@ impl ExternalCsr {
             if v >= self.n {
                 return Err(corrupt(&self.path, format!("target {v} out of range")));
             }
-            targets.push(v);
+            targets.push(v as u32);
         }
         Ok(CsrGraph::from_sorted_parts(self.n, offsets, targets))
     }
@@ -1834,7 +1842,7 @@ mod tests {
         assert_eq!(ext.load().unwrap(), reference);
         for p in 0..4u64 {
             assert_eq!(ext.degree(p).unwrap(), reference.degree(p), "degree({p})");
-            assert_eq!(ext.row(p).unwrap(), reference.neighbors(p), "row({p})");
+            assert_eq!(ext.row(p).unwrap(), row_u64(&reference, p), "row({p})");
         }
         let mut degrees = Vec::new();
         ext.for_each_degree(|_, deg| degrees.push(deg)).unwrap();
@@ -1846,9 +1854,46 @@ mod tests {
         })
         .unwrap();
         for (p, row) in rows {
-            assert_eq!(row, reference.neighbors(p), "for_each_row({p})");
+            assert_eq!(row, row_u64(&reference, p), "for_each_row({p})");
         }
         assert!(ext.degree(99).is_err());
+    }
+
+    /// Row `p` of an in-memory CSR widened to the `u64` ids the
+    /// out-of-core readers return.
+    fn row_u64(g: &CsrGraph, p: u64) -> Vec<u64> {
+        g.neighbors(p).iter().map(|&v| u64::from(v)).collect()
+    }
+
+    #[test]
+    fn in_memory_loads_reject_more_than_2_pow_32_vertices() {
+        let d = dir("too_many_vertices");
+        // A valid two-arc run over 2^33 vertices: the out-of-core tier
+        // takes it, but an in-memory CSR of it would need a 64 GiB offset
+        // array, so `from_shards` must refuse before allocating one.
+        let run = d.join("run.krsh");
+        spill_sorted_run(&run, 1 << 33, &mut vec![(0, 1), (1, 0)]).unwrap();
+        let err = CsrGraph::from_shards(&[&run], 1024).unwrap_err();
+        assert!(matches!(err, GraphError::TooManyVertices { n } if n == 1 << 33), "{err}");
+        assert!(err.to_string().contains("2^32"), "{err}");
+
+        // External CSR over 2^32 + 1 vertices. The header must match the
+        // file length, so the offsets region is a sparse hole: `open` and
+        // the point reads accept it, `load` refuses it before allocating.
+        let n = CsrGraph::MAX_VERTICES + 1;
+        let path = d.join("wide.krsc");
+        {
+            let mut f = File::create(&path).unwrap();
+            write_csr_header(&mut f, n, 0).unwrap();
+            f.set_len(24 + (n + 1) * 8).unwrap();
+        }
+        let mut ext = ExternalCsr::open(&path).unwrap();
+        assert_eq!(ext.n(), n);
+        assert_eq!(ext.degree(n - 1).unwrap(), 0);
+        let err = ext.load().unwrap_err();
+        assert!(matches!(err, GraphError::TooManyVertices { n: m } if m == n), "{err}");
+        drop(ext);
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

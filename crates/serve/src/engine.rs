@@ -272,9 +272,9 @@ impl QueryEngine {
         // never empty and the chunk length is never 0.
         let rows = out[at..].chunks_exact_mut(8 * row_b.len());
         for (dst, &j) in rows.zip(row_a) {
-            let base = j * nb;
+            let base = u64::from(j) * nb;
             for (cell, &l) in dst.chunks_exact_mut(8).zip(row_b) {
-                cell.copy_from_slice(&(base + l).to_le_bytes());
+                cell.copy_from_slice(&(base + u64::from(l)).to_le_bytes());
             }
         }
     }

@@ -3,7 +3,10 @@
 #
 #   1. tier-1:   cargo build --release --offline && cargo test -q --offline
 #                (plus the full --workspace test pass, which the root
-#                package's own test target does not cover)
+#                package's own test target does not cover, and the
+#                pipeline benchmark's self-check: benchmark/ is a
+#                workspace of its own, so --workspace never compiles it,
+#                yet it links against the crates' public signatures)
 #   2. chaos:    scripts/chaos.sh — fault-injected distributed conformance
 #   3. obs:      scripts/obs.sh — observability determinism + allocator
 #                configurations, Chrome-trace sidecar lint, and the live
@@ -39,6 +42,9 @@ cargo test -q --offline
 
 echo "==== ci: workspace tests ===="
 cargo test -q --offline --workspace
+
+echo "==== ci: pipeline benchmark self-check ===="
+cargo test --offline --manifest-path benchmark/Cargo.toml
 
 echo "==== ci: chaos suite ===="
 scripts/chaos.sh

@@ -109,6 +109,9 @@ fn load_graph(path: &str) -> Result<CsrGraph, String> {
         io::read_text_file(path)
     }
     .map_err(|e| format!("reading {path}: {e}"))?;
+    // A declared vertex count beyond 2^32 is refused before the CSR
+    // allocates its offset array.
+    CsrGraph::check_vertex_count(list.n()).map_err(|e| format!("reading {path}: {e}"))?;
     Ok(CsrGraph::from_edge_list(&list))
 }
 

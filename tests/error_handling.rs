@@ -22,6 +22,7 @@ fn graph_error_messages() {
             GraphError::Io(std::io::Error::other("disk gone")),
             "io error",
         ),
+        (GraphError::TooManyVertices { n: 1 << 33 }, "8589934592 vertices exceed the 2^32"),
     ];
     for (err, needle) in cases {
         let text = err.to_string();
@@ -87,6 +88,34 @@ fn error_paths_fire_where_documented() {
     // GraphError from edge-list construction.
     let err = EdgeList::from_arcs(2, vec![(0, 5)]).unwrap_err();
     assert!(matches!(err, GraphError::VertexOutOfRange { vertex: 5, n: 2 }));
+}
+
+#[test]
+fn cli_rejects_factors_beyond_2_pow_32_vertices() {
+    // Two arcs, but a declared n whose offset array alone would need
+    // 80 GB: `kron stats` must refuse it with an error line and exit
+    // code 1, never abort on the allocation.
+    let dir = std::env::temp_dir().join(format!("kron_cli_limit_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let text = dir.join("wide.txt");
+    std::fs::write(&text, "# vertices: 10000000000\n0 1\n1 0\n").unwrap();
+    let bin = dir.join("wide.bin");
+    let list = EdgeList::from_arcs(10_000_000_000, vec![(0, 1), (1, 0)]).unwrap();
+    kronecker::graph::io::write_binary_file(&bin, &list).unwrap();
+    for path in [&text, &bin] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_kron"))
+            .arg("stats")
+            .arg(path)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{}: {stderr}", path.display());
+        assert!(stderr.starts_with("error: reading "), "{stderr}");
+        assert!(stderr.contains("10000000000 vertices exceed the 2^32"), "{stderr}");
+    }
+    // The limit itself is inclusive: 2^32 vertices pass the check.
+    assert!(CsrGraph::check_vertex_count(CsrGraph::MAX_VERTICES).is_ok());
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

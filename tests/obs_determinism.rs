@@ -64,7 +64,7 @@ fn dist_config(ranks: usize, transport: TransportConfig) -> DistConfig {
 #[derive(PartialEq, Debug)]
 struct Fingerprint {
     csr_offsets: Vec<usize>,
-    csr_targets: Vec<VertexId>,
+    csr_targets: Vec<u32>,
     triangle_vector: Vec<u64>,
     closeness_bits: Vec<u64>,
     bfs_distances: Vec<u32>,

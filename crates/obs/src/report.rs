@@ -1,8 +1,8 @@
 //! Report assembly: the span + metrics state rendered as JSON and as a
 //! human-readable summary.
 //!
-//! Consumers embed an [`ObsReport`] into their own output structs (the
-//! bench reports do) or write it standalone. The JSON side rides the
+//! Consumers print an [`ObsReport`]'s summary (`kron-serve` at shutdown)
+//! or embed its JSON in their own output. The JSON side rides the
 //! vendored serialize-only `serde_json`; [`ObsReport::to_json`] output is
 //! guaranteed to pass [`crate::json_lint::validate`] (unit-tested here).
 
@@ -11,10 +11,8 @@ use serde::Serialize;
 use crate::metrics::MetricsSnapshot;
 use crate::span::SpanStat;
 
-/// Version stamp for every JSON document this workspace emits. Bump on
-/// breaking shape changes; comparison tooling skips baselines whose
-/// stamp is newer than its own. v3 added derived quantiles to every
-/// exported histogram.
+/// Version stamp of the report's JSON shape; bump on breaking changes.
+/// v3 added derived quantiles to every exported histogram.
 pub const SCHEMA_VERSION: u32 = 3;
 
 /// Snapshot of everything the observability layer recorded.

@@ -1,40 +1,22 @@
 //! `kron-load` — seeded zipfian load harness with bit-exact validation.
 //!
-//! Two modes:
+//! `kron-load --addr HOST:PORT [--scale S --seed-a A --seed-b B --root R]
+//! [--clients C --frames F --window W --batch Q --zipf-s Z --seed X]
+//! [--scrape-interval MS] [--scrape-out PATH] [--shutdown]` drives an
+//! already-running `kron-serve` (the factor parameters must match the
+//! server's, or validation fails on the first response). Prints one stats
+//! line; exits nonzero if any response mismatched. `--shutdown` sends a
+//! Shutdown frame after the run.
 //!
-//! * `kron-load --addr HOST:PORT [--scale S --seed-a A --seed-b B
-//!   --root R] [--clients C --frames F --window W --batch Q --zipf-s Z
-//!   --seed X] [--scrape-interval MS] [--scrape-out PATH] [--shutdown]`
-//!   — drives an already-running `kron-serve` (the factor parameters
-//!   must match the server's, or validation fails on the first
-//!   response). Prints one stats line; exits nonzero if any response
-//!   mismatched. `--shutdown` sends a Shutdown frame after the run.
-//!
-//!   `--scrape-interval MS` starts an admin sidecar on its own
-//!   connection: it sends `ResetStats` before the load begins, polls
-//!   `Stats` every `MS` milliseconds during the run (each reply must
-//!   lint as JSON; one parseable `kron-load: scrape …` line per poll),
-//!   and after the run takes a final `Stats` + `SlowQueries` scrape and
-//!   cross-checks the server's exact `served_*` counters **bit for
-//!   bit** against the client-side per-kind tallies — any difference is
-//!   a failed run. The cross-check assumes this kron-load is the
-//!   server's only client. `--scrape-out PATH` saves the final Stats
-//!   JSON.
-//!
-//! * `kron-load --self [--scale S ...] [--out BENCH_PR7.json]` — hosts
-//!   the server in-process (1 worker, loopback) and runs the three
-//!   standard phases, writing a gate-compatible report:
-//!
-//!   | phase                   | shape                                  |
-//!   |-------------------------|----------------------------------------|
-//!   | `serve_closed_loop_mixed` | window 1, batch 1 — true per-query RTT |
-//!   | `serve_pipelined_mixed`   | window 8, batch 16 — peak throughput   |
-//!   | `serve_neighbors_hot`     | zipf 1.2, neighbors only — hub rows    |
-//!
-//!   Each phase record carries `name` + `secs_threads_1` (wall seconds
-//!   for its fixed query count) on their own lines, so `bench_smoke
-//!   --compare --baseline BENCH_PR7.json` gates serve regressions with
-//!   the same >15% machinery as the kernel benches.
+//! `--scrape-interval MS` starts an admin sidecar on its own connection:
+//! it sends `ResetStats` before the load begins, polls `Stats` every `MS`
+//! milliseconds during the run (each reply must lint as JSON; one
+//! parseable `kron-load: scrape …` line per poll), and after the run
+//! takes a final `Stats` + `SlowQueries` scrape and cross-checks the
+//! server's exact `served_*` counters **bit for bit** against the
+//! client-side per-kind tallies — any difference is a failed run. The
+//! cross-check assumes this kron-load is the server's only client.
+//! `--scrape-out PATH` saves the final Stats JSON.
 
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpStream};
@@ -42,12 +24,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use kron_obs::report::{ObsReport, SCHEMA_VERSION};
 use kron_serve::engine::QueryEngine;
 use kron_serve::load::{run_load, LoadConfig, LoadStats};
 use kron_serve::protocol::{self, AdminRequest, Request, Response};
-use kron_serve::server::{self, ServerConfig};
-use serde::Serialize;
 
 fn arg_value(args: &[String], flag: &str) -> Option<String> {
     args.iter().position(|a| a == flag).map(|i| {
@@ -64,34 +43,6 @@ where
     arg_value(args, flag)
         .map(|v| v.parse().unwrap_or_else(|e| panic!("{flag}: {e:?}")))
         .unwrap_or(default)
-}
-
-/// One phase record in `BENCH_PR7.json`. `secs_threads_1` is the field
-/// `bench_smoke`'s baseline parser extracts for the regression gate.
-#[derive(Serialize)]
-struct ServePhase {
-    name: String,
-    secs_threads_1: f64,
-    qps: f64,
-    p50_us: f64,
-    p90_us: f64,
-    p99_us: f64,
-    max_us: f64,
-    queries: u64,
-    frames: u64,
-    mismatched_frames: u64,
-}
-
-#[derive(Serialize)]
-struct ServeReport {
-    schema_version: u32,
-    tool: &'static str,
-    factor_scale: u32,
-    seed_a: u64,
-    seed_b: u64,
-    workers: usize,
-    phases: Vec<ServePhase>,
-    obs: ObsReport,
 }
 
 fn print_stats(label: &str, s: &LoadStats) {
@@ -122,9 +73,8 @@ fn admin_roundtrip(stream: &mut TcpStream, id: u64, req: &Request) -> String {
     }
 }
 
-/// Extracts `"key": N` from a pretty-printed admin reply — the same
-/// line-oriented discipline `bench_smoke`'s baseline parser uses, so
-/// the sidecar needs no JSON parser.
+/// Extracts `"key": N` from a pretty-printed admin reply, line by line,
+/// so the sidecar needs no JSON parser.
 fn json_u64(json: &str, key: &str) -> Option<u64> {
     let needle = format!("\"{key}\":");
     json.lines().find_map(|l| {
@@ -233,12 +183,8 @@ fn main() {
     let root: u64 = parsed(&args, "--root", 0);
     let seed: u64 = parsed(&args, "--seed", 0xC0FFEE);
 
-    if args.iter().any(|a| a == "--self") {
-        return self_mode(&args, scale, seed_a, seed_b, root, seed);
-    }
-
     let addr: SocketAddr = arg_value(&args, "--addr")
-        .expect("kron-load needs --addr HOST:PORT or --self")
+        .expect("kron-load needs --addr HOST:PORT")
         .parse()
         .expect("valid socket address");
     let cfg = LoadConfig {
@@ -314,105 +260,6 @@ fn main() {
             "kron-load: FAIL: {} mismatched responses, {} scrape count mismatches",
             stats.mismatched_frames, scrape_mismatches
         );
-        std::process::exit(1);
-    }
-}
-
-fn self_mode(args: &[String], scale: u32, seed_a: u64, seed_b: u64, root: u64, seed: u64) {
-    let out_path = arg_value(args, "--out").unwrap_or_else(|| "BENCH_PR7.json".to_string());
-    let workers: usize = parsed(args, "--workers", 1);
-
-    kron_obs::set_enabled(true);
-    kron_obs::reset();
-    eprintln!("kron-load: building scale-{scale} engine (seeds {seed_a}/{seed_b}, root {root})");
-    let engine = Arc::new(QueryEngine::bench_with_root(scale, seed_a, seed_b, root));
-    let n_c = engine.n_c();
-    let handle = server::spawn(
-        Arc::clone(&engine),
-        ServerConfig { workers, ..ServerConfig::default() },
-    )
-    .expect("bind loopback");
-    let addr = handle.addr();
-    eprintln!("kron-load: self-hosted server on {addr} (n_c={n_c}, {workers} worker)");
-
-    // (name, clients, frames/client, window, batch, zipf_s, weights)
-    let shapes: [(&str, usize, usize, usize, usize, f64, [u32; 6]); 3] = [
-        ("serve_closed_loop_mixed", 4, 2500, 1, 1, 1.0, [1, 1, 1, 1, 1, 1]),
-        ("serve_pipelined_mixed", 2, 1000, 8, 16, 1.0, [1, 1, 1, 1, 1, 1]),
-        ("serve_neighbors_hot", 2, 750, 4, 8, 1.2, [1, 0, 0, 0, 0, 0]),
-    ];
-    // Median-of-5 per phase: serve timings are wall-clock over a fixed
-    // query count on a shared box, so a single run is too noisy for the
-    // 15% regression gate (measured rep-to-rep spread on the reference
-    // box reaches ~2× under background load; the median-of-3 of PR 7
-    // still tripped the gate on noise). Every rep still validates every
-    // response bit for bit.
-    const REPS: usize = 5;
-    let mut phases = Vec::new();
-    let mut total_mismatches = 0;
-    for (name, clients, frames, window, batch, zipf_s, weights) in shapes {
-        let mut runs = Vec::with_capacity(REPS);
-        for _ in 0..REPS {
-            let stats = run_load(
-                &engine,
-                addr,
-                &LoadConfig {
-                    clients,
-                    frames_per_client: frames,
-                    window,
-                    batch,
-                    zipf_s,
-                    seed,
-                    weights,
-                },
-            );
-            total_mismatches += stats.mismatched_frames;
-            runs.push(stats);
-        }
-        runs.sort_by(|a, b| a.secs.total_cmp(&b.secs));
-        let stats = runs.swap_remove(REPS / 2);
-        print_stats(name, &stats);
-        phases.push(ServePhase {
-            name: name.to_string(),
-            secs_threads_1: stats.secs,
-            qps: stats.qps,
-            p50_us: stats.p50_us,
-            p90_us: stats.p90_us,
-            p99_us: stats.p99_us,
-            max_us: stats.max_us,
-            queries: stats.queries,
-            frames: stats.frames,
-            mismatched_frames: stats.mismatched_frames,
-        });
-    }
-
-    send_shutdown(addr);
-    handle.wait_shutdown_requested();
-    let shutdown = handle.shutdown();
-    eprintln!(
-        "kron-load: server drained ({} workers, {} readers joined)",
-        shutdown.workers_joined, shutdown.readers_joined
-    );
-
-    kron_obs::metrics::flush_thread();
-    let report = ServeReport {
-        schema_version: SCHEMA_VERSION,
-        tool: "kron-load --self",
-        factor_scale: scale,
-        seed_a,
-        seed_b,
-        workers,
-        phases,
-        obs: ObsReport::capture(),
-    };
-    let json = serde_json::to_string_pretty(&report).expect("serializable");
-    std::fs::write(&out_path, &json).expect("write report");
-    let written = std::fs::read_to_string(&out_path).expect("reread report");
-    kron_obs::json_lint::validate(&written).expect("emitted report is valid JSON");
-    eprintln!("kron-load: wrote {out_path} (schema_version {SCHEMA_VERSION}, lint-clean)");
-
-    if total_mismatches > 0 {
-        eprintln!("kron-load: FAIL: {total_mismatches} mismatched responses");
         std::process::exit(1);
     }
 }

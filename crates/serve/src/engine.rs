@@ -140,7 +140,7 @@ impl QueryEngine {
     }
 
     /// The bench-scale engine: two graph500 R-MAT factors under
-    /// `FullBoth`, root 0 — the configuration `BENCH_PR7.json` measures.
+    /// `FullBoth`, root 0, as `kron-serve` builds them.
     pub fn bench(scale: u32, seed_a: u64, seed_b: u64) -> QueryEngine {
         QueryEngine::bench_with_root(scale, seed_a, seed_b, 0)
     }

@@ -28,9 +28,9 @@
 //! * [`load`] — the seeded zipfian load generator with bit-for-bit
 //!   response validation against the independent `kron_core` oracles.
 //!
-//! Binaries: `kron-serve` (the server) and `kron-load` (the load
-//! harness; its `--self` mode hosts the server in-process and writes
-//! the `BENCH_PR7.json` phases consumed by `scripts/bench.sh`).
+//! Binaries: `kron-serve` (the server) and `kron-load` (the load harness
+//! that drives it over TCP). The pipeline benchmark's serving workloads
+//! (`benchmark/`) host the server in process.
 
 pub mod admin;
 pub mod engine;

@@ -98,8 +98,6 @@ pub struct LoadStats {
     pub p90_us: f64,
     /// 99th-percentile frame RTT in microseconds.
     pub p99_us: f64,
-    /// Upper bound on the slowest frame RTT in microseconds.
-    pub max_us: f64,
     /// Responses compared bit-for-bit against the oracle path.
     pub validated_frames: u64,
     /// Responses whose bytes differed — must be 0.
@@ -393,7 +391,6 @@ pub fn run_load(engine: &QueryEngine, addr: SocketAddr, cfg: &LoadConfig) -> Loa
         p50_us: q.p50 as f64 / 1000.0,
         p90_us: q.p90 as f64 / 1000.0,
         p99_us: q.p99 as f64 / 1000.0,
-        max_us: q.max as f64 / 1000.0,
         validated_frames: frames,
         mismatched_frames: mismatches,
         queries_by_kind: by_kind.to_vec(),

@@ -60,7 +60,7 @@
 
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -136,7 +136,9 @@ struct Shared {
     shutdown_requested: (Mutex<bool>, Condvar),
     /// Read-half clones of live connections, for shutdown unblocking.
     conns: Mutex<Vec<(u64, TcpStream)>>,
+    /// Readers not yet joined, and how many `accept_loop` has joined.
     readers: Mutex<Vec<JoinHandle<()>>>,
+    readers_reaped: AtomicUsize,
     write_timeout: Duration,
     /// Exact always-on scrape counters (see [`crate::admin`]).
     counters: ServeCounters,
@@ -413,7 +415,15 @@ fn accept_loop(shared: Arc<Shared>, listener: TcpListener) {
             .name(format!("kron-serve-reader-{id}"))
             .spawn(move || reader_loop(&shared2, conn, reader_half))
             .expect("spawn reader");
-        shared.readers.lock().expect("readers poisoned").push(handle);
+        let mut readers = shared.readers.lock().expect("readers poisoned");
+        // Join the readers that have exited: until it is joined, a finished
+        // thread keeps its stack mapped, so a client that reconnects for
+        // every query would exhaust the process's memory mappings.
+        while let Some(i) = readers.iter().position(JoinHandle::is_finished) {
+            readers.swap_remove(i).join().expect("reader thread panicked");
+            shared.readers_reaped.fetch_add(1, Ordering::Relaxed);
+        }
+        readers.push(handle);
     }
 }
 
@@ -498,7 +508,7 @@ impl ServerHandle {
         }
         let readers: Vec<JoinHandle<()>> =
             std::mem::take(&mut *shared.readers.lock().expect("readers poisoned"));
-        let readers_joined = readers.len();
+        let readers_joined = shared.readers_reaped.load(Ordering::Relaxed) + readers.len();
         for r in readers {
             r.join().expect("reader thread panicked");
         }
@@ -553,6 +563,7 @@ pub fn spawn(engine: Arc<QueryEngine>, cfg: ServerConfig) -> std::io::Result<Ser
         shutdown_requested: (Mutex::new(false), Condvar::new()),
         conns: Mutex::new(Vec::new()),
         readers: Mutex::new(Vec::new()),
+        readers_reaped: AtomicUsize::new(0),
         write_timeout: cfg.write_timeout,
         counters: ServeCounters::new(),
         started: Instant::now(),

@@ -15,15 +15,15 @@
 #   4. serve:    scripts/serve.sh — query-server smoke: process-level
 #                loopback serving, bit-exact load validation, graceful
 #                shutdown, steady-state zero-allocation proof
-#   5. shard:    scripts/shard.sh — out-of-core tier smoke: verified
-#                generate → spill (KRSH v2) → single-pass
-#                external-build pass with a scratch-dir-clean assertion,
-#                plus the shard format, v2 codec, and conformance suites
-#   6. bench:    scripts/bench.sh — instrumented benchmark with the >15%
-#                stripped-phase regression gate and its self-test (kernel
-#                phases in BENCH_PR6.json, serve phases in BENCH_PR7.json,
-#                shard phases in BENCH_PR9.json, flight-recorder overhead
-#                phases in BENCH_PR10.json)
+#   5. shard:    scripts/shard.sh — out-of-core tier smoke: a verified
+#                build-s8 benchmark run with a scratch-dir-clean
+#                assertion, plus the shard format, v2 codec, and
+#                conformance suites
+#   6. perf:     bench_compare HEAD — the one performance gate: the
+#                working tree against HEAD in 10 interleaved pairs of
+#                every BENCHMARK.json workload, failing on an end-to-end
+#                median worse than its bound, a paired ops_per_s
+#                regression, or a failed run (about 40 minutes)
 #
 # Any failing stage aborts the run with that stage's exit code. Run this
 # before every PR; it is the enforced superset of the tier-1 contract in
@@ -58,7 +58,7 @@ scripts/serve.sh
 echo "==== ci: shard smoke (out-of-core tier) ===="
 scripts/shard.sh
 
-echo "==== ci: bench + regression gate ===="
-scripts/bench.sh
+echo "==== ci: performance gate (working tree vs HEAD) ===="
+cargo run --quiet --release --offline -p kron-bench --bin bench_compare -- HEAD
 
 echo "==== ci: all stages passed ===="

@@ -5,10 +5,11 @@
 # component: runs the obs unit suite (span tree, sharded metrics merge,
 # allocation watermark, event timeline, flight-recorder ring, JSON lint)
 # in both allocator configurations, runs the obs-on/obs-off determinism
-# suite (results must be bit-identical with probes enabled), then drives
-# a tiny instrumented benchmark run and re-lints the emitted report —
-# and its Chrome trace_event sidecar — from the outside: the files must
-# exist, parse, and carry their stamps.
+# suite (results must be bit-identical with probes enabled), then makes
+# one short traced run of the pipeline benchmark (serve-scalar-s8) and
+# re-lints the emitted report — and its Chrome trace_event sidecar —
+# from the outside: the files must exist, parse, and carry their result
+# and trace events.
 #
 # Finally the live-scrape stage (PR 10): a real kron-serve process is
 # started in the background, kron-load drives it over TCP with the admin
@@ -30,34 +31,39 @@ cargo test -q --offline -p kron-obs --features measure-alloc
 echo "== obs-on/obs-off determinism + conservation invariants =="
 cargo test -q --offline --test obs_determinism
 
-echo "== instrumented smoke run -> emitted report + trace must lint =="
-cargo build --release --offline -p kron-bench
-OUT="$(mktemp -t kron_obs_smoke_XXXXXX.json)"
+echo "== traced benchmark run -> emitted report + trace must lint =="
+OUT="$(mktemp -d -t kron_obs_smoke_XXXXXX)"
+SCRATCH="$(mktemp -d -t kron_obs_scratch_XXXXXX)"
 SCRAPE_OUT=""
 SERVE_LOG=""
 SERVE_PID=""
 cleanup() {
     [[ -n "${SERVE_PID}" ]] && kill "${SERVE_PID}" 2>/dev/null || true
-    rm -f "${OUT}" "${OUT}.trace.json" "${SCRAPE_OUT}" "${SERVE_LOG}"
+    rm -rf "${OUT}" "${SCRATCH}"
+    rm -f "${SCRAPE_OUT}" "${SERVE_LOG}"
 }
 trap cleanup EXIT
-./target/release/bench_smoke --scale 4 --out "${OUT}" --baseline /nonexistent >/dev/null
+cargo run --quiet --release --offline --manifest-path benchmark/Cargo.toml -- \
+    --workload serve-scalar-s8 --seed 1 --seconds 2 --trace 1 \
+    --out "${OUT}" --dir "${SCRATCH}" >/dev/null
+REPORT="${OUT}/serve-scalar-s8.json"
+TRACE="${OUT}/serve-scalar-s8.trace.json"
 
-test -s "${OUT}" || { echo "obs.sh: ${OUT} is missing or empty" >&2; exit 1; }
-grep -q '"schema_version": ' "${OUT}" || {
-    echo "obs.sh: ${OUT} lacks a schema_version stamp" >&2; exit 1;
+test -s "${REPORT}" || { echo "obs.sh: ${REPORT} is missing or empty" >&2; exit 1; }
+grep -q '"result": ' "${REPORT}" || {
+    echo "obs.sh: ${REPORT} lacks a result" >&2; exit 1;
 }
-test -s "${OUT}.trace.json" || {
-    echo "obs.sh: ${OUT}.trace.json (chrome trace sidecar) is missing" >&2; exit 1;
+test -s "${TRACE}" || {
+    echo "obs.sh: ${TRACE} (chrome trace sidecar) is missing" >&2; exit 1;
 }
-grep -q '"traceEvents"' "${OUT}.trace.json" || {
+grep -q '"traceEvents"' "${TRACE}" || {
     echo "obs.sh: trace sidecar lacks a traceEvents array" >&2; exit 1;
 }
-# bench_smoke lints its own output before exiting; cross-check with the
+# The benchmark lints its own output before exiting; cross-check with the
 # system python as an independent JSON parser when one is available.
 if command -v python3 >/dev/null 2>&1; then
-    python3 -c "import json,sys; json.load(open(sys.argv[1]))" "${OUT}"
-    python3 -c "import json,sys; json.load(open(sys.argv[1]))" "${OUT}.trace.json"
+    python3 -c "import json,sys; json.load(open(sys.argv[1]))" "${REPORT}"
+    python3 -c "import json,sys; json.load(open(sys.argv[1]))" "${TRACE}"
     echo "obs.sh: report + trace parse under python3 json"
 fi
 

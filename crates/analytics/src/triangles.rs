@@ -121,6 +121,21 @@ pub enum TriangleKernel {
 /// cachelines than any packed window and the classic kernel wins.
 const PACK_MIN_FORWARD: usize = 16;
 
+/// Packed windows are addressed by `u32` word offsets, so all windows
+/// together may hold at most 2^32 words (32 GiB).
+const MAX_WINDOW_WORDS: u64 = 1 << 32;
+
+/// Panics when the packed windows would need more words than their `u32`
+/// offsets can address: past the limit a start would wrap onto another
+/// row's window and the counts would silently go wrong.
+fn check_window_words(total: u64) {
+    assert!(
+        total <= MAX_WINDOW_WORDS,
+        "packed triangle rows need {total} window words, past the 2^32-word \
+         (32 GiB) limit of their u32 offsets"
+    );
+}
+
 /// Degree-ordered forward adjacency — the compact structure of
 /// Chiba–Nishizeki. Vertices are ranked ascending by `(degree, id)` (the
 /// cached [`CsrGraph::degree_rank_order`] permutation); every undirected
@@ -132,14 +147,26 @@ const PACK_MIN_FORWARD: usize = 16;
 /// most `O(√m)` entries, so closing an oriented edge is cheap even at hub
 /// vertices — unlike the identity-order enumeration, where a hub's full
 /// neighbor list is walked once per incident edge.
+///
+/// Each forward row is stored exactly once. A *packed* row is a windowed
+/// rank-space bitmap: only the word span `[min rank / 64, max rank / 64]`
+/// it touches is stored, so skewed Kronecker degree distributions don't
+/// pay `n/64` words per row. Every other row is *listed*: its ranks, in
+/// CSR order, in one `u32` array.
 struct Forward<'g> {
     /// `order[r]` = vertex holding rank `r` (ascending `(degree, id)`),
     /// borrowed from the graph's cached degree-rank permutation.
     order: &'g [VertexId],
-    /// Rank-space CSR offsets of the forward lists.
+    /// Offsets of the listed rows in `targets`; a packed row's span is
+    /// empty.
     offsets: Vec<usize>,
-    /// Forward neighbors as ranks.
+    /// Forward neighbors of the listed rows, as ranks.
     targets: Vec<u32>,
+    /// `slot[r]` = index into `meta`, or `NO_SLOT` when `r` is listed.
+    slot: Vec<u32>,
+    meta: Vec<PackedMeta>,
+    /// The packed windows, back to back.
+    words: Vec<u64>,
     /// Length of the longest forward list (scratch-buffer sizing).
     max_forward: usize,
 }
@@ -148,76 +175,17 @@ struct Forward<'g> {
 /// `[base, base + len)` of the rank-space bitmap.
 #[derive(Clone, Copy)]
 struct PackedMeta {
-    /// Index of the window's first word in [`PackedRows::words`].
+    /// Index of the window's first word in [`Forward::words`].
     start: u32,
     /// First rank-space word index covered by the window.
     base: u32,
     /// Window length in words.
     len: u32,
-}
-
-/// Windowed rank-space bitmaps of the packed forward lists.
-///
-/// Only the word span actually touched by each packed row is stored
-/// (`[min rank / 64, max rank / 64]`), so skewed Kronecker degree
-/// distributions don't pay `n/64` words per row.
-struct PackedRows {
-    /// `slot[r]` = index into `meta`, or `NO_SLOT` when `r` is unpacked.
-    slot: Vec<u32>,
-    meta: Vec<PackedMeta>,
-    words: Vec<u64>,
+    /// `|F(r)|`, the window's set bits.
+    count: u32,
 }
 
 const NO_SLOT: u32 = u32::MAX;
-
-impl PackedRows {
-    /// Packs forward lists for the word-parallel close. Under `dense_only`
-    /// (the [`TriangleKernel::Auto`] tier) a row is packed only when the
-    /// AND is the proven-cheaper close: the list must be non-trivial
-    /// (≥ [`PACK_MIN_FORWARD`] entries) *and* denser than one bit per
-    /// window word (`window words < |F(r)|`), so every packed row costs
-    /// fewer word-ANDs than probe elements. With `dense_only` off
-    /// ([`TriangleKernel::Bitmap`]) every non-empty row is packed.
-    fn build(f: &Forward<'_>, dense_only: bool) -> Self {
-        let n = f.order.len();
-        let mut slot = vec![NO_SLOT; n];
-        let mut meta = Vec::new();
-        let mut words = Vec::new();
-        for r in 0..n {
-            let fr = f.forward(r);
-            if fr.is_empty() || (dense_only && fr.len() < PACK_MIN_FORWARD) {
-                continue;
-            }
-            let (mut lo, mut hi) = (u32::MAX, 0u32);
-            for &w in fr {
-                lo = lo.min(w >> 6);
-                hi = hi.max(w >> 6);
-            }
-            if dense_only && (hi - lo + 1) as usize >= fr.len() {
-                continue;
-            }
-            let base = lo;
-            let len = hi - lo + 1;
-            let start = words.len();
-            words.resize(start + len as usize, 0u64);
-            for &w in fr {
-                words[start + ((w >> 6) - base) as usize] |= 1u64 << (w & 63);
-            }
-            slot[r] = meta.len() as u32;
-            meta.push(PackedMeta { start: start as u32, base, len });
-        }
-        PackedRows { slot, meta, words }
-    }
-
-    fn none(n: usize) -> Self {
-        PackedRows { slot: vec![NO_SLOT; n], meta: Vec::new(), words: Vec::new() }
-    }
-
-    /// Bytes held by the packed windows (observability).
-    fn bytes(&self) -> u64 {
-        8 * self.words.len() as u64
-    }
-}
 
 /// Per-call kernel telemetry, accumulated locally in the hot loop and
 /// published to `kron-obs` counters once per invocation.
@@ -249,47 +217,121 @@ impl KernelStats {
     }
 }
 
-/// The assembled two-tier counting kernel: compact forward structure,
-/// packed rows for the dense tail, and the per-anchor path choice.
-struct Kernel<'g> {
-    f: Forward<'g>,
-    packed: PackedRows,
-}
-
 impl<'g> Forward<'g> {
-    fn build(g: &'g CsrGraph) -> Self {
+    /// Builds the forward rows in two passes over the graph.
+    ///
+    /// The sizing pass decides each row's store and lays both stores out,
+    /// so the list and the windows are each allocated once, at their exact
+    /// sizes. Under [`TriangleKernel::Auto`] a row is packed only when the
+    /// AND is the proven-cheaper close: the list must be non-trivial
+    /// (≥ [`PACK_MIN_FORWARD`] entries) *and* denser than one bit per
+    /// window word (`window words < |F(r)|`), so every packed row costs
+    /// fewer word-ANDs than probe elements. [`TriangleKernel::Bitmap`]
+    /// packs every non-empty row, [`TriangleKernel::Marking`] none. The
+    /// fill pass then writes each row into its store.
+    fn build(g: &'g CsrGraph, kernel: TriangleKernel) -> Self {
         let n = g.n() as usize;
         let order = g.degree_rank_order();
         let mut rank = vec![0u32; n];
         for (r, &v) in order.iter().enumerate() {
             rank[v as usize] = r as u32;
         }
+        let forward_of = |r: usize| {
+            g.neighbors(order[r])
+                .iter()
+                .map(|&w| rank[w as usize])
+                .filter(move |&rw| rw > r as u32)
+        };
+
         let mut offsets = vec![0usize; n + 1];
-        let mut targets = Vec::with_capacity(g.nnz() / 2);
+        let mut slot = vec![NO_SLOT; n];
+        let mut meta = Vec::new();
+        let mut window_words = 0u64;
         let mut max_forward = 0usize;
-        for (r, &v) in order.iter().enumerate() {
-            targets.extend(
-                g.neighbors(v)
-                    .iter()
-                    .map(|&w| rank[w as usize])
-                    .filter(|&rw| rw > r as u32),
-            );
-            max_forward = max_forward.max(targets.len() - offsets[r]);
-            offsets[r + 1] = targets.len();
+        for r in 0..n {
+            let (mut count, mut lo, mut hi) = (0usize, u32::MAX, 0u32);
+            for w in forward_of(r) {
+                count += 1;
+                lo = lo.min(w >> 6);
+                hi = hi.max(w >> 6);
+            }
+            max_forward = max_forward.max(count);
+            let packed = count > 0
+                && match kernel {
+                    TriangleKernel::Marking => false,
+                    TriangleKernel::Bitmap => true,
+                    TriangleKernel::Auto => {
+                        count >= PACK_MIN_FORWARD && ((hi - lo + 1) as usize) < count
+                    }
+                };
+            offsets[r + 1] = offsets[r] + if packed { 0 } else { count };
+            if packed {
+                let start = window_words;
+                let len = hi - lo + 1;
+                window_words += u64::from(len);
+                check_window_words(window_words);
+                slot[r] = meta.len() as u32;
+                meta.push(PackedMeta { start: start as u32, base: lo, len, count: count as u32 });
+            }
         }
-        Forward { order, offsets, targets, max_forward }
+
+        let mut targets = Vec::with_capacity(offsets[n]);
+        let mut words = vec![0u64; usize::try_from(window_words).expect("window words fit usize")];
+        for (r, &s) in slot.iter().enumerate() {
+            match s {
+                NO_SLOT => targets.extend(forward_of(r)),
+                s => {
+                    let m = meta[s as usize];
+                    let window = &mut words[m.start as usize..][..m.len as usize];
+                    for w in forward_of(r) {
+                        window[((w >> 6) - m.base) as usize] |= 1u64 << (w & 63);
+                    }
+                }
+            }
+        }
+        kron_obs::counter!("triangles.packed_rows").add(meta.len() as u64);
+        kron_obs::counter!("triangles.packed_bytes").add(8 * window_words);
+        Forward { order, offsets, targets, slot, meta, words, max_forward }
     }
 
-    /// Forward list of rank `r`.
+    /// Forward list of a listed rank `r` (empty for a packed one).
     #[inline]
-    fn forward(&self, r: usize) -> &[u32] {
+    fn list(&self, r: usize) -> &[u32] {
         &self.targets[self.offsets[r]..self.offsets[r + 1]]
+    }
+
+    /// The window of a packed row.
+    #[inline]
+    fn window(&self, m: PackedMeta) -> &[u64] {
+        &self.words[m.start as usize..][..m.len as usize]
     }
 
     /// Forward-list length of rank `r`.
     #[inline]
     fn forward_len(&self, r: usize) -> usize {
-        self.offsets[r + 1] - self.offsets[r]
+        match self.slot[r] {
+            NO_SLOT => self.offsets[r + 1] - self.offsets[r],
+            s => self.meta[s as usize].count as usize,
+        }
+    }
+
+    /// Calls `f` with every rank of `F(r)`: a listed row in list order, a
+    /// packed row in ascending rank order.
+    #[inline]
+    fn for_each_forward(&self, r: usize, mut f: impl FnMut(usize)) {
+        match self.slot[r] {
+            NO_SLOT => self.list(r).iter().for_each(|&w| f(w as usize)),
+            s => {
+                let m = self.meta[s as usize];
+                for (wi, &word) in (m.base as usize..).zip(self.window(m)) {
+                    let mut y = word;
+                    while y != 0 {
+                        f((wi << 6) + y.trailing_zeros() as usize);
+                        y &= y - 1;
+                    }
+                }
+            }
+        }
     }
 
     /// Permutes rank-space counts back to vertex space.
@@ -309,14 +351,129 @@ impl<'g> Forward<'g> {
         let n = self.order.len();
         let mut prefix = vec![0usize; n + 1];
         for ra in 0..n {
-            let fa = self.forward(ra);
-            let mut work = 2 * fa.len();
-            for &rb in fa {
-                work += self.forward_len(rb as usize);
-            }
+            let mut work = 2 * self.forward_len(ra);
+            self.for_each_forward(ra, |rb| work += self.forward_len(rb));
             prefix[ra + 1] = prefix[ra] + work;
         }
         parallel::split_by_weight(&prefix, chunks)
+    }
+
+    /// Counts every triangle whose lowest-ranked corner lies in `anchors`
+    /// into rank-space participation counts. Per anchor `ra`, `F(ra)` is
+    /// marked in the rank-indexed bitmap, recording which words were
+    /// touched: a listed anchor sets one bit per element, a packed anchor
+    /// copies its window's non-zero words. Each oriented edge `ra → rb` is
+    /// then closed on one of two paths producing the identical match set:
+    ///
+    /// * **probe scan** — walk `F(rb)`, compacting matched ranks into a
+    ///   small buffer branch-free (`buf[matches] = w; matches += bit`),
+    ///   then credit the per-rank counts from the buffer. Only matches
+    ///   (≈25% of probes on Kronecker products) pay a scattered write.
+    /// * **word-parallel** — stream `rb`'s packed window against the same
+    ///   span of the anchor bitmap, branch-free: `count_ones()` of each
+    ///   AND yields the match total and bit iteration credits the third
+    ///   corners.
+    ///
+    /// `rb`'s store picks the path, and the store was chosen at build time
+    /// (see [`Forward::build`]): a row is packed exactly when its window
+    /// holds fewer words than the list would hold elements, so the
+    /// word-parallel close is never more expensive than the probe scan it
+    /// replaces. Counts are exact integers, so every path mix and visit
+    /// order produces bit-identical results. The bitmap is cleared
+    /// word-wise via the touched list before returning, so it can be
+    /// reused across anchors and calls. Returns triangles anchored in the
+    /// range.
+    fn count_in(
+        &self,
+        anchors: std::ops::Range<usize>,
+        per_rank: &mut [u64],
+        scratch: &mut Scratch<'_>,
+        stats: &mut KernelStats,
+    ) -> u64 {
+        let bitmap = &mut *scratch.bitmap;
+        let touched = scratch.touched.as_vec_mut();
+        let buf = &mut *scratch.matches_buf;
+        debug_assert!(bitmap.len() >= self.order.len().div_ceil(64));
+        debug_assert!(bitmap.iter().all(|&w| w == 0));
+        let mut global = 0u64;
+        for ra in anchors {
+            touched.clear();
+            match self.slot[ra] {
+                NO_SLOT => {
+                    for &w in self.list(ra) {
+                        let wi = w >> 6;
+                        if bitmap[wi as usize] == 0 {
+                            touched.push(wi);
+                        }
+                        bitmap[wi as usize] |= 1u64 << (w & 63);
+                    }
+                }
+                s => {
+                    let m = self.meta[s as usize];
+                    for (wi, &word) in (m.base..).zip(self.window(m)) {
+                        if word != 0 {
+                            bitmap[wi as usize] = word;
+                            touched.push(wi);
+                        }
+                    }
+                }
+            }
+            if touched.is_empty() {
+                continue;
+            }
+            let marks: &[u64] = bitmap;
+            let mut bitmap_edges = 0u64;
+            self.for_each_forward(ra, |rb| {
+                let slot = self.slot[rb];
+                let mut matches = 0u64;
+                if slot != NO_SLOT {
+                    bitmap_edges += 1;
+                    let m = self.meta[slot as usize];
+                    let base = m.base as usize;
+                    let window = self.window(m);
+                    let anchor = &marks[base..base + window.len()];
+                    stats.words_probed += window.len() as u64;
+                    for (off, (&aword, &fword)) in anchor.iter().zip(window).enumerate() {
+                        let x = aword & fword;
+                        if x != 0 {
+                            matches += x.count_ones() as u64;
+                            let mut y = x;
+                            while y != 0 {
+                                let w = ((base + off) << 6) + y.trailing_zeros() as usize;
+                                per_rank[w] += 1;
+                                y &= y - 1;
+                            }
+                        }
+                    }
+                } else {
+                    let fb = self.list(rb);
+                    if fb.is_empty() {
+                        return;
+                    }
+                    stats.elements_probed += fb.len() as u64;
+                    for &w in fb {
+                        let bit = (marks[(w >> 6) as usize] >> (w & 63)) & 1;
+                        buf[matches as usize] = w;
+                        matches += bit;
+                    }
+                    for &w in &buf[..matches as usize] {
+                        per_rank[w as usize] += 1;
+                    }
+                }
+                per_rank[ra] += matches;
+                per_rank[rb] += matches;
+                global += matches;
+            });
+            if bitmap_edges > 0 {
+                stats.anchors_bitmap += 1;
+            } else {
+                stats.anchors_marking += 1;
+            }
+            for &wi in touched.iter() {
+                bitmap[wi as usize] = 0;
+            }
+        }
+        global
     }
 }
 
@@ -339,131 +496,6 @@ impl<'a> Scratch<'a> {
     }
 }
 
-impl<'g> Kernel<'g> {
-    fn build(g: &'g CsrGraph, kernel: TriangleKernel) -> Self {
-        let f = Forward::build(g);
-        let n = f.order.len();
-        let packed = match kernel {
-            TriangleKernel::Marking => PackedRows::none(n),
-            TriangleKernel::Bitmap => PackedRows::build(&f, false),
-            TriangleKernel::Auto => PackedRows::build(&f, true),
-        };
-        kron_obs::counter!("triangles.packed_rows").add(packed.meta.len() as u64);
-        kron_obs::counter!("triangles.packed_bytes").add(packed.bytes());
-        Kernel { f, packed }
-    }
-
-    /// Counts every triangle whose lowest-ranked corner lies in `anchors`
-    /// into rank-space participation counts. Per anchor `ra`, `F(ra)` is
-    /// marked in the rank-indexed bitmap (recording which words were
-    /// touched); each oriented edge `ra → rb` is then closed on one of
-    /// two paths producing the identical match set:
-    ///
-    /// * **probe scan** — walk `F(rb)`, compacting matched ranks into a
-    ///   small buffer branch-free (`buf[matches] = w; matches += bit`),
-    ///   then credit the per-rank counts from the buffer. Only matches
-    ///   (≈25% of probes on Kronecker products) pay a scattered write.
-    /// * **word-parallel** — stream `rb`'s packed window against the same
-    ///   span of the anchor bitmap, branch-free: `count_ones()` of each
-    ///   AND yields the match total and bit iteration credits the third
-    ///   corners.
-    ///
-    /// The path choice was made at pack time (see [`PackedRows::build`]):
-    /// a row is packed exactly when its window holds fewer words than the
-    /// list holds elements, so the word-parallel close is never more
-    /// expensive than the probe scan it replaces. Counts are exact
-    /// integers, so every path mix produces bit-identical results. The bitmap is
-    /// cleared word-wise via the touched list before returning, so it can
-    /// be reused across anchors and calls. Returns triangles anchored in
-    /// the range.
-    fn count_in(
-        &self,
-        anchors: std::ops::Range<usize>,
-        per_rank: &mut [u64],
-        scratch: &mut Scratch<'_>,
-        stats: &mut KernelStats,
-    ) -> u64 {
-        let bitmap = &mut *scratch.bitmap;
-        let touched = scratch.touched.as_vec_mut();
-        let buf = &mut *scratch.matches_buf;
-        debug_assert!(bitmap.len() >= self.f.order.len().div_ceil(64));
-        debug_assert!(bitmap.iter().all(|&w| w == 0));
-        let mut global = 0u64;
-        for ra in anchors {
-            let fa = self.f.forward(ra);
-            if fa.is_empty() {
-                continue;
-            }
-            touched.clear();
-            for &w in fa {
-                let wi = w >> 6;
-                if bitmap[wi as usize] == 0 {
-                    touched.push(wi);
-                }
-                bitmap[wi as usize] |= 1u64 << (w & 63);
-            }
-            let mut bitmap_edges = 0u64;
-            for &rb in fa {
-                let rb = rb as usize;
-                let flen = self.f.forward_len(rb);
-                if flen == 0 {
-                    continue;
-                }
-                let slot = self.packed.slot[rb];
-                let mut matches = 0u64;
-                if slot != NO_SLOT {
-                    bitmap_edges += 1;
-                    let m = self.packed.meta[slot as usize];
-                    let base = m.base as usize;
-                    let wlen = m.len as usize;
-                    let window =
-                        &self.packed.words[m.start as usize..m.start as usize + wlen];
-                    let anchor = &bitmap[base..base + wlen];
-                    stats.words_probed += wlen as u64;
-                    for (off, (&aword, &fword)) in
-                        anchor.iter().zip(window).enumerate()
-                    {
-                        let x = aword & fword;
-                        if x != 0 {
-                            matches += x.count_ones() as u64;
-                            let mut y = x;
-                            while y != 0 {
-                                let w =
-                                    ((base + off) << 6) + y.trailing_zeros() as usize;
-                                per_rank[w] += 1;
-                                y &= y - 1;
-                            }
-                        }
-                    }
-                } else {
-                    let fb = self.f.forward(rb);
-                    stats.elements_probed += fb.len() as u64;
-                    for &w in fb {
-                        let bit = (bitmap[(w >> 6) as usize] >> (w & 63)) & 1;
-                        buf[matches as usize] = w;
-                        matches += bit;
-                    }
-                    for &w in &buf[..matches as usize] {
-                        per_rank[w as usize] += 1;
-                    }
-                }
-                per_rank[ra] += matches;
-                per_rank[rb] += matches;
-                global += matches;
-            }
-            if bitmap_edges > 0 {
-                stats.anchors_bitmap += 1;
-            } else {
-                stats.anchors_marking += 1;
-            }
-            for &wi in touched.iter() {
-                bitmap[wi as usize] = 0;
-            }
-        }
-        global
-    }
-}
-
 /// Per-vertex triangle participation `t_A` (Def. 5) plus the global
 /// total, via the default [`TriangleKernel::Auto`] tier.
 pub fn vertex_triangles(g: &CsrGraph) -> TriangleCounts {
@@ -476,14 +508,14 @@ pub fn vertex_triangles(g: &CsrGraph) -> TriangleCounts {
 pub fn vertex_triangles_with(g: &CsrGraph, kernel: TriangleKernel) -> TriangleCounts {
     let _span = kron_obs::span::enter("analytics/vertex_triangles");
     let n = g.n() as usize;
-    let k = Kernel::build(g, kernel);
+    let f = Forward::build(g, kernel);
     let arena = Arena::global();
     let mut per_rank = arena.take_words(n);
-    let mut scratch = Scratch::take(arena, n, k.f.max_forward);
+    let mut scratch = Scratch::take(arena, n, f.max_forward);
     let mut stats = KernelStats::default();
-    let global = k.count_in(0..n, &mut per_rank, &mut scratch, &mut stats);
+    let global = f.count_in(0..n, &mut per_rank, &mut scratch, &mut stats);
     stats.publish();
-    TriangleCounts { per_vertex: k.f.to_vertex_space(&per_rank), global }
+    TriangleCounts { per_vertex: f.to_vertex_space(&per_rank), global }
 }
 
 /// Global triangle count `τ_A`.
@@ -495,12 +527,12 @@ pub fn global_triangles(g: &CsrGraph) -> u64 {
 pub fn global_triangles_with(g: &CsrGraph, kernel: TriangleKernel) -> u64 {
     let _span = kron_obs::span::enter("analytics/global_triangles");
     let n = g.n() as usize;
-    let k = Kernel::build(g, kernel);
+    let f = Forward::build(g, kernel);
     let arena = Arena::global();
     let mut per_rank = arena.take_words(n);
-    let mut scratch = Scratch::take(arena, n, k.f.max_forward);
+    let mut scratch = Scratch::take(arena, n, f.max_forward);
     let mut stats = KernelStats::default();
-    let global = k.count_in(0..n, &mut per_rank, &mut scratch, &mut stats);
+    let global = f.count_in(0..n, &mut per_rank, &mut scratch, &mut stats);
     stats.publish();
     global
 }
@@ -528,13 +560,13 @@ pub fn vertex_triangles_threads_with(
     }
     let _span = kron_obs::span::enter("analytics/vertex_triangles_threads");
     let n = g.n() as usize;
-    let k = Kernel::build(g, kernel);
+    let f = Forward::build(g, kernel);
     let arena = Arena::global();
-    let parts = parallel::map_ranges(k.f.anchor_ranges(t), |_, anchors| {
+    let parts = parallel::map_ranges(f.anchor_ranges(t), |_, anchors| {
         let mut per_rank = arena.take_words(n);
-        let mut scratch = Scratch::take(arena, n, k.f.max_forward);
+        let mut scratch = Scratch::take(arena, n, f.max_forward);
         let mut stats = KernelStats::default();
-        let count = k.count_in(anchors, &mut per_rank, &mut scratch, &mut stats);
+        let count = f.count_in(anchors, &mut per_rank, &mut scratch, &mut stats);
         (per_rank, count, stats)
     });
     let mut per_rank = vec![0u64; n];
@@ -548,7 +580,7 @@ pub fn vertex_triangles_threads_with(
         stats.merge(part_stats);
     }
     stats.publish();
-    TriangleCounts { per_vertex: k.f.to_vertex_space(&per_rank), global }
+    TriangleCounts { per_vertex: f.to_vertex_space(&per_rank), global }
 }
 
 /// Parallel [`global_triangles`] (`None` = machine parallelism).
@@ -568,14 +600,14 @@ pub fn global_triangles_threads_with(
     }
     let _span = kron_obs::span::enter("analytics/global_triangles_threads");
     let n = g.n() as usize;
-    let k = Kernel::build(g, kernel);
+    let f = Forward::build(g, kernel);
     let arena = Arena::global();
     let mut stats = KernelStats::default();
-    let global = parallel::map_ranges(k.f.anchor_ranges(t), |_, anchors| {
+    let global = parallel::map_ranges(f.anchor_ranges(t), |_, anchors| {
         let mut per_rank = arena.take_words(n);
-        let mut scratch = Scratch::take(arena, n, k.f.max_forward);
+        let mut scratch = Scratch::take(arena, n, f.max_forward);
         let mut stats = KernelStats::default();
-        let count = k.count_in(anchors, &mut per_rank, &mut scratch, &mut stats);
+        let count = f.count_in(anchors, &mut per_rank, &mut scratch, &mut stats);
         (count, stats)
     })
     .into_iter()
@@ -677,6 +709,14 @@ mod tests {
         assert!(e.iter().all(|(_, c)| c == 3));
         assert_eq!(e.get(0, 4), Some(3));
         assert_eq!(e.get(4, 0), Some(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "past the 2^32-word (32 GiB) limit")]
+    fn window_words_past_u32_offsets_panic() {
+        // A made-up total: checked before anything is allocated.
+        check_window_words(MAX_WINDOW_WORDS);
+        check_window_words(MAX_WINDOW_WORDS + 1);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! counts to the marking kernel (and both to the enumeration oracle),
 //! and the multi-source bitset BFS must reproduce the scalar BFS rows
 //! element for element. This suite pins that across random graphs, the
-//! deterministic generator zoo the chaos suite draws from, both
+//! deterministic generator zoo the chaos suite draws from, Kronecker
+//! products whose rows the default tier both packs and lists, both
 //! self-loop modes, and thread counts {1, 2, 3, 8} (oversubscribing the
 //! host is deliberate).
 
@@ -77,6 +78,69 @@ fn assert_triangle_tiers_agree(g: &CsrGraph, label: &str) {
     }
 }
 
+/// Rows the `Auto` tier stores packed and non-empty rows it lists,
+/// derived from the graph by the documented rule: rank vertices by
+/// `(degree, id)`, orient each non-loop edge to the higher rank, and
+/// pack a forward row `F` when `|F| ≥ 16` and its word window
+/// `[min / 64, max / 64]` is shorter than `|F|`.
+fn auto_rows(g: &CsrGraph) -> (usize, usize) {
+    let order = g.degree_rank_order();
+    let mut rank = vec![0u64; order.len()];
+    for (r, &v) in order.iter().enumerate() {
+        rank[v as usize] = r as u64;
+    }
+    let (mut packed, mut listed) = (0, 0);
+    for (r, &v) in order.iter().enumerate() {
+        let fwd: Vec<u64> = g
+            .neighbors(v)
+            .iter()
+            .map(|&w| rank[w as usize])
+            .filter(|&rw| rw > r as u64)
+            .collect();
+        let (Some(lo), Some(hi)) = (fwd.iter().min(), fwd.iter().max()) else {
+            continue;
+        };
+        if fwd.len() >= 16 && ((hi >> 6) - (lo >> 6) + 1) < fwd.len() as u64 {
+            packed += 1;
+        } else {
+            listed += 1;
+        }
+    }
+    (packed, listed)
+}
+
+/// `A ⊗ B`: arcs `(i, j)` of `A` and `(k, l)` of `B` give the arc
+/// `(i·n_B + k, j·n_B + l)`.
+fn kronecker(a: &CsrGraph, b: &CsrGraph) -> CsrGraph {
+    let nb = b.n();
+    let arcs: Vec<(u64, u64)> = a
+        .arcs()
+        .flat_map(|(i, j)| b.arcs().map(move |(k, l)| (i * nb + k, j * nb + l)))
+        .collect();
+    CsrGraph::from_arcs(a.n() * nb, arcs).expect("product arcs in range")
+}
+
+/// A random dense undirected loop-free factor on `n` vertices: the
+/// circulant backbone `i ~ i ± 1, i ± 2 (mod n)` (minimum degree 4, so
+/// every product vertex has ≥ 16 neighbors and the lowest-ranked row
+/// packs) plus each other pair with probability 1/2.
+fn dense_factor() -> impl Strategy<Value = CsrGraph> {
+    // 91 = C(14, 2) coins cover every pair of the largest factor.
+    let coins = proptest::collection::vec(proptest::bool::ANY, 91);
+    (8u64..15, coins).prop_map(|(n, coins)| {
+        let mut list = EdgeList::new(n);
+        let pairs = (0..n).flat_map(|u| ((u + 1)..n).map(move |v| (u, v)));
+        for ((u, v), coin) in pairs.zip(coins) {
+            let gap = v - u;
+            if coin || gap <= 2 || gap >= n - 2 {
+                list.add_undirected(u, v).expect("in range");
+            }
+        }
+        list.sort_dedup();
+        CsrGraph::from_edge_list(&list)
+    })
+}
+
 /// Asserts the bitset BFS reproduces every scalar BFS row exactly.
 fn assert_bfs_rows_agree(g: &CsrGraph, label: &str) {
     let sources: Vec<VertexId> = (0..g.n()).collect();
@@ -118,6 +182,17 @@ fn triangle_tiers_agree_on_zoo() {
 }
 
 #[test]
+fn triangle_tiers_agree_on_packing_product() {
+    // The zoo's factors barely reach the pack threshold; a Kronecker
+    // product of two R-MAT factors packs most of its rows.
+    let a = rmat(&RmatConfig::graph500(4, 22)).with_full_self_loops();
+    let b = rmat(&RmatConfig::graph500(4, 23)).with_full_self_loops();
+    let c = kronecker(&a, &b);
+    assert_eq!(auto_rows(&c), (190, 65), "R-MAT(4) x R-MAT(4) full loops");
+    assert_triangle_tiers_agree(&c, "R-MAT(4) x R-MAT(4) full loops");
+}
+
+#[test]
 fn bitset_bfs_agrees_on_zoo() {
     for (label, g) in zoo() {
         assert_bfs_rows_agree(&g, &label);
@@ -147,6 +222,23 @@ proptest! {
         let g = undirected(18, raw);
         assert_triangle_tiers_agree(&g, "random");
         assert_triangle_tiers_agree(&g.with_full_self_loops(), "random + loops");
+    }
+
+    /// All tiers agree with enumeration on Kronecker products of random
+    /// dense factors, in both self-loop modes, where the `Auto` tier both
+    /// packs and lists rows.
+    #[test]
+    fn triangle_tiers_agree_on_dense_products(a in dense_factor(), b in dense_factor()) {
+        let products = [
+            ("as-is", kronecker(&a, &b)),
+            ("full loops", kronecker(&a.with_full_self_loops(), &b.with_full_self_loops())),
+        ];
+        for (mode, c) in products {
+            let (packed, listed) = auto_rows(&c);
+            let label = format!("{} x {} vertices, {mode}", a.n(), b.n());
+            prop_assert!(packed > 0 && listed > 0, "{label}: {packed} packed, {listed} listed");
+            assert_triangle_tiers_agree(&c, &label);
+        }
     }
 
     /// The bitset BFS agrees with scalar BFS on random graphs — raw

@@ -4,7 +4,8 @@
 
 use proptest::prelude::*;
 
-use kronecker::analytics::{community, distance, triangles};
+use kronecker::analytics::{clustering, community, distance, triangles};
+use kronecker::core::clustering::ClusteringOracle;
 use kronecker::core::community::CommunityOracle;
 use kronecker::core::distance::DistanceOracle;
 use kronecker::core::triangles::TriangleOracle;
@@ -26,6 +27,15 @@ fn graph(n: u64) -> impl Strategy<Value = CsrGraph> {
         list.sort_dedup();
         CsrGraph::from_edge_list(&list)
     })
+}
+
+/// Relative error of `x` against `reference` (0 when they are equal).
+fn rel_err(x: f64, reference: f64) -> f64 {
+    if x == reference {
+        0.0
+    } else {
+        (x - reference).abs() / reference.abs().max(f64::MIN_POSITIVE)
+    }
 }
 
 proptest! {
@@ -52,6 +62,59 @@ proptest! {
         prop_assert_eq!(oracle.global_triangles(), direct.global as u128);
         for ((p, q), want) in triangles::edge_triangles(&c).iter() {
             prop_assert_eq!(oracle.edge_triangles_of(p, q).unwrap(), want);
+        }
+    }
+
+    /// Thm. 1/2 on loop-free factors: the clustering oracle matches the
+    /// product's coefficients at every vertex and edge, and wherever the
+    /// factor coefficients a law multiplies are defined (degrees ≥ 2) the
+    /// law holds with θ ∈ [1/3, 1) and φ ∈ (0, 1).
+    #[test]
+    fn clustering_laws_match_direct(a in graph(6), b in graph(5)) {
+        let (eta_a, eta_b) = (clustering::vertex_clustering(&a), clustering::vertex_clustering(&b));
+        let (xi_a, xi_b) = (clustering::edge_clustering(&a), clustering::edge_clustering(&b));
+        let (d_a, d_b) = (a.degrees(), b.degrees());
+        let xi = |list: &[((u64, u64), f64)], u: u64, v: u64| {
+            let at = list.binary_search_by_key(&(u.min(v), u.max(v)), |&(e, _)| e);
+            list[at.expect("factor edge of a product edge")].1
+        };
+        let pair = KroneckerPair::new(a, b, SelfLoopMode::AsIs).unwrap();
+        let oracle = ClusteringOracle::new(&pair).unwrap();
+        let c = generate::materialize(&pair);
+        for (p, &want) in clustering::vertex_clustering(&c).iter().enumerate() {
+            let p = p as u64;
+            let got = oracle.vertex_clustering_of(p).unwrap();
+            prop_assert!(
+                rel_err(got, want) <= 1e-12,
+                "η at {}: oracle {} vs direct {}", p, got, want
+            );
+            let (i, k) = pair.split(p);
+            let (i, k) = (i as usize, k as usize);
+            if d_a[i] >= 2 && d_b[k] >= 2 {
+                let theta = oracle.theta(p).unwrap();
+                prop_assert!((1.0 / 3.0..1.0).contains(&theta), "θ at {} = {}", p, theta);
+                let law = theta * eta_a[i] * eta_b[k];
+                prop_assert!(rel_err(law, want) <= 1e-12, "Thm. 1 at {}: {} vs {}", p, law, want);
+            }
+        }
+        for ((p, q), want) in clustering::edge_clustering(&c) {
+            let got = oracle.edge_clustering_of(p, q).unwrap();
+            prop_assert!(
+                rel_err(got, want) <= 1e-12,
+                "ξ at ({}, {}): oracle {} vs direct {}", p, q, got, want
+            );
+            let ((i, k), (j, l)) = (pair.split(p), pair.split(q));
+            let min_a = d_a[i as usize].min(d_a[j as usize]);
+            let min_b = d_b[k as usize].min(d_b[l as usize]);
+            if min_a >= 2 && min_b >= 2 {
+                let phi = oracle.phi(p, q).unwrap();
+                prop_assert!(phi > 0.0 && phi < 1.0, "φ at ({}, {}) = {}", p, q, phi);
+                let law = phi * xi(&xi_a, i, j) * xi(&xi_b, k, l);
+                prop_assert!(
+                    rel_err(law, want) <= 1e-12,
+                    "Thm. 2 at ({}, {}): {} vs {}", p, q, law, want
+                );
+            }
         }
     }
 

@@ -9,16 +9,17 @@
 //! the contract the probabilistic-rejection experiment (§IV-C) depends
 //! on — using per-row forward lists instead of per-edge binary searches.
 //! The *counting* entry points ([`vertex_triangles`], [`global_triangles`]
-//! and their `_threads` variants) run the degree-ordered compact-forward
+//! and their `_with` variants) run the degree-ordered compact-forward
 //! scheme of Chiba–Nishizeki (the paper's reference [22]) in one of two
 //! tiers selected by [`TriangleKernel`]: the PR 4 vertex-marking probe
 //! scan, or the PR 6 word-parallel tier that packs dense forward lists
 //! into rank-space `u64` bitmaps and closes edges with AND +
-//! `count_ones()`. Counts are exact integers, so every kernel tier and
-//! thread count agrees bit-for-bit; all scratch is recycled through the
-//! process [`Arena`].
+//! `count_ones()`. Counts are exact integers, so every kernel tier
+//! agrees bit-for-bit; all scratch is recycled through the process
+//! [`Arena`].
 
-use kron_graph::{parallel, Arena, CsrGraph, VertexId};
+use kron_graph::arena::ArenaBuf;
+use kron_graph::{Arena, CsrGraph, VertexId};
 use serde::{Deserialize, Serialize};
 
 /// Vertex triangle counts plus the global total.
@@ -158,8 +159,9 @@ struct Forward<'g> {
     /// borrowed from the graph's cached degree-rank permutation.
     order: &'g [VertexId],
     /// Offsets of the listed rows in `targets`; a packed row's span is
-    /// empty.
-    offsets: Vec<usize>,
+    /// empty. `u64` words, so [`Forward::into_vertex_space`] can reuse
+    /// them for the result.
+    offsets: Vec<u64>,
     /// Forward neighbors of the listed rows, as ranks.
     targets: Vec<u32>,
     /// `slot[r]` = index into `meta`, or `NO_SLOT` when `r` is listed.
@@ -181,8 +183,6 @@ struct PackedMeta {
     base: u32,
     /// Window length in words.
     len: u32,
-    /// `|F(r)|`, the window's set bits.
-    count: u32,
 }
 
 const NO_SLOT: u32 = u32::MAX;
@@ -202,13 +202,6 @@ struct KernelStats {
 }
 
 impl KernelStats {
-    fn merge(&mut self, other: KernelStats) {
-        self.anchors_bitmap += other.anchors_bitmap;
-        self.anchors_marking += other.anchors_marking;
-        self.words_probed += other.words_probed;
-        self.elements_probed += other.elements_probed;
-    }
-
     fn publish(&self) {
         kron_obs::counter!("triangles.anchors_bitmap").add(self.anchors_bitmap);
         kron_obs::counter!("triangles.anchors_marking").add(self.anchors_marking);
@@ -243,7 +236,7 @@ impl<'g> Forward<'g> {
                 .filter(move |&rw| rw > r as u32)
         };
 
-        let mut offsets = vec![0usize; n + 1];
+        let mut offsets = vec![0u64; n + 1];
         let mut slot = vec![NO_SLOT; n];
         let mut meta = Vec::new();
         let mut window_words = 0u64;
@@ -264,18 +257,18 @@ impl<'g> Forward<'g> {
                         count >= PACK_MIN_FORWARD && ((hi - lo + 1) as usize) < count
                     }
                 };
-            offsets[r + 1] = offsets[r] + if packed { 0 } else { count };
+            offsets[r + 1] = offsets[r] + if packed { 0 } else { count as u64 };
             if packed {
                 let start = window_words;
                 let len = hi - lo + 1;
                 window_words += u64::from(len);
                 check_window_words(window_words);
                 slot[r] = meta.len() as u32;
-                meta.push(PackedMeta { start: start as u32, base: lo, len, count: count as u32 });
+                meta.push(PackedMeta { start: start as u32, base: lo, len });
             }
         }
 
-        let mut targets = Vec::with_capacity(offsets[n]);
+        let mut targets = Vec::with_capacity(offsets[n] as usize);
         let mut words = vec![0u64; usize::try_from(window_words).expect("window words fit usize")];
         for (r, &s) in slot.iter().enumerate() {
             match s {
@@ -297,22 +290,13 @@ impl<'g> Forward<'g> {
     /// Forward list of a listed rank `r` (empty for a packed one).
     #[inline]
     fn list(&self, r: usize) -> &[u32] {
-        &self.targets[self.offsets[r]..self.offsets[r + 1]]
+        &self.targets[self.offsets[r] as usize..self.offsets[r + 1] as usize]
     }
 
     /// The window of a packed row.
     #[inline]
     fn window(&self, m: PackedMeta) -> &[u64] {
         &self.words[m.start as usize..][..m.len as usize]
-    }
-
-    /// Forward-list length of rank `r`.
-    #[inline]
-    fn forward_len(&self, r: usize) -> usize {
-        match self.slot[r] {
-            NO_SLOT => self.offsets[r + 1] - self.offsets[r],
-            s => self.meta[s as usize].count as usize,
-        }
     }
 
     /// Calls `f` with every rank of `F(r)`: a listed row in list order, a
@@ -334,36 +318,27 @@ impl<'g> Forward<'g> {
         }
     }
 
-    /// Permutes rank-space counts back to vertex space.
-    fn to_vertex_space(&self, per_rank: &[u64]) -> Vec<u64> {
-        let mut per_vertex = vec![0u64; per_rank.len()];
-        for (r, &v) in self.order.iter().enumerate() {
+    /// Frees the forward rows, then permutes rank-space counts back to
+    /// vertex space into the list offsets' `n + 1` words, which counting
+    /// no longer needs: the result costs no allocation of its own.
+    fn into_vertex_space(mut self, per_rank: &[u64]) -> Vec<u64> {
+        let mut per_vertex = std::mem::take(&mut self.offsets);
+        let order = self.order;
+        drop(self);
+        per_vertex.truncate(order.len());
+        for (r, &v) in order.iter().enumerate() {
             per_vertex[v as usize] = per_rank[r];
         }
         per_vertex
     }
 
-    /// Splits the rank-space anchor range into `chunks` ranges weighted by
-    /// actual kernel work — `Σ_{rb ∈ F(ra)} |F(rb)|` probes plus the
-    /// bitmap set/clear cost per anchor — so the dense tail of the rank
-    /// order does not serialize one worker.
-    fn anchor_ranges(&self, chunks: usize) -> Vec<std::ops::Range<usize>> {
-        let n = self.order.len();
-        let mut prefix = vec![0usize; n + 1];
-        for ra in 0..n {
-            let mut work = 2 * self.forward_len(ra);
-            self.for_each_forward(ra, |rb| work += self.forward_len(rb));
-            prefix[ra + 1] = prefix[ra] + work;
-        }
-        parallel::split_by_weight(&prefix, chunks)
-    }
-
-    /// Counts every triangle whose lowest-ranked corner lies in `anchors`
-    /// into rank-space participation counts. Per anchor `ra`, `F(ra)` is
-    /// marked in the rank-indexed bitmap, recording which words were
-    /// touched: a listed anchor sets one bit per element, a packed anchor
-    /// copies its window's non-zero words. Each oriented edge `ra → rb` is
-    /// then closed on one of two paths producing the identical match set:
+    /// The counting pass: counts every triangle, anchored at its
+    /// lowest-ranked corner, into rank-space participation counts and
+    /// publishes the kernel counters. Per anchor `ra`, `F(ra)` is marked
+    /// in the rank-indexed bitmap, recording which words were touched: a
+    /// listed anchor sets one bit per element, a packed anchor copies its
+    /// window's non-zero words. Each oriented edge `ra → rb` is then
+    /// closed on one of two paths producing the identical match set:
     ///
     /// * **probe scan** — walk `F(rb)`, compacting matched ranks into a
     ///   small buffer branch-free (`buf[matches] = w; matches += bit`),
@@ -379,24 +354,23 @@ impl<'g> Forward<'g> {
     /// holds fewer words than the list would hold elements, so the
     /// word-parallel close is never more expensive than the probe scan it
     /// replaces. Counts are exact integers, so every path mix and visit
-    /// order produces bit-identical results. The bitmap is cleared
-    /// word-wise via the touched list before returning, so it can be
-    /// reused across anchors and calls. Returns triangles anchored in the
-    /// range.
-    fn count_in(
-        &self,
-        anchors: std::ops::Range<usize>,
-        per_rank: &mut [u64],
-        scratch: &mut Scratch<'_>,
-        stats: &mut KernelStats,
-    ) -> u64 {
-        let bitmap = &mut *scratch.bitmap;
-        let touched = scratch.touched.as_vec_mut();
-        let buf = &mut *scratch.matches_buf;
-        debug_assert!(bitmap.len() >= self.order.len().div_ceil(64));
-        debug_assert!(bitmap.iter().all(|&w| w == 0));
+    /// order produces bit-identical results. The anchor bitmap, its
+    /// touched-word list and the probe-scan match buffer come zeroed from
+    /// the process [`Arena`]; the bitmap is cleared word-wise via the
+    /// touched list after each anchor. Returns the per-rank counts and the
+    /// global total.
+    fn count(&self) -> (ArenaBuf<'static, u64>, u64) {
+        let n = self.order.len();
+        let arena = Arena::global();
+        let mut per_rank_buf = arena.take_words(n);
+        let mut bitmap_buf = arena.take_words(n.div_ceil(64));
+        let mut touched_buf = arena.take_ints(self.max_forward);
+        let mut matches_buf = arena.take_ints(self.max_forward);
+        let (per_rank, bitmap, buf) = (&mut *per_rank_buf, &mut *bitmap_buf, &mut *matches_buf);
+        let touched = touched_buf.as_vec_mut();
+        let mut stats = KernelStats::default();
         let mut global = 0u64;
-        for ra in anchors {
+        for ra in 0..n {
             touched.clear();
             match self.slot[ra] {
                 NO_SLOT => {
@@ -473,26 +447,8 @@ impl<'g> Forward<'g> {
                 bitmap[wi as usize] = 0;
             }
         }
-        global
-    }
-}
-
-/// Per-worker scratch drawn from the process [`Arena`]: the anchor
-/// bitmap, its touched-word list, and the probe-scan match buffer. All
-/// zeroed/emptied on take, returned to the pool on drop.
-struct Scratch<'a> {
-    bitmap: kron_graph::arena::ArenaBuf<'a, u64>,
-    touched: kron_graph::arena::ArenaBuf<'a, u32>,
-    matches_buf: kron_graph::arena::ArenaBuf<'a, u32>,
-}
-
-impl<'a> Scratch<'a> {
-    fn take(arena: &'a Arena, n: usize, max_forward: usize) -> Self {
-        Scratch {
-            bitmap: arena.take_words(n.div_ceil(64)),
-            touched: arena.take_ints(max_forward),
-            matches_buf: arena.take_ints(max_forward),
-        }
+        stats.publish();
+        (per_rank_buf, global)
     }
 }
 
@@ -507,15 +463,9 @@ pub fn vertex_triangles(g: &CsrGraph) -> TriangleCounts {
 /// exists for validation and benchmarking.
 pub fn vertex_triangles_with(g: &CsrGraph, kernel: TriangleKernel) -> TriangleCounts {
     let _span = kron_obs::span::enter("analytics/vertex_triangles");
-    let n = g.n() as usize;
     let f = Forward::build(g, kernel);
-    let arena = Arena::global();
-    let mut per_rank = arena.take_words(n);
-    let mut scratch = Scratch::take(arena, n, f.max_forward);
-    let mut stats = KernelStats::default();
-    let global = f.count_in(0..n, &mut per_rank, &mut scratch, &mut stats);
-    stats.publish();
-    TriangleCounts { per_vertex: f.to_vertex_space(&per_rank), global }
+    let (per_rank, global) = f.count();
+    TriangleCounts { per_vertex: f.into_vertex_space(&per_rank), global }
 }
 
 /// Global triangle count `τ_A`.
@@ -526,98 +476,7 @@ pub fn global_triangles(g: &CsrGraph) -> u64 {
 /// [`global_triangles`] with an explicit kernel tier.
 pub fn global_triangles_with(g: &CsrGraph, kernel: TriangleKernel) -> u64 {
     let _span = kron_obs::span::enter("analytics/global_triangles");
-    let n = g.n() as usize;
-    let f = Forward::build(g, kernel);
-    let arena = Arena::global();
-    let mut per_rank = arena.take_words(n);
-    let mut scratch = Scratch::take(arena, n, f.max_forward);
-    let mut stats = KernelStats::default();
-    let global = f.count_in(0..n, &mut per_rank, &mut scratch, &mut stats);
-    stats.publish();
-    global
-}
-
-/// Parallel [`vertex_triangles`] (`None` = machine parallelism).
-///
-/// The compact-forward anchor (rank) space is split across workers by
-/// forward-arc weight; each worker counts into a private per-rank
-/// vector (all scratch arena-recycled) and the vectors are summed in
-/// worker order. Counts are exact integers, so the result is identical
-/// to the sequential one for every thread count and kernel tier.
-pub fn vertex_triangles_threads(g: &CsrGraph, threads: Option<usize>) -> TriangleCounts {
-    vertex_triangles_threads_with(g, threads, TriangleKernel::Auto)
-}
-
-/// [`vertex_triangles_threads`] with an explicit kernel tier.
-pub fn vertex_triangles_threads_with(
-    g: &CsrGraph,
-    threads: Option<usize>,
-    kernel: TriangleKernel,
-) -> TriangleCounts {
-    let t = parallel::num_threads(threads);
-    if t <= 1 {
-        return vertex_triangles_with(g, kernel);
-    }
-    let _span = kron_obs::span::enter("analytics/vertex_triangles_threads");
-    let n = g.n() as usize;
-    let f = Forward::build(g, kernel);
-    let arena = Arena::global();
-    let parts = parallel::map_ranges(f.anchor_ranges(t), |_, anchors| {
-        let mut per_rank = arena.take_words(n);
-        let mut scratch = Scratch::take(arena, n, f.max_forward);
-        let mut stats = KernelStats::default();
-        let count = f.count_in(anchors, &mut per_rank, &mut scratch, &mut stats);
-        (per_rank, count, stats)
-    });
-    let mut per_rank = vec![0u64; n];
-    let mut global = 0u64;
-    let mut stats = KernelStats::default();
-    for (part, count, part_stats) in parts {
-        for (acc, &x) in per_rank.iter_mut().zip(part.iter()) {
-            *acc += x;
-        }
-        global += count;
-        stats.merge(part_stats);
-    }
-    stats.publish();
-    TriangleCounts { per_vertex: f.to_vertex_space(&per_rank), global }
-}
-
-/// Parallel [`global_triangles`] (`None` = machine parallelism).
-pub fn global_triangles_threads(g: &CsrGraph, threads: Option<usize>) -> u64 {
-    global_triangles_threads_with(g, threads, TriangleKernel::Auto)
-}
-
-/// [`global_triangles_threads`] with an explicit kernel tier.
-pub fn global_triangles_threads_with(
-    g: &CsrGraph,
-    threads: Option<usize>,
-    kernel: TriangleKernel,
-) -> u64 {
-    let t = parallel::num_threads(threads);
-    if t <= 1 {
-        return global_triangles_with(g, kernel);
-    }
-    let _span = kron_obs::span::enter("analytics/global_triangles_threads");
-    let n = g.n() as usize;
-    let f = Forward::build(g, kernel);
-    let arena = Arena::global();
-    let mut stats = KernelStats::default();
-    let global = parallel::map_ranges(f.anchor_ranges(t), |_, anchors| {
-        let mut per_rank = arena.take_words(n);
-        let mut scratch = Scratch::take(arena, n, f.max_forward);
-        let mut stats = KernelStats::default();
-        let count = f.count_in(anchors, &mut per_rank, &mut scratch, &mut stats);
-        (count, stats)
-    })
-    .into_iter()
-    .map(|(count, part_stats)| {
-        stats.merge(part_stats);
-        count
-    })
-    .sum();
-    stats.publish();
-    global
+    Forward::build(g, kernel).count().1
 }
 
 /// Triangle participation at every edge (Def. 6):
@@ -642,19 +501,7 @@ pub fn edge_triangles(g: &CsrGraph) -> EdgeTriangles {
 /// Used directly by the probabilistic-edge-rejection experiment (§IV-C),
 /// which filters enumerated triangles of `G_C` by edge-hash thresholds to
 /// count triangles of every `G_{C,ν}` in one pass.
-pub fn enumerate_triangles<F: FnMut(VertexId, VertexId, VertexId)>(g: &CsrGraph, visit: F) {
-    enumerate_triangles_in(g, 0..g.n(), visit)
-}
-
-/// Enumerates each triangle `{u, v, w}` with `u < v < w` whose anchor (the
-/// smallest vertex `u`) lies in `anchors`. Partitioning the anchor range
-/// across workers partitions the triangle set exactly — the basis of the
-/// parallel counters below.
-pub fn enumerate_triangles_in<F: FnMut(VertexId, VertexId, VertexId)>(
-    g: &CsrGraph,
-    anchors: std::ops::Range<VertexId>,
-    mut visit: F,
-) {
+pub fn enumerate_triangles<F: FnMut(VertexId, VertexId, VertexId)>(g: &CsrGraph, mut visit: F) {
     // Forward starts: for every row, the index of its first entry greater
     // than the row's own vertex — one binary search per row instead of
     // two per (u, v) pair. Rows are sorted, so `nu[forward_start[u]..]`
@@ -667,7 +514,7 @@ pub fn enumerate_triangles_in<F: FnMut(VertexId, VertexId, VertexId)>(
     let forward_start: Vec<usize> = (0..n)
         .map(|v| g.neighbors(v as u64).partition_point(|&w| u64::from(w) <= v as u64))
         .collect();
-    for u in anchors {
+    for u in 0..g.n() {
         let nu = g.neighbors(u);
         for t in forward_start[u as usize]..nu.len() {
             let v = u64::from(nu[t]);
@@ -717,24 +564,6 @@ mod tests {
         // A made-up total: checked before anything is allocated.
         check_window_words(MAX_WINDOW_WORDS);
         check_window_words(MAX_WINDOW_WORDS + 1);
-    }
-
-    #[test]
-    fn parallel_counts_match_sequential() {
-        use kron_graph::generators::erdos_renyi;
-        for g in [clique(9), erdos_renyi(40, 0.3, 7), star(12), path(1)] {
-            let sequential = vertex_triangles(&g);
-            for threads in [1usize, 2, 3, 8] {
-                let got = vertex_triangles_threads(&g, Some(threads));
-                assert_eq!(got, sequential, "threads={threads}");
-                assert_eq!(
-                    global_triangles_threads(&g, Some(threads)),
-                    sequential.global,
-                    "threads={threads}"
-                );
-            }
-            assert_eq!(vertex_triangles_threads(&g, None), sequential);
-        }
     }
 
     #[test]

@@ -6,9 +6,8 @@
 //! and the multi-source bitset BFS must reproduce the scalar BFS rows
 //! element for element. This suite pins that across random graphs, the
 //! deterministic generator zoo the chaos suite draws from, Kronecker
-//! products whose rows the default tier both packs and lists, both
-//! self-loop modes, and thread counts {1, 2, 3, 8} (oversubscribing the
-//! host is deliberate).
+//! products whose rows the default tier both packs and lists, and both
+//! self-loop modes.
 
 use proptest::prelude::*;
 
@@ -16,13 +15,12 @@ use kron_analytics::distance::{
     bfs_distances, bfs_hops, multi_source_bfs_distances, multi_source_bfs_hops,
 };
 use kron_analytics::triangles::{
-    enumerate_triangles, global_triangles_threads_with, global_triangles_with,
-    vertex_triangles_threads_with, vertex_triangles_with, TriangleCounts, TriangleKernel,
+    enumerate_triangles, global_triangles_with, vertex_triangles_with, TriangleCounts,
+    TriangleKernel,
 };
 use kron_graph::generators::{barabasi_albert, clique, cycle, erdos_renyi, path, rmat, star, RmatConfig};
 use kron_graph::{CsrGraph, EdgeList, VertexId};
 
-const THREADS: [usize; 4] = [1, 2, 3, 8];
 const KERNELS: [TriangleKernel; 3] =
     [TriangleKernel::Auto, TriangleKernel::Marking, TriangleKernel::Bitmap];
 
@@ -51,30 +49,18 @@ fn enumerated(g: &CsrGraph) -> TriangleCounts {
     TriangleCounts { per_vertex, global }
 }
 
-/// Asserts all three kernel tiers, sequential and threaded, agree with
-/// the enumeration reference exactly.
+/// Asserts all three kernel tiers agree with the enumeration reference
+/// exactly.
 fn assert_triangle_tiers_agree(g: &CsrGraph, label: &str) {
     let reference = enumerated(g);
     for kernel in KERNELS {
         let counts = vertex_triangles_with(g, kernel);
-        assert_eq!(counts, reference, "{label}: {kernel:?} sequential");
+        assert_eq!(counts, reference, "{label}: {kernel:?}");
         assert_eq!(
             global_triangles_with(g, kernel),
             reference.global,
             "{label}: {kernel:?} global"
         );
-        for t in THREADS {
-            assert_eq!(
-                vertex_triangles_threads_with(g, Some(t), kernel),
-                reference,
-                "{label}: {kernel:?} threads={t}"
-            );
-            assert_eq!(
-                global_triangles_threads_with(g, Some(t), kernel),
-                reference.global,
-                "{label}: {kernel:?} global threads={t}"
-            );
-        }
     }
 }
 

@@ -2,7 +2,8 @@
 //! each forward row is stored once, either as a `u32` list or as a
 //! packed `u64` window, so `vertex_triangles` holds 4 bytes per listed
 //! arc and 8 bytes per window word on top of O(n) tables — not a full
-//! forward list beside the packed rows.
+//! forward list beside the packed rows, and not the returned counts
+//! beside the rows.
 //!
 //! Runs only with `--features measure-alloc` (a kron-bench default
 //! feature). This file is its own test binary with a single `#[test]`, so
@@ -35,7 +36,7 @@ fn vertex_triangles_peak_is_one_store_per_row() {
     for (r, &v) in order.iter().enumerate() {
         rank[v as usize] = r as u64;
     }
-    let (mut arcs, mut packed_rows, mut packed_arcs) = (0u64, 0u64, 0u64);
+    let (mut arcs, mut packed_rows, mut packed_arcs, mut max_forward) = (0u64, 0u64, 0u64, 0u64);
     let (mut listed, mut window_words) = (0u64, 0u64);
     for (r, &v) in order.iter().enumerate() {
         let fwd: Vec<u64> = c
@@ -46,6 +47,7 @@ fn vertex_triangles_peak_is_one_store_per_row() {
             .collect();
         let len = fwd.len() as u64;
         arcs += len;
+        max_forward = max_forward.max(len);
         let (Some(lo), Some(hi)) = (fwd.iter().min(), fwd.iter().max()) else {
             continue;
         };
@@ -67,23 +69,27 @@ fn vertex_triangles_peak_is_one_store_per_row() {
     assert!(kernel.measured, "measure-alloc allocator must be active");
     assert_eq!(counts.per_vertex.len() as u64, n);
 
-    // The two row stores, plus per product vertex: list offsets (8 B), a
-    // packed-row slot (4 B), packed-row meta (16 B, with growth slack),
-    // rank-space counts (8 B), the returned vertex-space counts (8 B), and
-    // the anchor's touched-word list and match buffer (4 + 4 B at most);
-    // plus a few KiB for the arena pool and counter registration.
+    // Besides the two row stores the kernel holds the list offsets (8 B
+    // per vertex, plus one), a packed-row slot and the rank-space counts
+    // (4 + 8 B per vertex), packed-row meta (12 B per packed row, doubled
+    // for growth slack), the anchor bitmap (one bit per vertex), and the
+    // touched-word list and match buffer (4 + 4 B per element of the
+    // longest forward list); plus a few KiB for the arena pool and
+    // counter registration. The returned vertex-space counts (8 B per
+    // vertex) are written into the list offsets' array once the other row
+    // stores are freed, so they add nothing to the peak.
     let stores = 4 * listed + 8 * window_words;
-    let per_vertex = 8 + 4 + 16 + 8 + 8 + 8;
-    let bound = stores + per_vertex * n + 4 * 1024;
+    let tables = 8 * (n + 1) + 12 * n + 24 * packed_rows + n / 8 + 8 * max_forward;
+    let bound = stores + tables + 4 * 1024;
     println!(
         "vertex_triangles peak {} B; bound {bound} B \
-         (4L + 8W = {stores} B, L = {listed}, W = {window_words})",
+         (4L + 8W = {stores} B, L = {listed}, W = {window_words}; tables {tables} B)",
         kernel.peak_bytes
     );
     assert!(
         kernel.peak_bytes <= bound,
         "vertex_triangles peak {} bytes exceeds {bound} bytes: 4·{listed} listed arcs + \
-         8·{window_words} window words + {per_vertex}·{n} + 4 KiB",
+         8·{window_words} window words + {tables} B of tables + 4 KiB",
         kernel.peak_bytes
     );
 }

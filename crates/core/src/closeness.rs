@@ -18,7 +18,7 @@
 //! sort; bucketing by hop value removes the log factor.
 
 use kron_analytics::distance::UNREACHABLE;
-use kron_graph::{parallel, Arena, VertexId};
+use kron_graph::{Arena, VertexId};
 
 use crate::distance::DistanceOracle;
 
@@ -161,32 +161,6 @@ pub fn closeness_batch(
     Ok(out)
 }
 
-/// Parallel [`closeness_batch`] over source vertices (`None` = machine
-/// parallelism). Each worker runs the class-collapsed batch on a
-/// contiguous slice of `vertices` and slices are concatenated in order,
-/// so results — including the first out-of-range error, if any — match
-/// the sequential batch exactly (each class pair's value is computed by
-/// the same arithmetic wherever it is computed).
-pub fn closeness_batch_threads(
-    oracle: &DistanceOracle<'_>,
-    vertices: &[VertexId],
-    threads: Option<usize>,
-) -> crate::Result<Vec<f64>> {
-    let t = parallel::num_threads(threads);
-    if t <= 1 {
-        return closeness_batch(oracle, vertices);
-    }
-    let _span = kron_obs::span::enter("core/closeness_batch_threads");
-    let parts = parallel::map_chunks(vertices.len(), t, |_, range| {
-        closeness_batch(oracle, &vertices[range])
-    });
-    let mut out = Vec::with_capacity(vertices.len());
-    for part in parts {
-        out.extend(part?);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,19 +266,6 @@ mod tests {
         let oracle = DistanceOracle::new(&pair).unwrap();
         assert!(closeness_fast(&oracle, 99).is_err());
         assert!(closeness_naive(&oracle, 99).is_err());
-    }
-
-    #[test]
-    fn parallel_batch_matches_sequential() {
-        let pair = full_pair(barabasi_albert(12, 2, 9), cycle(6));
-        let oracle = DistanceOracle::new(&pair).unwrap();
-        let vertices: Vec<u64> = (0..pair.n_c()).step_by(3).collect();
-        let sequential = closeness_batch(&oracle, &vertices).unwrap();
-        for threads in [1usize, 2, 3, 8] {
-            let got = closeness_batch_threads(&oracle, &vertices, Some(threads)).unwrap();
-            assert_eq!(got, sequential, "threads={threads}");
-        }
-        // Out-of-range vertices error in parallel too.
-        assert!(closeness_batch_threads(&oracle, &[0, 1_000_000], Some(4)).is_err());
+        assert!(closeness_batch(&oracle, &[0, 99]).is_err());
     }
 }

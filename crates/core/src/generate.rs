@@ -9,16 +9,14 @@
 //! exactly `d_A(i)·d_B(k)` targets, so the offset array is the analytic
 //! prefix sum of `d_A ⊗ d_B`, and emitting targets `j·n_B + l` with `j`
 //! outer / `l` inner writes each row already sorted — no intermediate arc
-//! `Vec` and no counting sort. [`materialize_threads`] partitions the
-//! work into disjoint contiguous blocks so parallel output is identical
-//! to sequential. The arc stream ([`arcs`] → [`EdgeList`] →
+//! `Vec` and no counting sort. The arc stream ([`arcs`] → [`EdgeList`] →
 //! [`CsrGraph::from_edge_list`]) shares no code with synthesis, which
 //! makes it the reference the equivalence suites check bit-identity
 //! against. The distributed version of this loop lives in `kron-dist`.
 //!
 //! [`EdgeList`]: kron_graph::EdgeList
 
-use kron_graph::{parallel, Arc, CsrGraph};
+use kron_graph::{Arc, CsrGraph};
 
 use crate::pair::KroneckerPair;
 
@@ -163,10 +161,8 @@ fn product_offsets(pair: &KroneckerPair) -> Vec<usize> {
     offsets
 }
 
-/// Fills the target windows of every product row `p = (i, k)` with
-/// `i ∈ i_range`. `out[0]` corresponds to global position `base`, so the
-/// same routine serves the sequential build (`base = 0`, full slice) and
-/// the threaded per-row-block windows.
+/// Fills the target array of every product row `p = (i, k)` at its
+/// analytic offset.
 ///
 /// For a fixed row, targets `j·n_B + l` are emitted with `j` outer
 /// (ascending over `A`'s sorted row) and `l` inner (ascending over `B`'s
@@ -174,22 +170,16 @@ fn product_offsets(pair: &KroneckerPair) -> Vec<usize> {
 /// increasing across the whole row — each row lands already sorted and
 /// duplicate-free, which is what lets [`CsrGraph::from_sorted_parts`]
 /// skip the counting sort entirely. Every target is below `n_C`, which
-/// the callers checked is at most 2^32, so the `u32` store is exact.
-fn fill_product_rows(
-    pair: &KroneckerPair,
-    i_range: std::ops::Range<u64>,
-    offsets: &[usize],
-    base: usize,
-    out: &mut [u32],
-) {
+/// [`materialize`] checked is at most 2^32, so the `u32` store is exact.
+fn fill_product_rows(pair: &KroneckerPair, offsets: &[usize], out: &mut [u32]) {
     let a = pair.a();
     let b = pair.b();
     let nb = b.n();
-    for i in i_range {
+    for i in 0..a.n() {
         let row_a = a.neighbors(i);
         for k in 0..nb {
             let p = (i * nb + k) as usize;
-            let mut w = offsets[p] - base;
+            let mut w = offsets[p];
             let row_b = b.neighbors(k);
             for &j in row_a {
                 let col_base = u64::from(j) * nb;
@@ -200,13 +190,6 @@ fn fill_product_rows(
             }
         }
     }
-}
-
-/// Panics unless `C` has at most [`CsrGraph::MAX_VERTICES`] vertices and
-/// its arc count fits `usize` — checked before anything is allocated.
-fn assert_materializable(pair: &KroneckerPair) {
-    CsrGraph::check_vertex_count(pair.n_c()).unwrap_or_else(|e| panic!("cannot materialize: {e}"));
-    assert!(pair.nnz_c() <= usize::MAX as u128, "product too large to materialize");
 }
 
 /// Materializes `C` as an explicit CSR graph, built **directly from the
@@ -224,49 +207,13 @@ fn assert_materializable(pair: &KroneckerPair) {
 /// [`CsrGraph::MAX_VERTICES`] (2^32) or the arc count exceeds `usize`.
 pub fn materialize(pair: &KroneckerPair) -> CsrGraph {
     let _span = kron_obs::span::enter("core/materialize");
-    assert_materializable(pair);
+    CsrGraph::check_vertex_count(pair.n_c()).unwrap_or_else(|e| panic!("cannot materialize: {e}"));
     let total = pair.nnz_c();
+    assert!(total <= usize::MAX as u128, "product too large to materialize");
     kron_obs::counter!("core.synthesized_arcs").add(total as u64);
     let offsets = product_offsets(pair);
     let mut targets = vec![0u32; total as usize];
-    fill_product_rows(pair, 0..pair.a().n(), &offsets, 0, &mut targets);
-    CsrGraph::from_sorted_parts(pair.n_c(), offsets, targets)
-}
-
-/// Parallel [`materialize`] (`None` = machine parallelism).
-///
-/// The outer factor's row space is split across workers by arc weight
-/// (`A`-row `i` contributes `d_A(i)·nnz_B` product arcs) and every worker
-/// fills its own disjoint window of the target array — the row-block
-/// boundaries are exactly the analytic offsets, so no two workers share a
-/// byte and the output is identical to the sequential synthesis.
-pub fn materialize_threads(pair: &KroneckerPair, threads: Option<usize>) -> CsrGraph {
-    let t = parallel::num_threads(threads);
-    if t <= 1 {
-        return materialize(pair);
-    }
-    let _span = kron_obs::span::enter("core/materialize_threads");
-    assert_materializable(pair);
-    let total = pair.nnz_c();
-    kron_obs::counter!("core.synthesized_arcs").add(total as u64);
-    let offsets = product_offsets(pair);
-    let mut targets = vec![0u32; total as usize];
-    let na = pair.a().n() as usize;
-    let nb = pair.b().n() as usize;
-    // Prefix of product arcs per A-row block: block i spans product rows
-    // [i·n_B, (i+1)·n_B), whose arcs end at offsets[(i+1)·n_B].
-    let block_prefix: Vec<usize> = (0..=na).map(|i| offsets[i * nb]).collect();
-    let ranges = parallel::split_by_weight(&block_prefix, t);
-    let windows = parallel::windows_by_prefix(&mut targets, &block_prefix, &ranges);
-    parallel::map_with_state(ranges, windows, |_, r, window| {
-        fill_product_rows(
-            pair,
-            r.start as u64..r.end as u64,
-            &offsets,
-            block_prefix[r.start],
-            window,
-        );
-    });
+    fill_product_rows(pair, &offsets, &mut targets);
     CsrGraph::from_sorted_parts(pair.n_c(), offsets, targets)
 }
 
@@ -441,15 +388,6 @@ mod tests {
         assert_eq!(arcs(&pair).len(), 0);
     }
 
-    #[test]
-    fn parallel_materialize_matches_sequential() {
-        let pair = KroneckerPair::with_full_self_loops(path(4), cycle(5)).unwrap();
-        let sequential = materialize(&pair);
-        for threads in [1usize, 2, 3, 8] {
-            assert_eq!(materialize_threads(&pair, Some(threads)), sequential, "threads={threads}");
-        }
-    }
-
     /// The arc-stream oracle: every product arc, counting-sorted into CSR
     /// by the generic builder — no code shared with synthesis.
     fn arc_oracle(pair: &KroneckerPair) -> CsrGraph {
@@ -466,15 +404,7 @@ mod tests {
                 (path(1), clique(3)),
             ] {
                 let pair = KroneckerPair::new(a, b, mode).unwrap();
-                let reference = arc_oracle(&pair);
-                assert_eq!(materialize(&pair), reference, "mode={mode:?}");
-                for threads in [1usize, 2, 3, 8] {
-                    assert_eq!(
-                        materialize_threads(&pair, Some(threads)),
-                        reference,
-                        "mode={mode:?} threads={threads}"
-                    );
-                }
+                assert_eq!(materialize(&pair), arc_oracle(&pair), "mode={mode:?}");
             }
         }
     }
@@ -487,12 +417,10 @@ mod tests {
         let pair = KroneckerPair::as_is(a, b).unwrap();
         let reference = arc_oracle(&pair);
         assert_eq!(materialize(&pair), reference);
-        assert_eq!(materialize_threads(&pair, Some(3)), reference);
         // Arc-free product.
         let arcless = KroneckerPair::as_is(CsrGraph::from_arcs(3, vec![]).unwrap(), clique(3))
             .unwrap();
         assert_eq!(materialize(&arcless).nnz(), 0);
-        assert_eq!(materialize_threads(&arcless, Some(4)).nnz(), 0);
     }
 
     #[test]
@@ -564,14 +492,6 @@ mod tests {
         let pair = KroneckerPair::as_is(arcless(), arcless()).unwrap();
         assert_eq!(pair.nnz_c(), 0);
         materialize(&pair);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot materialize: 17179869184 vertices exceed the 2^32")]
-    fn threaded_materialize_refuses_more_than_2_pow_32_vertices() {
-        let arcless = || CsrGraph::from_arcs(1 << 17, vec![]).unwrap();
-        let pair = KroneckerPair::as_is(arcless(), arcless()).unwrap();
-        materialize_threads(&pair, Some(2));
     }
 
     #[test]

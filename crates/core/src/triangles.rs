@@ -33,7 +33,7 @@
 
 use kron_analytics::triangles::{edge_triangles, vertex_triangles, EdgeTriangles};
 use kron_analytics::Histogram;
-use kron_graph::{parallel, VertexId};
+use kron_graph::VertexId;
 
 use crate::classes::{pair_table, ClassMap};
 use crate::pair::{KronError, KroneckerPair, SelfLoopMode};
@@ -94,9 +94,8 @@ impl<'a> TriangleOracle<'a> {
 
     /// Class maps of both factors (vertices grouped by `(t, d)` key) plus
     /// the dense value table over distinct class pairs — the shared
-    /// precomputation of the collapsed vector, its parallel variant, and
-    /// the histogram. At most `#classes_A · #classes_B` formula
-    /// evaluations regardless of `n_C`.
+    /// precomputation of the collapsed vector and the histogram. At most
+    /// `#classes_A · #classes_B` formula evaluations regardless of `n_C`.
     fn vertex_class_table(
         &self,
     ) -> (ClassMap<(u64, u64)>, ClassMap<(u64, u64)>, Vec<u64>) {
@@ -136,30 +135,6 @@ impl<'a> TriangleOracle<'a> {
         (0..self.pair.n_c())
             .map(|p| self.vertex_triangles_of(p).expect("p < n_C"))
             .collect()
-    }
-
-    /// Parallel [`TriangleOracle::vertex_triangle_vector`] (`None` =
-    /// machine parallelism): the class table is built once, then the
-    /// `0..n_C` index space is chunked across workers and per-chunk
-    /// expansions concatenated in order — identical to the sequential
-    /// vector.
-    pub fn vertex_triangle_vector_threads(&self, threads: Option<usize>) -> Vec<u64> {
-        let t = parallel::num_threads(threads);
-        if t <= 1 {
-            return self.vertex_triangle_vector();
-        }
-        let (ca, cb, table) = self.vertex_class_table();
-        let lb = cb.len();
-        let parts = parallel::map_chunks(self.pair.n_c() as usize, t, |_, range| {
-            range
-                .map(|p| {
-                    let (i, k) = self.pair.split(p as u64);
-                    table[ca.class_of[i as usize] as usize * lb
-                        + cb.class_of[k as usize] as usize]
-                })
-                .collect::<Vec<u64>>()
-        });
-        parallel::concat_ordered(parts)
     }
 
     /// Vertex-triangle histogram of `C`, computed in
@@ -386,22 +361,6 @@ mod tests {
     fn full_both_against_direct_random() {
         check_all(erdos_renyi(10, 0.5, 3), erdos_renyi(9, 0.4, 4), SelfLoopMode::FullBoth);
         check_all(barabasi_albert(12, 3, 5), erdos_renyi(8, 0.5, 6), SelfLoopMode::FullBoth);
-    }
-
-    #[test]
-    fn parallel_vertex_vector_matches_sequential() {
-        for mode in [SelfLoopMode::AsIs, SelfLoopMode::FullBoth] {
-            let pair = KroneckerPair::new(erdos_renyi(11, 0.4, 2), clique(5), mode).unwrap();
-            let oracle = TriangleOracle::new(&pair).unwrap();
-            let sequential = oracle.vertex_triangle_vector();
-            for threads in [1usize, 2, 3, 8] {
-                assert_eq!(
-                    oracle.vertex_triangle_vector_threads(Some(threads)),
-                    sequential,
-                    "threads={threads} mode={mode:?}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -9,18 +9,16 @@
 //! bit: every oracle hop row must equal the scalar per-vertex BFS row,
 //! and every batched closeness value must equal the per-vertex
 //! `closeness_fast` `f64` by `to_bits`, across random factor pairs,
-//! both self-loop regimes, directed factors, and threads {1, 2, 3, 8}.
+//! both self-loop regimes, and directed factors.
 
 use proptest::prelude::*;
 
 use kron_analytics::distance::bfs_hops;
-use kron_core::closeness::{closeness_batch, closeness_batch_threads, closeness_fast};
+use kron_core::closeness::{closeness_batch, closeness_fast};
 use kron_core::distance::DistanceOracle;
 use kron_core::{KroneckerPair, SelfLoopMode};
 use kron_graph::generators::{barabasi_albert, cycle, erdos_renyi, star};
 use kron_graph::{CsrGraph, EdgeList, VertexId};
-
-const THREADS: [usize; 4] = [1, 2, 3, 8];
 
 /// Builds an undirected loop-free factor from a raw arc bag.
 fn factor(n: u64, raw: Vec<(u64, u64)>) -> CsrGraph {
@@ -54,12 +52,7 @@ fn assert_oracle_collapse_exact(pair: &KroneckerPair) {
         .collect();
     let batch = closeness_batch(&oracle, &vertices).expect("in range");
     let batch_bits: Vec<u64> = batch.iter().map(|c| c.to_bits()).collect();
-    assert_eq!(batch_bits, reference, "sequential batch");
-    for t in THREADS {
-        let got = closeness_batch_threads(&oracle, &vertices, Some(t)).expect("in range");
-        let got_bits: Vec<u64> = got.iter().map(|c| c.to_bits()).collect();
-        assert_eq!(got_bits, reference, "threads={t}");
-    }
+    assert_eq!(batch_bits, reference, "batch");
 }
 
 #[test]

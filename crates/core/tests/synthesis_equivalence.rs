@@ -3,20 +3,17 @@
 //! `EdgeList` → `CsrGraph::from_edge_list`, which shares no code with
 //! synthesis), and every class-collapsed oracle must reproduce its per-vertex
 //! (per-edge) reference element for element — bit-for-bit in the f64
-//! case — across random factor pairs, both self-loop modes, and thread
-//! counts {1, 2, 3, 8} (oversubscribing the host is deliberate).
+//! case — across random factor pairs and both self-loop modes.
 
 use proptest::prelude::*;
 
 use kron_analytics::Histogram;
-use kron_core::closeness::{closeness_batch, closeness_batch_threads, closeness_fast};
+use kron_core::closeness::{closeness_batch, closeness_fast};
 use kron_core::distance::DistanceOracle;
-use kron_core::generate::{arcs, materialize, materialize_threads, synthesize_row_block};
+use kron_core::generate::{arcs, materialize, synthesize_row_block};
 use kron_core::triangles::TriangleOracle;
 use kron_core::{KroneckerPair, SelfLoopMode};
 use kron_graph::{CsrGraph, EdgeList};
-
-const THREADS: [usize; 4] = [1, 2, 3, 8];
 
 /// Builds an undirected loop-free factor from a raw arc bag.
 fn factor(n: u64, raw: Vec<(u64, u64)>) -> CsrGraph {
@@ -39,8 +36,8 @@ fn arc_oracle(pair: &KroneckerPair) -> CsrGraph {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Direct synthesis (sequential, threaded, and row-block) equals the
-    /// arc-stream oracle exactly, in both self-loop modes.
+    /// Direct synthesis (whole and row-block) equals the arc-stream oracle
+    /// exactly, in both self-loop modes.
     #[test]
     fn synthesis_matches_arc_path(
         raw_a in raw_arcs(6, 24),
@@ -53,10 +50,6 @@ proptest! {
             let pair = KroneckerPair::new(a.clone(), b.clone(), mode).unwrap();
             let reference = arc_oracle(&pair);
             prop_assert_eq!(&materialize(&pair), &reference, "direct synthesis");
-            for t in THREADS {
-                prop_assert_eq!(&materialize_threads(&pair, Some(t)), &reference,
-                    "threaded synthesis, threads={}", t);
-            }
             // A random two-way row split reassembles into the full CSR.
             let n_c = pair.n_c();
             let cut = cut_num * n_c / 8;
@@ -72,9 +65,8 @@ proptest! {
         }
     }
 
-    /// The class-collapsed triangle vector, its threaded variant, and the
-    /// class-collapsed histograms equal their per-vertex / per-edge
-    /// references exactly.
+    /// The class-collapsed triangle vector and the class-collapsed
+    /// histograms equal their per-vertex / per-edge references exactly.
     #[test]
     fn collapsed_triangles_match_per_element(
         raw_a in raw_arcs(6, 20),
@@ -87,10 +79,6 @@ proptest! {
             let tri = TriangleOracle::new(&pair).unwrap();
             let reference = tri.vertex_triangle_vector_per_vertex();
             prop_assert_eq!(&tri.vertex_triangle_vector(), &reference, "collapsed vector");
-            for t in THREADS {
-                prop_assert_eq!(&tri.vertex_triangle_vector_threads(Some(t)), &reference,
-                    "collapsed vector, threads={}", t);
-            }
             prop_assert_eq!(
                 tri.vertex_triangle_histogram(),
                 Histogram::from_values(reference.iter().copied()),
@@ -112,7 +100,7 @@ proptest! {
     }
 
     /// The class-collapsed closeness batch is bit-identical to the
-    /// per-vertex fast path, sequentially and across thread counts.
+    /// per-vertex fast path.
     #[test]
     fn collapsed_closeness_is_bit_identical(
         raw_a in raw_arcs(6, 20),
@@ -134,10 +122,6 @@ proptest! {
         prop_assert_eq!(batch.len(), reference.len());
         for (i, (got, want)) in batch.iter().zip(&reference).enumerate() {
             prop_assert_eq!(got.to_bits(), want.to_bits(), "vertex index {}", i);
-        }
-        for t in THREADS {
-            let got = closeness_batch_threads(&dist, &vertices, Some(t)).unwrap();
-            prop_assert_eq!(&got, &batch, "threads={}", t);
         }
     }
 }

@@ -223,55 +223,6 @@ impl DistResult {
         );
         all
     }
-
-    /// Parallel [`DistResult::union`] (`None` = machine parallelism): the
-    /// concatenated arcs are chunk-sorted on separate workers, then k-way
-    /// merged and deduplicated. The sorted deduplicated list is canonical,
-    /// so the result equals the sequential union exactly.
-    pub fn union_threads(&self, n_c: u64, threads: Option<usize>) -> EdgeList {
-        let t = kron_graph::parallel::num_threads(threads);
-        if t <= 1 {
-            return self.union(n_c);
-        }
-        let total: usize = self.per_rank.iter().map(EdgeList::nnz).sum();
-        let mut all: Vec<Arc> = Vec::with_capacity(total);
-        for rank_edges in &self.per_rank {
-            all.extend_from_slice(rank_edges.arcs());
-        }
-        let sorted = kron_graph::parallel::map_chunks(all.len(), t, |_, range| {
-            let mut chunk = all[range].to_vec();
-            chunk.sort_unstable();
-            chunk
-        });
-        // K-way merge with dedup; the chunk count is the thread count, so
-        // the linear head scan per element is cheap.
-        let mut heads = vec![0usize; sorted.len()];
-        let mut out: Vec<Arc> = Vec::with_capacity(total);
-        let mut duplicates = 0usize;
-        loop {
-            let mut best: Option<(usize, Arc)> = None;
-            for (c, chunk) in sorted.iter().enumerate() {
-                if let Some(&arc) = chunk.get(heads[c]) {
-                    if best.map_or(true, |(_, b)| arc < b) {
-                        best = Some((c, arc));
-                    }
-                }
-            }
-            let Some((c, arc)) = best else { break };
-            heads[c] += 1;
-            if out.last() != Some(&arc) {
-                out.push(arc);
-            } else {
-                duplicates += 1;
-            }
-        }
-        debug_assert_eq!(
-            duplicates, 0,
-            "{duplicates} duplicate arcs across rank stores — redelivery bug inflating m_C"
-        );
-        // Generated arcs were validated when stored at their ranks.
-        EdgeList::from_arcs_unchecked(n_c, out)
-    }
 }
 
 /// The exchange payloads; `Clone` because the reliable layer keeps
@@ -1051,21 +1002,6 @@ mod tests {
         cfg.batch_size = 1;
         let result = generate_distributed(&pair, &cfg);
         assert_eq!(result.union(pair.n_c()), reference(&pair));
-    }
-
-    #[test]
-    fn parallel_union_matches_sequential() {
-        let pair = KroneckerPair::as_is(erdos_renyi(9, 0.4, 11), cycle(5)).unwrap();
-        let result = run(&pair, &DistConfig::new(4));
-        let sequential = result.union(pair.n_c());
-        for threads in [1usize, 2, 3, 8] {
-            assert_eq!(
-                result.union_threads(pair.n_c(), Some(threads)),
-                sequential,
-                "threads={threads}"
-            );
-        }
-        assert_eq!(result.union_threads(pair.n_c(), None), sequential);
     }
 
     #[test]

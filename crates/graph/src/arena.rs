@@ -21,9 +21,10 @@
 //! ## Concurrency
 //!
 //! The pool is a mutex over a free list; takes happen once per kernel
-//! call (or once per worker in the `_threads` variants), never in inner
-//! loops, so the lock is uncontended in practice. Guards are `Send`, so
-//! workers under `std::thread::scope` can take and drop buffers freely.
+//! call, never in inner loops, so the lock is uncontended in practice.
+//! Guards are `Send`, so kernels called from several threads at once
+//! (the test harness runs tests on parallel threads) can take and drop
+//! buffers freely.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};

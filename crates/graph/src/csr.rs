@@ -15,7 +15,6 @@
 use std::sync::OnceLock;
 
 use crate::edge_list::EdgeList;
-use crate::parallel;
 use crate::{Arc, GraphError, Result, VertexId};
 
 /// An immutable graph in CSR form with sorted, deduplicated neighbor lists.
@@ -140,121 +139,6 @@ impl CsrGraph {
     /// Builds directly from raw arcs.
     pub fn from_arcs(n: u64, arcs: Vec<Arc>) -> Result<Self> {
         Ok(Self::from_edge_list(&EdgeList::from_arcs(n, arcs)?))
-    }
-
-    /// Parallel [`CsrGraph::from_edge_list`]: same canonical CSR, built by
-    /// `threads` workers (`None` = machine parallelism).
-    ///
-    /// A stable parallel counting sort: per-chunk degree histograms, a
-    /// serial prefix-sum merge that turns the histograms into disjoint
-    /// per-`(chunk, vertex)` scatter cursors, a contention-free parallel
-    /// scatter, then a per-row sort/dedup pass with rows split across
-    /// workers by arc weight. Because chunks are contiguous and stitched
-    /// back in chunk order, the result is field-for-field identical to the
-    /// sequential build.
-    pub fn from_edge_list_threads(list: &EdgeList, threads: Option<usize>) -> Self {
-        let t = parallel::num_threads(threads);
-        if t <= 1 {
-            return Self::from_edge_list(list);
-        }
-        let _span = kron_obs::span::enter("graph/csr_from_edge_list_threads");
-        Self::check_vertex_count(list.n()).unwrap_or_else(|e| panic!("{e}"));
-        kron_obs::counter!("graph.csr_input_arcs").add(list.nnz() as u64);
-        let n = list.n() as usize;
-        let arcs = list.arcs();
-        let m = arcs.len();
-
-        // Phase 1: per-chunk histograms of source-vertex counts.
-        let arc_ranges = parallel::chunk_ranges(m, t);
-        let mut histos: Vec<Vec<usize>> = parallel::map_ranges(arc_ranges.clone(), |_, r| {
-            let mut h = vec![0usize; n];
-            for &(u, _) in &arcs[r] {
-                h[u as usize] += 1;
-            }
-            h
-        });
-
-        // Phase 2 (serial): prefix-sum the histograms into row starts and
-        // rewrite each histogram entry into that chunk's scatter cursor
-        // for the vertex. Chunks of the same row get adjacent destination
-        // sub-ranges in chunk order, which is exactly the order the
-        // sequential scatter visits the arcs — a stable counting sort.
-        let mut row_start = vec![0usize; n + 1];
-        let mut cursor = 0usize;
-        for v in 0..n {
-            row_start[v] = cursor;
-            for h in &mut histos {
-                let c = h[v];
-                h[v] = cursor;
-                cursor += c;
-            }
-        }
-        row_start[n] = cursor;
-        debug_assert_eq!(cursor, m);
-
-        // Phase 3: scatter targets through disjoint precomputed cursors.
-        let mut targets = vec![0u32; m];
-        {
-            let writer = parallel::DisjointWriter::new(&mut targets);
-            let writer = &writer;
-            parallel::map_with_state(arc_ranges, histos, |_, r, mut cursors| {
-                for &(u, v) in &arcs[r] {
-                    let u = u as usize;
-                    // SAFETY: phase 2 gave every (chunk, vertex) pair a
-                    // private destination sub-range, so no two workers
-                    // ever write the same index.
-                    unsafe { writer.write(cursors[u], v as u32) };
-                    cursors[u] += 1;
-                }
-            });
-        }
-
-        // Phase 4: sort + dedup each row, rows balanced across workers by
-        // arc weight. Each worker emits its rows' deduplicated entries
-        // contiguously plus per-row kept counts.
-        let row_ranges = parallel::split_by_weight(&row_start, t);
-        let parts: Vec<(Vec<usize>, Vec<u32>)> = parallel::map_ranges(row_ranges, |_, rows| {
-            let mut kept = Vec::with_capacity(rows.len());
-            let mut local =
-                Vec::with_capacity(row_start[rows.end] - row_start[rows.start]);
-            let mut scratch: Vec<u32> = Vec::new();
-            for v in rows {
-                scratch.clear();
-                scratch.extend_from_slice(&targets[row_start[v]..row_start[v + 1]]);
-                scratch.sort_unstable();
-                let before = local.len();
-                let mut prev: Option<u32> = None;
-                for &x in &scratch {
-                    if prev != Some(x) {
-                        local.push(x);
-                        prev = Some(x);
-                    }
-                }
-                kept.push(local.len() - before);
-            }
-            (kept, local)
-        });
-
-        // Phase 5 (serial): final offsets from the kept counts, then
-        // ordered concatenation of the per-worker compacted rows.
-        let mut offsets = vec![0usize; n + 1];
-        let mut v = 0usize;
-        let mut write = 0usize;
-        for (kept, _) in &parts {
-            for &k in kept {
-                write += k;
-                v += 1;
-                offsets[v] = write;
-            }
-        }
-        debug_assert!(m == 0 || v == n);
-        let targets = parallel::concat_ordered(parts.into_iter().map(|(_, rows)| rows).collect());
-        CsrGraph { n: n as u64, offsets, targets, cache: CsrCache::default() }
-    }
-
-    /// Parallel [`CsrGraph::from_arcs`] (`None` = machine parallelism).
-    pub fn from_arcs_threads(n: u64, arcs: Vec<Arc>, threads: Option<usize>) -> Result<Self> {
-        Ok(Self::from_edge_list_threads(&EdgeList::from_arcs(n, arcs)?, threads))
     }
 
     /// Builds from prebuilt canonical CSR parts: `offsets` must have
@@ -535,54 +419,6 @@ mod tests {
         let edges: Vec<Arc> = g.undirected_edges().collect();
         assert_eq!(edges, vec![(0, 1), (0, 2), (1, 2)]);
         assert_eq!(g.undirected_edge_count(), 3);
-    }
-
-    #[test]
-    fn parallel_build_matches_sequential() {
-        // Pseudo-random arcs with duplicates and self loops.
-        let n = 97u64;
-        let mut arcs = Vec::new();
-        let mut x = 0x9e3779b97f4a7c15u64;
-        for _ in 0..4000 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let u = (x >> 33) % n;
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let v = (x >> 33) % n;
-            arcs.push((u, v));
-        }
-        let sequential = CsrGraph::from_arcs(n, arcs.clone()).unwrap();
-        for threads in [1usize, 2, 3, 8] {
-            let parallel =
-                CsrGraph::from_arcs_threads(n, arcs.clone(), Some(threads)).unwrap();
-            assert_eq!(parallel, sequential, "threads={threads}");
-        }
-        let machine = CsrGraph::from_arcs_threads(n, arcs, None).unwrap();
-        assert_eq!(machine, sequential);
-    }
-
-    #[test]
-    fn parallel_build_skewed_star() {
-        // One hub touching everything exercises split_by_weight balancing.
-        let n = 64u64;
-        let mut arcs: Vec<Arc> = (1..n).flat_map(|v| [(0, v), (v, 0)]).collect();
-        arcs.push((0, 0));
-        let sequential = CsrGraph::from_arcs(n, arcs.clone()).unwrap();
-        for threads in [2usize, 3, 8] {
-            let parallel =
-                CsrGraph::from_arcs_threads(n, arcs.clone(), Some(threads)).unwrap();
-            assert_eq!(parallel, sequential, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_build_empty_and_arcless() {
-        for threads in [1usize, 2, 8] {
-            let empty = CsrGraph::from_arcs_threads(0, vec![], Some(threads)).unwrap();
-            assert_eq!(empty, CsrGraph::from_arcs(0, vec![]).unwrap());
-            let arcless = CsrGraph::from_arcs_threads(5, vec![], Some(threads)).unwrap();
-            assert_eq!(arcless, CsrGraph::from_arcs(5, vec![]).unwrap());
-            assert_eq!(arcless.degree(3), 0);
-        }
     }
 
     #[test]

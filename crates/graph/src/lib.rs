@@ -29,7 +29,6 @@ pub mod generators;
 pub mod hash;
 pub mod io;
 pub mod ops;
-pub mod parallel;
 pub mod shard;
 pub mod union_find;
 

@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # Single pre-PR entry point: chains every check the repo knows about.
 #
-#   1. tier-1:   cargo build --release --offline && cargo test -q --offline
-#                (plus the full --workspace test pass, which the root
-#                package's own test target does not cover, and the
-#                pipeline benchmark's self-check: benchmark/ is a
-#                workspace of its own, so --workspace never compiles it,
-#                yet it links against the crates' public signatures)
+#   1. tier-1:   cargo build --release --offline && cargo test -q --offline,
+#                then scripts/loc.sh prints the program's size (non-test
+#                lines, pub items, unsafe lines; it gates nothing), then
+#                the full --workspace test pass, which the root package's
+#                own test target does not cover, and the pipeline
+#                benchmark's self-check (benchmark/ is a workspace of its
+#                own, so --workspace never compiles it, yet it links
+#                against the crates' public signatures)
 #   2. chaos:    scripts/chaos.sh — fault-injected distributed conformance
 #   3. obs:      scripts/obs.sh — observability determinism + allocator
 #                configurations, Chrome-trace sidecar lint, and the live
@@ -39,6 +41,9 @@ cargo build --release --offline
 
 echo "==== ci: tier-1 tests ===="
 cargo test -q --offline
+
+echo "==== ci: size (printed, not gated) ===="
+scripts/loc.sh
 
 echo "==== ci: workspace tests ===="
 cargo test -q --offline --workspace

@@ -1,0 +1,35 @@
+#!/usr/bin/env bash
+# Prints the size of the program, the three counts simplifying changes
+# report:
+#
+#   non-test lines  every line of the git-tracked *.rs files under
+#                   crates/*/src, src and vendor/*/src, each file counted
+#                   up to its first #[cfg(test)] line
+#   pub items       lines of crates/*/src, before that point, that start
+#                   a pub fn, struct, enum, const, trait, type, mod or
+#                   static
+#   unsafe lines    lines before that point, other than // comments, that
+#                   hold the word unsafe
+#
+# It only prints; nothing is gated on the counts. The patterns spell
+# whitespace as [ \t] because mawk reads \s as a literal s.
+#
+# Usage: scripts/loc.sh
+
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+mapfile -d '' files < <(git ls-files -z -- \
+    ':(glob)crates/*/src/**/*.rs' ':(glob)src/**/*.rs' ':(glob)vendor/*/src/**/*.rs')
+awk '
+    FNR == 1 { in_test = 0 }
+    /#\[cfg\(test\)\]/ { in_test = 1 }
+    in_test { next }
+    { lines++ }
+    FILENAME ~ /^crates\/[^\/]+\/src\// && /^[ \t]*pub (fn|struct|enum|const|trait|type|mod|static) / { pubs++ }
+    /(^|[^A-Za-z0-9_])unsafe([^A-Za-z0-9_]|$)/ && !/^[ \t]*\/\// { unsafes++ }
+    END {
+        printf "non-test lines  %d\n", lines
+        printf "pub items       %d\n", pubs
+        printf "unsafe lines    %d\n", unsafes
+    }' "${files[@]}"

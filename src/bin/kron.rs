@@ -16,6 +16,7 @@
 //! ```
 
 use std::collections::HashMap;
+use std::num::NonZeroUsize;
 use std::process::ExitCode;
 
 use kronecker::core::distance::DistanceOracle;
@@ -144,7 +145,7 @@ fn run(raw: &[String]) -> Result<(), String> {
 
 fn cmd_generate(args: &Args) -> Result<(), String> {
     let pair = load_pair(args)?;
-    let ranks: usize = args.parse_option("ranks", 1)?;
+    let ranks = args.parse_option("ranks", NonZeroUsize::MIN)?.get();
     let scheme = match args.option("scheme").unwrap_or("1d") {
         "1d" => PartitionScheme::OneD,
         "2d" => PartitionScheme::TwoD,
@@ -360,7 +361,7 @@ fn cmd_power(args: &Args) -> Result<(), String> {
 /// against the factor-side ground truth.
 fn cmd_validate(args: &Args) -> Result<(), String> {
     let pair = load_pair(args)?;
-    let ranks: usize = args.parse_option("ranks", 4)?;
+    let ranks = args.parse_option("ranks", NonZeroUsize::new(4).expect("4 is non-zero"))?.get();
     let result = generate_distributed(&pair, &DistConfig::new(ranks));
     println!(
         "generated {} arcs on {ranks} rank(s) in {:.3}s",

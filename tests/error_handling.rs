@@ -119,6 +119,28 @@ fn cli_rejects_factors_beyond_2_pow_32_vertices() {
 }
 
 #[test]
+fn cli_rejects_zero_ranks() {
+    // `--ranks 0` is a bad argument like any other: an error line and
+    // exit code 1, never the generator's panic.
+    let dir = std::env::temp_dir().join(format!("kron_cli_ranks_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let factor = dir.join("k2.txt");
+    std::fs::write(&factor, "0 1\n1 0\n").unwrap();
+    for command in ["generate", "validate"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_kron"))
+            .args([command, factor.to_str().unwrap(), factor.to_str().unwrap()])
+            .args(["--ranks", "0"])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{command}: {stderr}");
+        assert!(stderr.starts_with("error: invalid value for --ranks: \"0\""), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn errors_are_boxable_and_send() {
     fn takes_boxed(_: Box<dyn std::error::Error + Send + Sync>) {}
     takes_boxed(Box::new(KronError::NotAnEdge { p: 0, q: 1 }));

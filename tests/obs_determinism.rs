@@ -17,10 +17,10 @@
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-use kron_analytics::triangles::{vertex_triangles_threads, vertex_triangles_threads_with, TriangleKernel};
-use kron_core::closeness::closeness_batch_threads;
+use kron_analytics::triangles::{vertex_triangles, vertex_triangles_with, TriangleKernel};
+use kron_core::closeness::closeness_batch;
 use kron_core::distance::DistanceOracle;
-use kron_core::generate::materialize_threads;
+use kron_core::generate::materialize;
 use kron_core::KroneckerPair;
 use kron_dist::{
     distributed_bfs_with, distributed_triangle_count_with, generate_distributed, DistConfig,
@@ -73,11 +73,11 @@ struct Fingerprint {
 }
 
 fn fingerprint(pair: &KroneckerPair) -> Fingerprint {
-    let csr = materialize_threads(pair, Some(1));
-    let triangles = vertex_triangles_threads(&csr, Some(1));
+    let csr = materialize(pair);
+    let triangles = vertex_triangles(&csr);
     let oracle = DistanceOracle::new(pair).expect("oracle");
     let vertices: Vec<VertexId> = (0..pair.n_c()).collect();
-    let closeness = closeness_batch_threads(&oracle, &vertices, Some(1)).expect("in range");
+    let closeness = closeness_batch(&oracle, &vertices).expect("in range");
 
     let ranks = 4;
     let faults = FaultConfig::chaos(0xDE7E_12B1);
@@ -150,21 +150,16 @@ fn kernel_tiers_bit_identical_under_all_toggles() {
     let _serial = obs_lock();
     let _restore = ObsOffOnDrop;
     let pair = test_pair();
-    let csr = materialize_threads(&pair, Some(1));
+    let csr = materialize(&pair);
     kron_obs::set_enabled(false);
-    let reference = vertex_triangles_threads(&csr, Some(1));
+    let reference = vertex_triangles(&csr);
     for kernel in [TriangleKernel::Auto, TriangleKernel::Marking, TriangleKernel::Bitmap] {
         for obs_on in [false, true] {
             for events_on in [false, true] {
                 kron_obs::set_enabled(obs_on);
                 kron_obs::events::set_enabled(events_on);
-                for threads in [1usize, 2, 3, 8] {
-                    let got = vertex_triangles_threads_with(&csr, Some(threads), kernel);
-                    assert_eq!(
-                        got, reference,
-                        "{kernel:?} obs={obs_on} events={events_on} threads={threads}"
-                    );
-                }
+                let got = vertex_triangles_with(&csr, kernel);
+                assert_eq!(got, reference, "{kernel:?} obs={obs_on} events={events_on}");
             }
         }
     }
@@ -179,7 +174,7 @@ fn kernel_tier_counters_account_for_every_anchor() {
     let _serial = obs_lock();
     let _restore = ObsOffOnDrop;
     let pair = test_pair();
-    let csr = materialize_threads(&pair, Some(1));
+    let csr = materialize(&pair);
     let counter = |report: &kron_obs::report::ObsReport, name: &str| -> u64 {
         report
             .metrics
@@ -192,7 +187,7 @@ fn kernel_tier_counters_account_for_every_anchor() {
     let run = |kernel: TriangleKernel| -> kron_obs::report::ObsReport {
         kron_obs::reset();
         kron_obs::set_enabled(true);
-        let _ = vertex_triangles_threads_with(&csr, Some(1), kernel);
+        let _ = vertex_triangles_with(&csr, kernel);
         kron_obs::set_enabled(false);
         kron_obs::report::ObsReport::capture()
     };
@@ -308,8 +303,8 @@ fn metrics_counters_match_ground_truth() {
     kron_obs::reset();
     kron_obs::set_enabled(true);
     let pair = test_pair();
-    let csr = materialize_threads(&pair, Some(1));
-    let _ = vertex_triangles_threads(&csr, Some(1));
+    let csr = materialize(&pair);
+    let _ = vertex_triangles(&csr);
     kron_obs::set_enabled(false);
 
     let report = kron_obs::report::ObsReport::capture();
@@ -342,8 +337,8 @@ fn disabled_obs_records_nothing() {
     kron_obs::set_enabled(false);
     kron_obs::events::set_enabled(false);
     let pair = test_pair();
-    let csr = materialize_threads(&pair, Some(1));
-    let _ = vertex_triangles_threads(&csr, Some(1));
+    let csr = materialize(&pair);
+    let _ = vertex_triangles(&csr);
     let run = generate_distributed(&pair, &dist_config(2, TransportConfig::Perfect));
     assert!(run.timeline.per_rank.is_empty(), "disabled run produced a timeline");
 

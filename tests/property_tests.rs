@@ -137,6 +137,34 @@ proptest! {
         prop_assert_eq!(oracle.diameter(), distance::diameter(&c));
     }
 
+    /// Thm. 5 / Cor. 5: with full self loops in `A` only, every product
+    /// hop count (the diagonal included) and the diameter lie within the
+    /// oracle's `max ≤ · ≤ max + 1` bounds, and a pair is unreachable
+    /// exactly when its bounds say so.
+    #[test]
+    fn relaxed_distance_bounds_hold(a in graph(5), b in graph(5)) {
+        let pair = KroneckerPair::as_is(a.with_full_self_loops(), b).unwrap();
+        let oracle = DistanceOracle::new_relaxed(&pair).unwrap();
+        let c = generate::materialize(&pair);
+        for p in 0..pair.n_c() {
+            let hops = distance::bfs_hops(&c, p);
+            for q in 0..pair.n_c() {
+                let (h, bounds) = (hops[q as usize], oracle.hops_bounds(p, q).unwrap());
+                prop_assert_eq!(
+                    h == distance::UNREACHABLE,
+                    bounds.lower == distance::UNREACHABLE,
+                    "reachability of ({}, {}): hops {} vs {:?}", p, q, h, bounds
+                );
+                prop_assert!(
+                    bounds.lower <= h && h <= bounds.upper,
+                    "hops({}, {}) = {} outside {:?}", p, q, h, bounds
+                );
+            }
+        }
+        let (d, bounds) = (distance::diameter(&c), oracle.diameter_bounds());
+        prop_assert!(bounds.lower <= d && d <= bounds.upper, "diameter {} outside {:?}", d, bounds);
+    }
+
     /// Closeness: naive formula = fast formula = direct BFS sum.
     #[test]
     fn closeness_matches_direct(a in graph(5), b in graph(4)) {

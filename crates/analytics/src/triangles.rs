@@ -10,13 +10,16 @@
 //! on — using per-row forward lists instead of per-edge binary searches.
 //! The *counting* entry points ([`vertex_triangles`], [`global_triangles`]
 //! and their `_with` variants) run the degree-ordered compact-forward
-//! scheme of Chiba–Nishizeki (the paper's reference [22]) in one of two
-//! tiers selected by [`TriangleKernel`]: the PR 4 vertex-marking probe
-//! scan, or the PR 6 word-parallel tier that packs dense forward lists
-//! into rank-space `u64` bitmaps and closes edges with AND +
-//! `count_ones()`. Counts are exact integers, so every kernel tier
-//! agrees bit-for-bit; all scratch is recycled through the process
-//! [`Arena`].
+//! scheme of Chiba–Nishizeki (the paper's reference [22]). Each forward
+//! row is read in one of three ways, chosen from the row itself: *packed*
+//! into a rank-space `u64` bitmap window and closed with AND +
+//! `count_ones()`, *CSR-read* straight from the graph's own row through
+//! the rank table, or *listed* in a `u32` array and probe-scanned (see
+//! [`Forward`]). Closing an oriented edge `ra → rb` costs at most
+//! `2·|F(rb)|` element probes or `|F(rb)|` word ANDs, so the
+//! `O(m^{3/2})` bound holds within a factor of 2. Counts are exact
+//! integers, so every [`TriangleKernel`] tier agrees bit-for-bit; all
+//! scratch is recycled through the process [`Arena`].
 
 use kron_graph::arena::ArenaBuf;
 use kron_graph::{Arena, CsrGraph, VertexId};
@@ -90,37 +93,30 @@ fn intersect_count(left: &[u32], right: &[u32], a: u32, b: u32) -> u64 {
 ///
 /// All three tiers count the identical triangle set with exact integer
 /// arithmetic, so their outputs are bit-for-bit equal; they differ only
-/// in how an oriented edge `ra → rb` is *closed*:
+/// in which forward rows are *packed*, and so in how an oriented edge
+/// `ra → rb` is *closed*: by AND + `count_ones()` over `rb`'s packed
+/// window, or by probing `rb`'s entries element by element against the
+/// anchor's one-bit-per-vertex marks (see [`Forward`] for the three row
+/// kinds).
 ///
-/// * [`Marking`](TriangleKernel::Marking) — the PR 4 Chiba–Nishizeki
-///   kernel: the anchor's forward list is marked in a one-bit-per-vertex
-///   bitmap and `F(rb)` is probe-scanned element by element.
-/// * [`Bitmap`](TriangleKernel::Bitmap) — the word-parallel tier: every
-///   forward list is packed into a windowed `u64` bitmap in rank space
-///   and the edge is closed by AND + `count_ones()` over the anchor's
-///   touched words. Memory is `O(Σ window)` words; forced packing of
-///   every row is meant for validation, not production.
-/// * [`Auto`](TriangleKernel::Auto) — the density/degree heuristic:
-///   only dense forward lists are packed, and each anchor chooses per
-///   edge whichever close is cheaper (`|anchor words|` vs `|F(rb)|`).
-///   Kronecker products have wildly skewed degree classes, so neither
-///   pure tier wins everywhere — sparse anchors keep the probe scan,
-///   dense anchors go word-parallel.
+/// * [`Auto`](TriangleKernel::Auto) — the default: a row is packed when
+///   its rank-space window has at most `|F|` words, so every edge is
+///   closed by whichever store is cheaper for its `rb`.
+/// * [`Marking`](TriangleKernel::Marking) — no row is packed: the
+///   Chiba–Nishizeki vertex-marking kernel everywhere.
+/// * [`Bitmap`](TriangleKernel::Bitmap) — every non-empty row is packed,
+///   whatever its window. Memory is `O(Σ window)` words, so forced
+///   packing is meant for validation, not production.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TriangleKernel {
-    /// Heuristic per-anchor selection between the two tiers (default).
+    /// Pack exactly the rows whose window is no longer than the row.
     #[default]
     Auto,
-    /// Force the element-wise marking kernel everywhere.
+    /// Pack no row: element-wise probe scans everywhere.
     Marking,
-    /// Force the packed-bitmap popcount kernel everywhere.
+    /// Pack every non-empty row: word ANDs everywhere.
     Bitmap,
 }
-
-/// Forward lists shorter than this are never packed under
-/// [`TriangleKernel::Auto`]: for tiny rows the probe scan touches fewer
-/// cachelines than any packed window and the classic kernel wins.
-const PACK_MIN_FORWARD: usize = 16;
 
 /// Packed windows are addressed by `u32` word offsets, so all windows
 /// together may hold at most 2^32 words (32 GiB).
@@ -149,28 +145,58 @@ fn check_window_words(total: u64) {
 /// vertices — unlike the identity-order enumeration, where a hub's full
 /// neighbor list is walked once per incident edge.
 ///
-/// Each forward row is stored exactly once. A *packed* row is a windowed
-/// rank-space bitmap: only the word span `[min rank / 64, max rank / 64]`
-/// it touches is stored, so skewed Kronecker degree distributions don't
-/// pay `n/64` words per row. Every other row is *listed*: its ranks, in
-/// CSR order, in one `u32` array.
+/// Each non-empty forward row `F(r)` of the vertex `v = order[r]` is one
+/// of three kinds, taken in this order from the row itself:
+///
+/// * **packed** when its rank-space window, the word span
+///   `[min F(r) / 64, max F(r) / 64]`, has at most `|F(r)|` words: only
+///   that window is stored, as a bitmap (so skewed Kronecker degree
+///   distributions don't pay `n/64` words per row), and closing an edge
+///   into the row costs at most `|F(r)|` word ANDs;
+/// * **CSR-read** when `v`'s CSR row has at most `2·|F(r)|` entries:
+///   nothing is stored; the kernel scans `g.neighbors(v)` through the
+///   rank table and keeps the entries ranked above `r`, at most
+///   `2·|F(r)|` element probes;
+/// * **listed** otherwise (a hub whose few forward neighbors are spread
+///   over a long window): its ranks, in CSR order, in one `u32` array,
+///   `|F(r)|` probes.
+///
+/// So no close costs more than `2·|F(rb)|` probes, and the bound holds
+/// within a factor of 2. [`TriangleKernel::Marking`] packs no row and
+/// [`TriangleKernel::Bitmap`] every non-empty one; the other rows follow
+/// the CSR-read/listed rule in every tier. An empty row is listed with no
+/// entries, so a hub without forward neighbors is never scanned.
 struct Forward<'g> {
+    g: &'g CsrGraph,
     /// `order[r]` = vertex holding rank `r` (ascending `(degree, id)`),
     /// borrowed from the graph's cached degree-rank permutation.
     order: &'g [VertexId],
-    /// Offsets of the listed rows in `targets`; a packed row's span is
+    /// `rank[v]` = rank of vertex `v`: CSR-read rows map their entries
+    /// through it.
+    rank: Vec<u32>,
+    /// Offsets of the listed rows in `targets`; every other row's span is
     /// empty. `u64` words, so [`Forward::into_vertex_space`] can reuse
     /// them for the result.
     offsets: Vec<u64>,
     /// Forward neighbors of the listed rows, as ranks.
     targets: Vec<u32>,
-    /// `slot[r]` = index into `meta`, or `NO_SLOT` when `r` is listed.
+    /// `slot[r]` = index into `meta` for a packed row, else [`LISTED`] or
+    /// [`CSR_READ`].
     slot: Vec<u32>,
     meta: Vec<PackedMeta>,
     /// The packed windows, back to back.
     words: Vec<u64>,
     /// Length of the longest forward list (scratch-buffer sizing).
     max_forward: usize,
+}
+
+/// One forward row as the kernel reads it (see [`Forward`]).
+enum Row<'a> {
+    Packed(PackedMeta),
+    /// The vertex's whole CSR row, as vertex ids.
+    Csr(&'a [u32]),
+    /// The row's forward ranks.
+    Listed(&'a [u32]),
 }
 
 /// One packed forward row: bits of `F(r)` over the word window
@@ -185,7 +211,10 @@ struct PackedMeta {
     len: u32,
 }
 
-const NO_SLOT: u32 = u32::MAX;
+/// [`Forward::slot`] of a listed row.
+const LISTED: u32 = u32::MAX;
+/// [`Forward::slot`] of a CSR-read row.
+const CSR_READ: u32 = u32::MAX - 1;
 
 /// Per-call kernel telemetry, accumulated locally in the hot loop and
 /// published to `kron-obs` counters once per invocation.
@@ -197,7 +226,8 @@ struct KernelStats {
     anchors_marking: u64,
     /// `u64` words ANDed + popcounted on the bitmap path.
     words_probed: u64,
-    /// Elements probe-scanned on the marking path.
+    /// Elements probe-scanned on the marking path: a listed row's
+    /// entries, or a CSR-read row's whole CSR row.
     elements_probed: u64,
 }
 
@@ -210,18 +240,41 @@ impl KernelStats {
     }
 }
 
+/// Probes the ranks of one row against the anchor's marks, keeping only
+/// ranks above `floor` (a CSR row also holds the row's own loop and its
+/// backward entries), credits each match's third corner in `per_rank`,
+/// and returns the number of matches. Matches are compacted into `buf`
+/// branch-free (`buf[matches] = w; matches += bit`), so only they pay a
+/// scattered write; every probe writes one slot past the matches so far,
+/// so `buf` needs one slot more than the row can match.
+#[inline]
+fn probe(
+    marks: &[u64],
+    ranks: impl Iterator<Item = u32>,
+    floor: u32,
+    buf: &mut [u32],
+    per_rank: &mut [u64],
+) -> u64 {
+    let mut matches = 0usize;
+    for w in ranks {
+        let bit = (marks[(w >> 6) as usize] >> (w & 63)) & u64::from(w > floor);
+        buf[matches] = w;
+        matches += bit as usize;
+    }
+    for &w in &buf[..matches] {
+        per_rank[w as usize] += 1;
+    }
+    matches as u64
+}
+
 impl<'g> Forward<'g> {
     /// Builds the forward rows in two passes over the graph.
     ///
-    /// The sizing pass decides each row's store and lays both stores out,
-    /// so the list and the windows are each allocated once, at their exact
-    /// sizes. Under [`TriangleKernel::Auto`] a row is packed only when the
-    /// AND is the proven-cheaper close: the list must be non-trivial
-    /// (≥ [`PACK_MIN_FORWARD`] entries) *and* denser than one bit per
-    /// window word (`window words < |F(r)|`), so every packed row costs
-    /// fewer word-ANDs than probe elements. [`TriangleKernel::Bitmap`]
-    /// packs every non-empty row, [`TriangleKernel::Marking`] none. The
-    /// fill pass then writes each row into its store.
+    /// The sizing pass measures each row's length and window, picks its
+    /// kind by the rule on [`Forward`], and lays out the list and the
+    /// windows, so each is allocated once, at its exact size. The fill
+    /// pass then writes the listed and packed rows; a CSR-read row needs
+    /// nothing but the rank table, which lives on for counting.
     fn build(g: &'g CsrGraph, kernel: TriangleKernel) -> Self {
         let n = g.n() as usize;
         let order = g.degree_rank_order();
@@ -237,7 +290,7 @@ impl<'g> Forward<'g> {
         };
 
         let mut offsets = vec![0u64; n + 1];
-        let mut slot = vec![NO_SLOT; n];
+        let mut slot = vec![LISTED; n];
         let mut meta = Vec::new();
         let mut window_words = 0u64;
         let mut max_forward = 0usize;
@@ -253,11 +306,8 @@ impl<'g> Forward<'g> {
                 && match kernel {
                     TriangleKernel::Marking => false,
                     TriangleKernel::Bitmap => true,
-                    TriangleKernel::Auto => {
-                        count >= PACK_MIN_FORWARD && ((hi - lo + 1) as usize) < count
-                    }
+                    TriangleKernel::Auto => (hi - lo + 1) as usize <= count,
                 };
-            offsets[r + 1] = offsets[r] + if packed { 0 } else { count as u64 };
             if packed {
                 let start = window_words;
                 let len = hi - lo + 1;
@@ -265,14 +315,21 @@ impl<'g> Forward<'g> {
                 check_window_words(window_words);
                 slot[r] = meta.len() as u32;
                 meta.push(PackedMeta { start: start as u32, base: lo, len });
+            } else if count > 0 && g.neighbors(order[r]).len() <= 2 * count {
+                slot[r] = CSR_READ;
             }
+            offsets[r + 1] = offsets[r] + if slot[r] == LISTED { count as u64 } else { 0 };
         }
+        // Only a 2^32-vertex graph with every row but the last packed
+        // could reach the two sentinel slots.
+        assert!(meta.len() <= CSR_READ as usize, "packed rows exceed the u32 slot ids");
 
         let mut targets = Vec::with_capacity(offsets[n] as usize);
         let mut words = vec![0u64; usize::try_from(window_words).expect("window words fit usize")];
         for (r, &s) in slot.iter().enumerate() {
             match s {
-                NO_SLOT => targets.extend(forward_of(r)),
+                LISTED => targets.extend(forward_of(r)),
+                CSR_READ => {}
                 s => {
                     let m = meta[s as usize];
                     let window = &mut words[m.start as usize..][..m.len as usize];
@@ -284,13 +341,19 @@ impl<'g> Forward<'g> {
         }
         kron_obs::counter!("triangles.packed_rows").add(meta.len() as u64);
         kron_obs::counter!("triangles.packed_bytes").add(8 * window_words);
-        Forward { order, offsets, targets, slot, meta, words, max_forward }
+        Forward { g, order, rank, offsets, targets, slot, meta, words, max_forward }
     }
 
-    /// Forward list of a listed rank `r` (empty for a packed one).
+    /// How row `r` is read.
     #[inline]
-    fn list(&self, r: usize) -> &[u32] {
-        &self.targets[self.offsets[r] as usize..self.offsets[r + 1] as usize]
+    fn row(&self, r: usize) -> Row<'_> {
+        match self.slot[r] {
+            LISTED => {
+                Row::Listed(&self.targets[self.offsets[r] as usize..self.offsets[r + 1] as usize])
+            }
+            CSR_READ => Row::Csr(self.g.neighbors(self.order[r])),
+            s => Row::Packed(self.meta[s as usize]),
+        }
     }
 
     /// The window of a packed row.
@@ -299,14 +362,21 @@ impl<'g> Forward<'g> {
         &self.words[m.start as usize..][..m.len as usize]
     }
 
-    /// Calls `f` with every rank of `F(r)`: a listed row in list order, a
-    /// packed row in ascending rank order.
+    /// Calls `f` with every rank of `F(r)`: a listed or CSR-read row in
+    /// CSR order, a packed row in ascending rank order.
     #[inline]
     fn for_each_forward(&self, r: usize, mut f: impl FnMut(usize)) {
-        match self.slot[r] {
-            NO_SLOT => self.list(r).iter().for_each(|&w| f(w as usize)),
-            s => {
-                let m = self.meta[s as usize];
+        match self.row(r) {
+            Row::Listed(list) => list.iter().for_each(|&w| f(w as usize)),
+            Row::Csr(row) => {
+                for &v in row {
+                    let w = self.rank[v as usize];
+                    if w > r as u32 {
+                        f(w as usize);
+                    }
+                }
+            }
+            Row::Packed(m) => {
                 for (wi, &word) in (m.base as usize..).zip(self.window(m)) {
                     let mut y = word;
                     while y != 0 {
@@ -336,61 +406,54 @@ impl<'g> Forward<'g> {
     /// lowest-ranked corner, into rank-space participation counts and
     /// publishes the kernel counters. Per anchor `ra`, `F(ra)` is marked
     /// in the rank-indexed bitmap, recording which words were touched: a
-    /// listed anchor sets one bit per element, a packed anchor copies its
-    /// window's non-zero words. Each oriented edge `ra → rb` is then
-    /// closed on one of two paths producing the identical match set:
+    /// listed or CSR-read anchor sets one bit per element, a packed
+    /// anchor copies its window's non-zero words. Each oriented edge
+    /// `ra → rb` is then closed on one of two paths producing the
+    /// identical match set:
     ///
-    /// * **probe scan** — walk `F(rb)`, compacting matched ranks into a
-    ///   small buffer branch-free (`buf[matches] = w; matches += bit`),
-    ///   then credit the per-rank counts from the buffer. Only matches
-    ///   (≈25% of probes on Kronecker products) pay a scattered write.
-    /// * **word-parallel** — stream `rb`'s packed window against the same
-    ///   span of the anchor bitmap, branch-free: `count_ones()` of each
-    ///   AND yields the match total and bit iteration credits the third
-    ///   corners.
+    /// * **probe scan** — a listed or CSR-read `rb`: walk its entries
+    ///   against the marks ([`probe`]). Only matches (≈25% of probes on
+    ///   Kronecker products) pay a scattered write.
+    /// * **word-parallel** — a packed `rb`: stream its window against the
+    ///   same span of the anchor bitmap, branch-free: `count_ones()` of
+    ///   each AND yields the match total and bit iteration credits the
+    ///   third corners.
     ///
-    /// `rb`'s store picks the path, and the store was chosen at build time
-    /// (see [`Forward::build`]): a row is packed exactly when its window
-    /// holds fewer words than the list would hold elements, so the
-    /// word-parallel close is never more expensive than the probe scan it
-    /// replaces. Counts are exact integers, so every path mix and visit
-    /// order produces bit-identical results. The anchor bitmap, its
-    /// touched-word list and the probe-scan match buffer come zeroed from
-    /// the process [`Arena`]; the bitmap is cleared word-wise via the
-    /// touched list after each anchor. Returns the per-rank counts and the
-    /// global total.
+    /// `rb`'s kind, fixed at build time (see [`Forward`]), picks the path
+    /// and bounds its cost by `2·|F(rb)|`. Counts are exact integers, so
+    /// every path mix and visit order produces bit-identical results. The
+    /// anchor bitmap, its touched-word list and the match buffer come
+    /// zeroed from the process [`Arena`]; the bitmap is cleared word-wise
+    /// via the touched list after each anchor. Returns the per-rank counts
+    /// and the global total.
     fn count(&self) -> (ArenaBuf<'static, u64>, u64) {
         let n = self.order.len();
         let arena = Arena::global();
         let mut per_rank_buf = arena.take_words(n);
         let mut bitmap_buf = arena.take_words(n.div_ceil(64));
         let mut touched_buf = arena.take_ints(self.max_forward);
-        let mut matches_buf = arena.take_ints(self.max_forward);
+        let mut matches_buf = arena.take_ints(self.max_forward + 1);
         let (per_rank, bitmap, buf) = (&mut *per_rank_buf, &mut *bitmap_buf, &mut *matches_buf);
         let touched = touched_buf.as_vec_mut();
         let mut stats = KernelStats::default();
         let mut global = 0u64;
         for ra in 0..n {
             touched.clear();
-            match self.slot[ra] {
-                NO_SLOT => {
-                    for &w in self.list(ra) {
-                        let wi = w >> 6;
-                        if bitmap[wi as usize] == 0 {
-                            touched.push(wi);
-                        }
-                        bitmap[wi as usize] |= 1u64 << (w & 63);
+            if let Row::Packed(m) = self.row(ra) {
+                for (wi, &word) in (m.base..).zip(self.window(m)) {
+                    if word != 0 {
+                        bitmap[wi as usize] = word;
+                        touched.push(wi);
                     }
                 }
-                s => {
-                    let m = self.meta[s as usize];
-                    for (wi, &word) in (m.base..).zip(self.window(m)) {
-                        if word != 0 {
-                            bitmap[wi as usize] = word;
-                            touched.push(wi);
-                        }
+            } else {
+                self.for_each_forward(ra, |w| {
+                    let wi = w >> 6;
+                    if bitmap[wi] == 0 {
+                        touched.push(wi as u32);
                     }
-                }
+                    bitmap[wi] |= 1u64 << (w & 63);
+                });
             }
             if touched.is_empty() {
                 continue;
@@ -398,42 +461,38 @@ impl<'g> Forward<'g> {
             let marks: &[u64] = bitmap;
             let mut bitmap_edges = 0u64;
             self.for_each_forward(ra, |rb| {
-                let slot = self.slot[rb];
-                let mut matches = 0u64;
-                if slot != NO_SLOT {
-                    bitmap_edges += 1;
-                    let m = self.meta[slot as usize];
-                    let base = m.base as usize;
-                    let window = self.window(m);
-                    let anchor = &marks[base..base + window.len()];
-                    stats.words_probed += window.len() as u64;
-                    for (off, (&aword, &fword)) in anchor.iter().zip(window).enumerate() {
-                        let x = aword & fword;
-                        if x != 0 {
-                            matches += x.count_ones() as u64;
-                            let mut y = x;
-                            while y != 0 {
-                                let w = ((base + off) << 6) + y.trailing_zeros() as usize;
-                                per_rank[w] += 1;
-                                y &= y - 1;
+                let matches = match self.row(rb) {
+                    Row::Packed(m) => {
+                        bitmap_edges += 1;
+                        let base = m.base as usize;
+                        let window = self.window(m);
+                        let anchor = &marks[base..base + window.len()];
+                        stats.words_probed += window.len() as u64;
+                        let mut matches = 0u64;
+                        for (off, (&aword, &fword)) in anchor.iter().zip(window).enumerate() {
+                            let x = aword & fword;
+                            if x != 0 {
+                                matches += x.count_ones() as u64;
+                                let mut y = x;
+                                while y != 0 {
+                                    let w = ((base + off) << 6) + y.trailing_zeros() as usize;
+                                    per_rank[w] += 1;
+                                    y &= y - 1;
+                                }
                             }
                         }
+                        matches
                     }
-                } else {
-                    let fb = self.list(rb);
-                    if fb.is_empty() {
-                        return;
+                    Row::Listed(list) => {
+                        stats.elements_probed += list.len() as u64;
+                        probe(marks, list.iter().copied(), rb as u32, buf, per_rank)
                     }
-                    stats.elements_probed += fb.len() as u64;
-                    for &w in fb {
-                        let bit = (marks[(w >> 6) as usize] >> (w & 63)) & 1;
-                        buf[matches as usize] = w;
-                        matches += bit;
+                    Row::Csr(row) => {
+                        stats.elements_probed += row.len() as u64;
+                        let ranks = row.iter().map(|&v| self.rank[v as usize]);
+                        probe(marks, ranks, rb as u32, buf, per_rank)
                     }
-                    for &w in &buf[..matches as usize] {
-                        per_rank[w as usize] += 1;
-                    }
-                }
+                };
                 per_rank[ra] += matches;
                 per_rank[rb] += matches;
                 global += matches;

@@ -64,18 +64,19 @@ fn assert_triangle_tiers_agree(g: &CsrGraph, label: &str) {
     }
 }
 
-/// Rows the `Auto` tier stores packed and non-empty rows it lists,
-/// derived from the graph by the documented rule: rank vertices by
-/// `(degree, id)`, orient each non-loop edge to the higher rank, and
-/// pack a forward row `F` when `|F| ≥ 16` and its word window
-/// `[min / 64, max / 64]` is shorter than `|F|`.
-fn auto_rows(g: &CsrGraph) -> (usize, usize) {
+/// The `Auto` tier's row kinds, derived from the graph by the documented
+/// rule: rank vertices by `(degree, id)`, orient each non-loop edge to
+/// the higher rank, and take each non-empty forward row `F` of a vertex
+/// `v` as packed when its word window `[min / 64, max / 64]` has at most
+/// `|F|` words, else as CSR-read when `v` has at most `2·|F|` neighbors,
+/// else as listed. Returns the `(packed, CSR-read, listed)` row counts.
+fn auto_rows(g: &CsrGraph) -> (usize, usize, usize) {
     let order = g.degree_rank_order();
     let mut rank = vec![0u64; order.len()];
     for (r, &v) in order.iter().enumerate() {
         rank[v as usize] = r as u64;
     }
-    let (mut packed, mut listed) = (0, 0);
+    let (mut packed, mut csr_read, mut listed) = (0, 0, 0);
     for (r, &v) in order.iter().enumerate() {
         let fwd: Vec<u64> = g
             .neighbors(v)
@@ -86,13 +87,16 @@ fn auto_rows(g: &CsrGraph) -> (usize, usize) {
         let (Some(lo), Some(hi)) = (fwd.iter().min(), fwd.iter().max()) else {
             continue;
         };
-        if fwd.len() >= 16 && ((hi >> 6) - (lo >> 6) + 1) < fwd.len() as u64 {
+        let words = (hi >> 6) - (lo >> 6) + 1;
+        if words <= fwd.len() as u64 {
             packed += 1;
+        } else if g.degree(v) <= 2 * fwd.len() as u64 {
+            csr_read += 1;
         } else {
             listed += 1;
         }
     }
-    (packed, listed)
+    (packed, csr_read, listed)
 }
 
 /// `A ⊗ B`: arcs `(i, j)` of `A` and `(k, l)` of `B` give the arc
@@ -107,9 +111,8 @@ fn kronecker(a: &CsrGraph, b: &CsrGraph) -> CsrGraph {
 }
 
 /// A random dense undirected loop-free factor on `n` vertices: the
-/// circulant backbone `i ~ i ± 1, i ± 2 (mod n)` (minimum degree 4, so
-/// every product vertex has ≥ 16 neighbors and the lowest-ranked row
-/// packs) plus each other pair with probability 1/2.
+/// circulant backbone `i ~ i ± 1, i ± 2 (mod n)` (minimum degree 4) plus
+/// each other pair with probability 1/2.
 fn dense_factor() -> impl Strategy<Value = CsrGraph> {
     // 91 = C(14, 2) coins cover every pair of the largest factor.
     let coins = proptest::collection::vec(proptest::bool::ANY, 91);
@@ -125,6 +128,38 @@ fn dense_factor() -> impl Strategy<Value = CsrGraph> {
         list.sort_dedup();
         CsrGraph::from_edge_list(&list)
     })
+}
+
+/// Vertices [`with_spread_tail`] puts between `z1` and `z2`: three words
+/// of ranks.
+const SPREAD: u64 = 192;
+
+/// `core` plus a pendant vertex `x` on vertex 0.
+fn with_pendant(core: &CsrGraph) -> CsrGraph {
+    let x = core.n();
+    undirected(x + 1, core.arcs().chain([(x, 0)]).collect())
+}
+
+/// `core` plus a vertex `y` adjacent to `z1` and `z2`, whose ids sandwich
+/// [`SPREAD`] vertices `b`; each `z` is also adjacent to vertex 0 and each
+/// `b` to vertices 0 and 1, so the `z`s and `b`s share one degree.
+///
+/// Dense products pack every row (a window of at most `n/64` words is no
+/// longer than a dense row), so this tail forces a sparse, wide row into
+/// `with_pendant(A) ⊗ with_spread_tail(B)`. There `(c, z1)`, `(c, b)` and
+/// `(c, z2)` share a degree for each `c`, so they are ranked by id, and
+/// the forward row of `(x, y)`, `{(0, z1), (0, z2)}` as-is, spans at least
+/// `SPREAD + 1` ranks: a window of at least 4 words for 2 entries. With
+/// full self loops it gains `(x, z1)`, `(x, z2)` and `(0, y)`: 5 entries
+/// over at least `2·SPREAD + 4` ranks, 7 words. Either way the `Auto`
+/// tier cannot pack it, while the dense core's rows still pack.
+fn with_spread_tail(core: &CsrGraph) -> CsrGraph {
+    let y = core.n();
+    let (z1, z2) = (y + 1, y + 2 + SPREAD);
+    let mut arcs: Vec<(u64, u64)> = core.arcs().collect();
+    arcs.extend([(y, z1), (y, z2), (z1, 0), (z2, 0)]);
+    arcs.extend((z1 + 1..z2).flat_map(|b| [(b, 0), (b, 1)]));
+    undirected(z2 + 1, arcs)
 }
 
 /// Asserts the bitset BFS reproduces every scalar BFS row exactly.
@@ -169,13 +204,15 @@ fn triangle_tiers_agree_on_zoo() {
 
 #[test]
 fn triangle_tiers_agree_on_packing_product() {
-    // The zoo's factors barely reach the pack threshold; a Kronecker
-    // product of two R-MAT factors packs most of its rows.
-    let a = rmat(&RmatConfig::graph500(4, 22)).with_full_self_loops();
-    let b = rmat(&RmatConfig::graph500(4, 23)).with_full_self_loops();
+    // The zoo's graphs barely give the `Auto` tier a choice; the product
+    // of two R-MAT scale-6 factors has rows of all three kinds: dense
+    // rows packed, rows with few backward arcs read from the CSR, and a
+    // residue of hubs whose few forward neighbors span a long window.
+    let a = rmat(&RmatConfig::graph500(6, 22)).with_full_self_loops();
+    let b = rmat(&RmatConfig::graph500(6, 23)).with_full_self_loops();
     let c = kronecker(&a, &b);
-    assert_eq!(auto_rows(&c), (190, 65), "R-MAT(4) x R-MAT(4) full loops");
-    assert_triangle_tiers_agree(&c, "R-MAT(4) x R-MAT(4) full loops");
+    assert_eq!(auto_rows(&c), (2_801, 1_229, 54), "R-MAT(6) x R-MAT(6) full loops");
+    assert_triangle_tiers_agree(&c, "R-MAT(6) x R-MAT(6) full loops");
 }
 
 #[test]
@@ -211,18 +248,22 @@ proptest! {
     }
 
     /// All tiers agree with enumeration on Kronecker products of random
-    /// dense factors, in both self-loop modes, where the `Auto` tier both
-    /// packs and lists rows.
+    /// dense factors with sparse tails, in both self-loop modes, where the
+    /// `Auto` tier packs some rows and reads others element by element.
     #[test]
     fn triangle_tiers_agree_on_dense_products(a in dense_factor(), b in dense_factor()) {
+        let (a, b) = (with_pendant(&a), with_spread_tail(&b));
         let products = [
             ("as-is", kronecker(&a, &b)),
             ("full loops", kronecker(&a.with_full_self_loops(), &b.with_full_self_loops())),
         ];
         for (mode, c) in products {
-            let (packed, listed) = auto_rows(&c);
+            let (packed, csr_read, listed) = auto_rows(&c);
             let label = format!("{} x {} vertices, {mode}", a.n(), b.n());
-            prop_assert!(packed > 0 && listed > 0, "{label}: {packed} packed, {listed} listed");
+            prop_assert!(
+                packed > 0 && csr_read + listed > 0,
+                "{label}: {packed} packed, {csr_read} CSR-read, {listed} listed"
+            );
             assert_triangle_tiers_agree(&c, &label);
         }
     }

@@ -9,13 +9,13 @@
 //! kron ground-truth A.txt B.txt [--self-loops full] [--vertex P]
 //! kron stats G.txt
 //! kron dataset gnutella --out a.txt [--vertices N] [--seed S]
-//! kron dataset groundtruth20000 --out a.txt [--vertices N] [--seed S]
+//! kron dataset groundtruth20000 --out a.txt [--vertices N] [--seed S] [--labels L]
 //! kron spectrum A.txt B.txt [--self-loops full]
 //! kron power A.txt K [--self-loops full] [--vertex P]
 //! kron validate A.txt B.txt [--ranks R] [--self-loops full]
 //! ```
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::num::NonZeroUsize;
 use std::process::ExitCode;
 
@@ -46,6 +46,7 @@ usage:
   kron ground-truth <A> <B> [--self-loops full|asis] [--vertex P]
   kron stats <GRAPH>
   kron dataset <gnutella|groundtruth20000> --out FILE [--vertices N] [--seed S]
+                                           [--labels FILE]
   kron spectrum <A> <B> [--self-loops full|asis]
   kron power <A> <K> [--self-loops full|asis] [--vertex P]
   kron validate <A> <B> [--ranks R] [--self-loops full|asis]";
@@ -53,7 +54,7 @@ usage:
 /// Parsed flags: positional arguments plus `--key value` / `--flag` pairs.
 struct Args {
     positional: Vec<String>,
-    options: HashMap<String, String>,
+    options: BTreeMap<String, String>,
 }
 
 /// Flags that take no value.
@@ -61,7 +62,7 @@ const BOOLEAN_FLAGS: &[&str] = &["--count-only", "--binary"];
 
 fn parse_args(args: &[String]) -> Result<Args, String> {
     let mut positional = Vec::new();
-    let mut options = HashMap::new();
+    let mut options = BTreeMap::new();
     let mut iter = args.iter().peekable();
     while let Some(arg) = iter.next() {
         if let Some(key) = arg.strip_prefix("--") {
@@ -127,20 +128,29 @@ fn load_pair(args: &Args) -> Result<KroneckerPair, String> {
 fn run(raw: &[String]) -> Result<(), String> {
     let command = raw.first().map(String::as_str).ok_or("no command given")?;
     let args = parse_args(&raw[1..])?;
-    match command {
-        "generate" => cmd_generate(&args),
-        "ground-truth" => cmd_ground_truth(&args),
-        "stats" => cmd_stats(&args),
-        "dataset" => cmd_dataset(&args),
-        "spectrum" => cmd_spectrum(&args),
-        "power" => cmd_power(&args),
-        "validate" => cmd_validate(&args),
+    type Command = fn(&Args) -> Result<(), String>;
+    // Each command with the flags it reads; any other flag is an error,
+    // so a misspelled one cannot silently leave its default in place.
+    let (handler, flags): (Command, &[&str]) = match command {
+        "generate" => {
+            (cmd_generate, &["out", "self-loops", "ranks", "scheme", "count-only", "binary"])
+        }
+        "ground-truth" => (cmd_ground_truth, &["self-loops", "vertex"]),
+        "stats" => (cmd_stats, &[]),
+        "dataset" => (cmd_dataset, &["out", "vertices", "seed", "labels"]),
+        "spectrum" => (cmd_spectrum, &["self-loops"]),
+        "power" => (cmd_power, &["self-loops", "vertex"]),
+        "validate" => (cmd_validate, &["ranks", "self-loops"]),
         "--help" | "help" | "-h" => {
             println!("{USAGE}");
-            Ok(())
+            return Ok(());
         }
-        other => Err(format!("unknown command {other:?}")),
+        other => return Err(format!("unknown command {other:?}")),
+    };
+    if let Some(flag) = args.options.keys().find(|key| !flags.contains(&key.as_str())) {
+        return Err(format!("unknown flag --{flag} for kron {command}"));
     }
+    handler(&args)
 }
 
 fn cmd_generate(args: &Args) -> Result<(), String> {

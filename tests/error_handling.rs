@@ -141,6 +141,30 @@ fn cli_rejects_zero_ranks() {
 }
 
 #[test]
+fn cli_rejects_unknown_flags() {
+    // A misspelled flag is an error naming the flag and the command, not
+    // a run on the default it was meant to override.
+    let dir = std::env::temp_dir().join(format!("kron_cli_flags_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let factor = dir.join("k2.txt");
+    std::fs::write(&factor, "0 1\n1 0\n").unwrap();
+    let factor = factor.to_str().unwrap();
+    let cases: [(&[&str], &str); 3] = [
+        (&["validate", factor, factor, "--rnaks", "0"], "--rnaks for kron validate"),
+        (&["generate", factor, factor, "--count-only", "--sheme", "2d"], "--sheme for kron generate"),
+        (&["stats", factor, "--ranks", "2"], "--ranks for kron stats"),
+    ];
+    for (args, named) in cases {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_kron")).args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.starts_with(&format!("error: unknown flag {named}\n")), "{stderr}");
+        assert!(stderr.contains("usage:"), "{stderr}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn errors_are_boxable_and_send() {
     fn takes_boxed(_: Box<dyn std::error::Error + Send + Sync>) {}
     takes_boxed(Box::new(KronError::NotAnEdge { p: 0, q: 1 }));

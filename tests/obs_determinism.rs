@@ -26,8 +26,8 @@ use kron_dist::{
     distributed_bfs_with, distributed_triangle_count_with, generate_distributed, DistConfig,
     FaultConfig, TransportConfig, VertexBlockOwner,
 };
-use kron_graph::generators::{cycle, erdos_renyi};
-use kron_graph::VertexId;
+use kron_graph::generators::{cycle, erdos_renyi, rmat, RmatConfig};
+use kron_graph::{CsrGraph, VertexId};
 use kron_obs::events::EventKind;
 
 /// Serialises tests that flip the process-global obs toggles.
@@ -217,6 +217,113 @@ fn kernel_tier_counters_account_for_every_anchor() {
         counter(&auto, "arena.take_hits") + counter(&auto, "arena.take_misses") > 0,
         "kernel scratch bypassed the arena"
     );
+}
+
+/// The forward-row kinds `[packed, CSR-read, listed]` and
+/// `Σ_r |B(r)|·|F(r)|`, derived from the graph by the documented `Auto`
+/// rule: vertices are ranked by `(degree, id)`, `B(r)` and `F(r)` are
+/// `r`'s lower- and higher-ranked neighbors, and a non-empty `F(r)` is
+/// packed when its word window `[min / 64, max / 64]` has at most `|F(r)|`
+/// words, else CSR-read when its vertex has at most `2·|F(r)|` neighbors,
+/// else listed.
+fn forward_rows(g: &CsrGraph) -> ([u64; 3], u64) {
+    let order = g.degree_rank_order();
+    let mut rank = vec![0u64; order.len()];
+    for (r, &v) in order.iter().enumerate() {
+        rank[v as usize] = r as u64;
+    }
+    let (mut kinds, mut work) = ([0u64; 3], 0u64);
+    for (r, &v) in order.iter().enumerate() {
+        let r = r as u64;
+        let (backward, forward): (Vec<u64>, Vec<u64>) = g
+            .neighbors(v)
+            .iter()
+            .map(|&w| rank[w as usize])
+            .filter(|&rw| rw != r)
+            .partition(|&rw| rw < r);
+        let len = forward.len() as u64;
+        work += backward.len() as u64 * len;
+        let (Some(lo), Some(hi)) = (forward.iter().min(), forward.iter().max()) else {
+            continue;
+        };
+        let words = (hi >> 6) - (lo >> 6) + 1;
+        let kind = if words <= len {
+            0
+        } else if g.degree(v) <= 2 * len {
+            1
+        } else {
+            2
+        };
+        kinds[kind] += 1;
+    }
+    (kinds, work)
+}
+
+/// A hub whose few forward neighbors span a long window. The hub has 250
+/// lower-ranked neighbors, paired off by edges into 125 triangles with
+/// it, and two forward ones: the lowest and the highest of 200 vertices
+/// whose distinct degrees (257 to 655, from shared filler vertices) rank
+/// them above everything else. Its forward row has 2 entries over a
+/// window of at least 4 words, so it is listed: 2 probes per anchor,
+/// where its CSR row would cost 252.
+fn sparse_hub() -> CsrGraph {
+    let (low, high) = (250u64, 200u64);
+    let fillers = 256 + 2 * (high - 1);
+    let hub = 0;
+    let lows = 1..=low;
+    let highs = low + 1..=low + high;
+    let filler = |k: u64| low + high + 1 + k;
+    let mut edges: Vec<(u64, u64)> = lows.clone().map(|l| (hub, l)).collect();
+    edges.extend(lows.step_by(2).map(|l| (l, l + 1)));
+    edges.extend([(hub, *highs.start()), (hub, *highs.end())]);
+    for (j, h) in highs.enumerate() {
+        edges.extend((0..256 + 2 * j as u64).map(|k| (h, filler(k))));
+    }
+    let arcs = edges.iter().flat_map(|&(u, v)| [(u, v), (v, u)]).collect();
+    CsrGraph::from_arcs(filler(fillers), arcs).expect("arcs in range")
+}
+
+#[test]
+fn kernel_work_stays_within_twice_the_forward_bound() {
+    // Closing an oriented edge `ra → rb` costs at most `|F(rb)|` word ANDs
+    // (packed `rb`), `2·|F(rb)|` element probes (CSR-read) or `|F(rb)|`
+    // probes (listed), once per lower-ranked neighbor of `rb`, so under
+    // `Auto` and forced `Marking` the kernel probes at most
+    // `2·Σ_r |B(r)|·|F(r)|` elements and words. Forced `Bitmap` packs
+    // every row whatever its window, so it is exempt.
+    let _serial = obs_lock();
+    let _restore = ObsOffOnDrop;
+    let rmat_pair = KroneckerPair::with_full_self_loops(
+        rmat(&RmatConfig::graph500(6, 22)),
+        rmat(&RmatConfig::graph500(6, 23)),
+    )
+    .expect("R-MAT factors are loop-free");
+    let products = [
+        ("R-MAT(6) x R-MAT(6) full loops", materialize(&rmat_pair), [2_801, 1_229, 54]),
+        ("sparse hub", sparse_hub(), [779, 125, 1]),
+    ];
+    for (label, g, kinds) in &products {
+        let (got, work) = forward_rows(g);
+        assert_eq!(&got, kinds, "{label}: packed, CSR-read and listed rows");
+        for kernel in [TriangleKernel::Auto, TriangleKernel::Marking] {
+            kron_obs::reset();
+            kron_obs::set_enabled(true);
+            let _ = vertex_triangles_with(g, kernel);
+            kron_obs::set_enabled(false);
+            let snapshot = kron_obs::metrics::snapshot();
+            let probed: u64 = ["triangles.elements_probed", "triangles.words_probed"]
+                .iter()
+                .map(|name| snapshot.counter(name).unwrap_or(0))
+                .sum();
+            println!("{label}, {kernel:?}: {probed} probes, 2·Σ|B|·|F| = {}", 2 * work);
+            assert!(
+                probed <= 2 * work,
+                "{label}, {kernel:?}: {probed} probes past 2·Σ|B|·|F| = {}",
+                2 * work
+            );
+        }
+    }
+    assert_eq!(vertex_triangles(&products[1].1).global, 125, "sparse hub triangles");
 }
 
 #[test]

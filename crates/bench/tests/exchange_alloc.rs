@@ -1,7 +1,7 @@
 //! Proves the distributed exchange's memory bound with the counting
 //! allocator: a spilling `generate_distributed` run keeps peak live heap
-//! under a budget built from the rank count, the spill run size, the IO
-//! buffers, the credit window and the batch size — never from `|E_C|` —
+//! under a budget built from the rank count, the rows each rank owns, the
+//! IO buffers, the credit window and the batch size — never from `|E_C|` —
 //! while holding the product's arcs would take at least 5× that budget.
 //!
 //! Runs only with `--features measure-alloc` (a kron-bench default
@@ -31,7 +31,6 @@ fn exchange_peak_memory_is_bounded_by_the_credit_window() {
     let nnz_c = pair.nnz_c() as u64;
     assert_eq!(nnz_c, 601_852);
     let batch_size = 16usize;
-    let run_arcs = 2048usize;
     let io_buf_bytes = 4 * 1024usize;
 
     for ranks in [2usize, 4] {
@@ -40,7 +39,6 @@ fn exchange_peak_memory_is_bounded_by_the_credit_window() {
             std::process::id()
         ));
         let mut spill = SpillConfig::new(dir.clone());
-        spill.run_arcs = run_arcs;
         spill.io_buf_bytes = io_buf_bytes;
         let mut cfg = DistConfig::new(ranks);
         cfg.scheme = PartitionScheme::TwoD;
@@ -55,17 +53,18 @@ fn exchange_peak_memory_is_bounded_by_the_credit_window() {
             "ranks={ranks}: lost arcs"
         );
 
-        // Per rank: the run buffer, the open run's IO buffer and footer
-        // (at most one entry per arc of the run), the factor slices, one
-        // open outbox plus one recycled buffer per peer, and the taken
-        // batch being stored.
+        // Per rank: one open run per source rank, each an IO buffer plus
+        // a footer of two varints per product row the rank owns (a
+        // doubling `Vec`, so its capacity is the next power of two), the
+        // factor slices, one open outbox plus one recycled buffer per
+        // peer, and the taken batch being stored.
         let r = ranks as u64;
         let batch_bytes = batch_size.next_power_of_two() as u64 * ARC;
         let factor_bytes = ARC * (pair.a().nnz() + pair.b().nnz()) as u64
             + ARC * (pair.a().n() + pair.b().n() + 2);
-        let per_rank = run_arcs.next_power_of_two() as u64 * ARC
-            + run_arcs as u64 * 2 * MAX_VARINT_BYTES as u64
-            + io_buf_bytes as u64
+        let rows_owned = pair.n_c().div_ceil(r);
+        let footer = (rows_owned * 2 * MAX_VARINT_BYTES as u64).next_power_of_two();
+        let per_rank = r * (io_buf_bytes as u64 + footer)
             + factor_bytes
             + (2 * r + 1) * batch_bytes;
         // Per directed link: at most CREDIT_WINDOW unacked batches, each
@@ -79,6 +78,7 @@ fn exchange_peak_memory_is_bounded_by_the_credit_window() {
              ({} bytes), so the test would pass vacuously",
             ARC * nnz_c
         );
+        println!("ranks={ranks}: exchange peak {} bytes, budget {budget}", measured.peak_bytes);
         assert!(
             measured.peak_bytes <= budget,
             "ranks={ranks}: exchange peak {} bytes exceeds its {budget}-byte budget",

@@ -27,10 +27,8 @@ fn external_build_peak_memory_stays_under_budget() {
 
     let dir = std::env::temp_dir().join(format!("kron_external_alloc_{}", std::process::id()));
     let buf_bytes = 4 * 1024;
-    let run_arcs = 16 * 1024;
     let ranks = 4usize;
     let mut spill = SpillConfig::new(dir.clone());
-    spill.run_arcs = run_arcs;
     spill.io_buf_bytes = buf_bytes;
 
     // The whole out-of-core pipeline — synthesize + spill, two-pass

@@ -21,6 +21,12 @@
 //! draining until an ack frees a slot. Resident exchange memory is thus
 //! bounded by the window (see [`CREDIT_WINDOW`]), never by `|E_C|`.
 //!
+//! Both generation loops emit a rank's arcs in increasing `(p, q)` order,
+//! and each link delivers in order, so the arcs one source sends one
+//! owner arrive as a sorted stream. A spilling rank writes each source's
+//! stream straight to its own shard run: no run buffer and no sort, and
+//! at most `ranks` runs per rank.
+//!
 //! The credit wait cannot deadlock. A waiting rank drains, stores and
 //! acks everything delivered to it, so it keeps serving the peers that
 //! wait on it. The peer it waits on is generating (and drains every
@@ -61,20 +67,22 @@ pub enum StorageMode {
 /// unacked on a link, the sender drains its own inbox until an ack frees
 /// a slot ([`RankStats::window_waits`] counts those waits).
 ///
-/// It bounds what a spilling rank keeps resident: its run buffer and IO
-/// buffer, its open outboxes, and per outgoing link at most
+/// It bounds what a spilling rank keeps resident beside its open shard
+/// runs: its open outboxes, and per outgoing link at most
 /// `CREDIT_WINDOW` batches in flight plus their retained copies (the
 /// reliable layer keeps each payload until the receiver has taken it,
 /// so "in flight" covers the wire and the receiver's delivery queue).
 /// That is `O(ranks · CREDIT_WINDOW · batch_size)` arcs per rank, never
 /// `O(|E_C|)`.
 ///
-/// The window has to cover the time a receiver spends sorting and writing
-/// one spill run without polling; the default 64Ki-arc run is 64 default
-/// batches. On a 2-rank 2D spill build of 20.5M arcs (2 vCPUs), a window
-/// of 16 made generation about 1.6–1.8× slower, 64, 128 and 256 ran
-/// within noise of each other, and the process's peak RSS grew with the
-/// window (about 6, 9, 13 and 21 MiB for 16, 64, 128 and 256).
+/// A receiver never pauses to sort: it stores each delivered batch by
+/// appending it to its source's run. So the window only has to cover
+/// the gap between a sender's sends and the receiver's next drain, which
+/// comes at least once every `batch_size` arcs the receiver generates.
+/// On the build-s8 pipeline (2 ranks, 2D spill, 20.5M arcs, 2 vCPUs)
+/// generation ran within noise at windows of 16, 32, 64 and 128, while
+/// the peak RSS after generation grew with the window (about 7.8, 8.7,
+/// 10.5 and 14.4 MiB; EXPERIMENTS.md E17).
 pub const CREDIT_WINDOW: usize = 128;
 
 /// Storage-owner mapping choice.
@@ -98,28 +106,24 @@ pub enum OwnerConfig {
 }
 
 /// Out-of-core storage: ranks spill their stored arcs as sorted shard
-/// runs (`kron_graph::shard`) instead of resident [`EdgeList`]s. A
-/// spilling rank's storage holds one run buffer and one IO buffer; its
-/// exchange adds at most [`CREDIT_WINDOW`] batches in flight per
-/// outgoing link, plus their retained copies.
+/// runs (`kron_graph::shard`) instead of resident [`EdgeList`]s, one run
+/// per source rank that sent them an arc. A spilling rank's storage
+/// holds at most `ranks` open writers, each an IO buffer plus a footer
+/// of two varints per product row its link covers: `O(rows owned)` per
+/// writer. Its exchange adds at most [`CREDIT_WINDOW`] batches in flight
+/// per outgoing link, plus their retained copies.
 #[derive(Debug, Clone)]
 pub struct SpillConfig {
     /// Directory the per-rank run files are written to.
     pub dir: PathBuf,
-    /// Arcs per sorted run (the rank's storage-side memory bound).
-    pub run_arcs: usize,
     /// IO buffer capacity per open shard file, in bytes.
     pub io_buf_bytes: usize,
 }
 
 impl SpillConfig {
-    /// Spill into `dir` with default run size (64Ki arcs) and IO buffer.
+    /// Spill into `dir` with the default IO buffer.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
-        SpillConfig {
-            dir: dir.into(),
-            run_arcs: 64 * 1024,
-            io_buf_bytes: kron_graph::shard::DEFAULT_IO_BUF,
-        }
+        SpillConfig { dir: dir.into(), io_buf_bytes: kron_graph::shard::DEFAULT_IO_BUF }
     }
 }
 
@@ -169,9 +173,11 @@ pub struct DistResult {
     /// modes).
     pub per_rank: Vec<EdgeList>,
     /// Sorted shard-run files each rank spilled — empty unless
-    /// [`DistConfig::spill`] was set. Feed a rank's runs (or all runs) to
-    /// `kron_graph::CsrGraph::from_shards` / `merge_shards` to rebuild
-    /// the stored arcs.
+    /// [`DistConfig::spill`] was set. Rank `r` holds one run per rank
+    /// that routed it at least one arc (itself included), in source
+    /// order, so at most `ranks` runs per rank and `ranks²` in all. Feed
+    /// a rank's runs (or all runs) to `kron_graph::CsrGraph::from_shards`
+    /// / `merge_shards` to rebuild the stored arcs.
     pub shard_runs: Vec<Vec<PathBuf>>,
     /// Counters and timing.
     pub stats: GenStats,
@@ -373,19 +379,20 @@ struct RankOutput {
     recorder: kron_obs::events::RankRecorder,
 }
 
-/// Where a rank's stored arcs land: a resident [`EdgeList`], or sorted
-/// shard runs on disk (the out-of-core tier, [`DistConfig::spill`]).
+/// Where a rank's stored arcs land: a resident [`EdgeList`], or one
+/// shard run per source rank on disk (the out-of-core tier,
+/// [`DistConfig::spill`]).
 enum RankStore {
     Memory(EdgeList),
     Spill {
         n_c: u64,
         dir: PathBuf,
         rank: usize,
-        run_arcs: usize,
         io_buf_bytes: usize,
-        buf: Vec<Arc>,
-        runs: Vec<PathBuf>,
-        spilled: u64,
+        /// The run of each source rank, opened at its first arc. A source
+        /// emits in increasing `(p, q)` order and its link delivers in
+        /// order, so `ShardWriter::push`'s sortedness check holds.
+        writers: Vec<Option<ShardWriter>>,
     },
 }
 
@@ -396,64 +403,43 @@ impl RankStore {
                 n_c,
                 dir: spill.dir.clone(),
                 rank,
-                run_arcs: spill.run_arcs.max(1),
                 io_buf_bytes: spill.io_buf_bytes,
-                buf: Vec::new(),
-                runs: Vec::new(),
-                spilled: 0,
+                writers: (0..config.ranks).map(|_| None).collect(),
             },
             _ => RankStore::Memory(EdgeList::new(n_c)),
         }
     }
 
+    /// Stores one arc that rank `from` routed here.
     #[inline]
-    fn store(&mut self, p: u64, q: u64) {
-        let run_full = match self {
-            RankStore::Memory(list) => {
-                list.add_arc(p, q).expect("in range");
-                false
-            }
-            RankStore::Spill { run_arcs, buf, .. } => {
-                buf.push((p, q));
-                buf.len() >= *run_arcs
-            }
-        };
-        if run_full {
-            self.flush_run();
-        }
-    }
-
-    /// Sorts the run buffer and writes it out as one shard run; exchange
-    /// arrival order is nondeterministic, so each run is sorted locally
-    /// and the global order is reimposed by the k-way merge.
-    fn flush_run(&mut self) {
-        if let RankStore::Spill { n_c, dir, rank, io_buf_bytes, buf, runs, spilled, .. } = self {
-            if buf.is_empty() {
-                return;
-            }
-            buf.sort_unstable();
-            let path = dir.join(format!("rank{rank}_run{}.krsh", runs.len()));
-            let mut writer = ShardWriter::with_buffer(&path, *n_c, *io_buf_bytes)
-                .expect("create shard run");
-            for &(p, q) in buf.iter() {
-                writer.push(p, q).expect("spill arc in range and sorted");
-            }
-            writer.finish().expect("finish shard run");
-            *spilled += buf.len() as u64;
-            buf.clear();
-            runs.push(path);
-        }
-    }
-
-    /// Flushes the final partial run and returns
-    /// `(stored, run paths, run count, spilled arcs)`.
-    fn finish(mut self) -> (EdgeList, Vec<PathBuf>, u64, u64) {
-        self.flush_run();
+    fn store(&mut self, from: usize, p: u64, q: u64) {
         match self {
-            RankStore::Memory(list) => (list, Vec::new(), 0, 0),
-            RankStore::Spill { n_c, runs, spilled, .. } => {
-                let run_count = runs.len() as u64;
-                (EdgeList::new(n_c), runs, run_count, spilled)
+            RankStore::Memory(list) => list.add_arc(p, q).expect("in range"),
+            RankStore::Spill { n_c, dir, rank, io_buf_bytes, writers } => writers[from]
+                .get_or_insert_with(|| {
+                    let path = dir.join(format!("rank{rank}_from{from}.krsh"));
+                    ShardWriter::with_buffer(&path, *n_c, *io_buf_bytes)
+                        .expect("create shard run")
+                })
+                .push(p, q)
+                .expect("spill arc in range and in its source's order"),
+        }
+    }
+
+    /// Finishes every open run and returns `(stored, run paths, spilled
+    /// arcs)`.
+    fn finish(self) -> (EdgeList, Vec<PathBuf>, u64) {
+        match self {
+            RankStore::Memory(list) => (list, Vec::new(), 0),
+            RankStore::Spill { n_c, writers, .. } => {
+                let mut runs = Vec::new();
+                let mut spilled = 0;
+                for writer in writers.into_iter().flatten() {
+                    let info = writer.finish().expect("finish shard run");
+                    spilled += info.arcs;
+                    runs.push(info.path);
+                }
+                (EdgeList::new(n_c), runs, spilled)
             }
         }
     }
@@ -561,7 +547,7 @@ impl<'a> Exchange<'a> {
         if dest == self.rank {
             self.reg.inc(self.c_sent_local);
             self.reg.inc(self.c_stored);
-            self.store.store(p, q);
+            self.store.store(self.rank, p, q);
         } else {
             self.reg.inc(self.c_sent_remote);
             self.outboxes[dest].push((p, q));
@@ -585,26 +571,27 @@ impl<'a> Exchange<'a> {
         }
         self.reg.inc(self.c_window_waits);
         while self.link.in_flight(dest) >= CREDIT_WINDOW {
-            if let Some((_, message)) = self.link.poll_for_credit(dest) {
-                self.deliver(message);
+            if let Some((from, message)) = self.link.poll_for_credit(dest) {
+                self.deliver(from, message);
             }
         }
     }
 
     /// Stores every batch the reliable layer has already delivered.
     fn drain_ready(&mut self) {
-        while let Some((_, message)) = self.link.poll() {
-            self.deliver(message);
+        while let Some((from, message)) = self.link.poll() {
+            self.deliver(from, message);
         }
     }
 
-    /// Stores one delivered batch, recycling its buffer, or counts a Done.
-    fn deliver(&mut self, message: Message) {
+    /// Stores one batch delivered from rank `from`, recycling its buffer,
+    /// or counts a Done.
+    fn deliver(&mut self, from: usize, message: Message) {
         match message {
             Message::Batch(mut batch) => {
                 for &(p, q) in &batch {
                     self.reg.inc(self.c_stored);
-                    self.store.store(p, q);
+                    self.store.store(from, p, q);
                 }
                 batch.clear();
                 if self.spare.len() < self.ranks {
@@ -640,8 +627,8 @@ impl<'a> Exchange<'a> {
         // flushes held traffic whenever the mesh goes idle, which
         // guarantees progress under bounded fair loss.
         while self.dones < self.ranks || !self.link.all_acked() {
-            if let Some((_, message)) = self.link.poll() {
-                self.deliver(message);
+            if let Some((from, message)) = self.link.poll() {
+                self.deliver(from, message);
             }
         }
         // Late acks and held duplicates must still reach draining peers.
@@ -649,8 +636,8 @@ impl<'a> Exchange<'a> {
         self.reg.set(self.c_retransmissions, self.link.retransmissions);
         self.reg.set(self.c_redeliveries, self.link.duplicates_discarded);
         let recorder = self.link.take_recorder_with_accounting();
-        let (stored, shard_runs, run_count, spilled) = self.store.finish();
-        self.reg.set(self.c_spill_runs, run_count);
+        let (stored, shard_runs, spilled) = self.store.finish();
+        self.reg.set(self.c_spill_runs, shard_runs.len() as u64);
         self.reg.set(self.c_spill_arcs, spilled);
         RankOutput { stats: RankStats::from_registry(&self.reg), stored, shard_runs, recorder }
     }
@@ -666,14 +653,22 @@ fn run_rank(
 ) -> RankOutput {
     let rank = ep.rank();
     let mut ex = Exchange::new(ep, owner, config, n_c);
-    // Generation phase: multiply this rank's work cells.
+    // Generation phase: multiply this rank's work cell (1D deals one per
+    // rank). Both arc lists are in CSR order, so walking A's rows `i`,
+    // then B's rows `k`, then `j`, then `l` emits in increasing `(p, q)`.
+    let same_row = |x: &Arc, y: &Arc| x.0 == y.0;
     for cell in partition.cells_of(rank) {
         ex.add_factor_arcs((cell.a_arcs.len() + cell.b_arcs.len()) as u64);
-        for &(i, j) in &cell.a_arcs {
-            let row_base = i * n_b;
-            let col_base = j * n_b;
-            for &(k, l) in &cell.b_arcs {
-                ex.emit(row_base + k, col_base + l);
+        for row_a in cell.a_arcs.chunk_by(same_row) {
+            let row_base = row_a[0].0 * n_b;
+            for row_b in cell.b_arcs.chunk_by(same_row) {
+                let p = row_base + row_b[0].0;
+                for &(_, j) in row_a {
+                    let col_base = j * n_b;
+                    for &(_, l) in row_b {
+                        ex.emit(p, col_base + l);
+                    }
+                }
             }
         }
     }
@@ -744,12 +739,13 @@ pub struct DirectSpillResult {
 /// rank `r` owns the contiguous product-row interval
 /// [`VertexBlockOwner::row_range`], whose rows
 /// `kron_core::generate::for_each_synthesized_row` emits already sorted
-/// through one reused row buffer, so each run file is written in order
-/// (no sort buffer at all) and peak resident memory is one product row
-/// plus one IO buffer — never `O(|E_C|)`. Returns the per-rank run paths
-/// and spill accounting (mirrored into the global obs registry);
-/// `kron_graph::build_external_csr` over all runs completes the
-/// beyond-RAM pipeline.
+/// through one reused row buffer, so each rank writes its block as one
+/// run (none if the block is empty) with no sort buffer at all. Peak
+/// resident memory is one product row plus one IO buffer and one run
+/// footer (two varints per row of the block) — never `O(|E_C|)`.
+/// Returns the per-rank run paths and spill accounting (mirrored into
+/// the global obs registry); `kron_graph::build_external_csr` over all
+/// runs completes the beyond-RAM pipeline.
 pub fn spill_shards_direct(
     pair: &KroneckerPair,
     ranks: usize,
@@ -760,55 +756,37 @@ pub fn spill_shards_direct(
     let started = Instant::now();
     std::fs::create_dir_all(&spill.dir)?;
     let owner = VertexBlockOwner::new(pair.n_c(), ranks);
-    let run_arcs = spill.run_arcs.max(1);
     let mut all = Vec::with_capacity(ranks);
     let mut per_rank = Vec::with_capacity(ranks);
     for rank in 0..ranks {
-        let rows = owner.row_range(rank);
-        let mut runs: Vec<PathBuf> = Vec::new();
+        let path = spill.dir.join(format!("rank{rank}.krsh"));
         let mut writer: Option<ShardWriter> = None;
-        let mut in_run = 0usize;
-        let mut arcs = 0u64;
         let mut failed: Option<kron_graph::GraphError> = None;
-        kron_core::generate::for_each_synthesized_row(pair, rows, |p, row| {
-            if failed.is_some() {
+        kron_core::generate::for_each_synthesized_row(pair, owner.row_range(rank), |p, row| {
+            if failed.is_some() || row.is_empty() {
                 return;
             }
-            for &q in row {
-                if writer.is_none() {
-                    let path = spill.dir.join(format!("rank{rank}_run{}.krsh", runs.len()));
-                    match ShardWriter::with_buffer(&path, pair.n_c(), spill.io_buf_bytes) {
-                        Ok(w) => {
-                            writer = Some(w);
-                            runs.push(path);
-                            in_run = 0;
-                        }
-                        Err(e) => {
-                            failed = Some(e);
-                            return;
-                        }
-                    }
-                }
-                if let Err(e) = writer.as_mut().expect("writer present").push(p, q) {
-                    failed = Some(e);
-                    return;
-                }
-                in_run += 1;
-                arcs += 1;
-                if in_run >= run_arcs {
-                    if let Err(e) = writer.take().expect("writer present").finish() {
+            let w = match &mut writer {
+                Some(w) => w,
+                None => match ShardWriter::with_buffer(&path, pair.n_c(), spill.io_buf_bytes) {
+                    Ok(w) => writer.insert(w),
+                    Err(e) => {
                         failed = Some(e);
                         return;
                     }
-                }
+                },
+            };
+            if let Some(e) = row.iter().find_map(|&q| w.push(p, q).err()) {
+                failed = Some(e);
             }
         });
         if let Some(e) = failed {
             return Err(e);
         }
-        if let Some(w) = writer.take() {
-            w.finish()?;
-        }
+        let (runs, arcs) = match writer {
+            Some(w) => (vec![path], w.finish()?.arcs),
+            None => (Vec::new(), 0),
+        };
         per_rank.push(RankStats {
             generated: arcs,
             stored: arcs,
@@ -1086,11 +1064,7 @@ mod tests {
     }
 
     fn spill_config(name: &str) -> SpillConfig {
-        let dir = std::env::temp_dir().join("kron_dist_spill_test").join(name);
-        // Tiny runs so even small products produce multi-run merges.
-        let mut spill = SpillConfig::new(dir);
-        spill.run_arcs = 64;
-        spill
+        SpillConfig::new(std::env::temp_dir().join("kron_dist_spill_test").join(name))
     }
 
     fn union_of_runs(result: &DistResult, n_c: u64) -> EdgeList {
@@ -1119,7 +1093,9 @@ mod tests {
                 pair.nnz_c(),
                 "{scheme:?}: every stored arc must be spilled"
             );
+            // One run per source that routed the rank an arc.
             assert!(result.stats.per_rank.iter().any(|r| r.spill_runs > 1));
+            assert!(result.stats.per_rank.iter().all(|r| r.spill_runs <= 4));
             assert_eq!(union_of_runs(&result, pair.n_c()), expected, "{scheme:?}");
         }
     }

@@ -282,9 +282,11 @@ fn chaos_matrix_generation_is_bit_identical() {
 }
 
 /// Spill tier under the same matrix: {OneD, TwoD} × {Perfect + every
-/// fault mix} × ranks (incl. the 2×4 grid) × batch size. Each rank's
-/// merged shard runs must equal the per-rank store of the perfect
-/// in-memory run, and the union of all runs must be bit-identical to the
+/// fault mix} × ranks (incl. the 2×4 grid) × batch size. A rank spills
+/// one run per source rank, so in every multi-rank cell a rank fed by two
+/// or more sources merges that many runs. Each rank's merged shard runs
+/// must equal the per-rank store of the perfect in-memory run, and the
+/// union of all runs must be bit-identical to the
 /// sequential materialization — chaos on the exchange must never
 /// corrupt, drop, or duplicate an arc on its way to disk.
 #[test]
@@ -316,9 +318,7 @@ fn chaos_matrix_spilled_shards_are_bit_identical() {
                     );
                     let mut cfg = config(ranks, scheme, batch, *transport);
                     let dir = base_dir.join(format!("{tname}_{scheme:?}_{ranks}_{batch}"));
-                    let mut spill = SpillConfig::new(dir.clone());
-                    spill.run_arcs = 100; // force multi-run merges per rank
-                    cfg.spill = Some(spill);
+                    cfg.spill = Some(SpillConfig::new(dir.clone()));
                     let run = generate_distributed(&pair, &cfg);
                     assert!(
                         run.per_rank.iter().all(EdgeList::is_empty),

@@ -2,8 +2,9 @@
 //! pipeline, across random Kronecker factor pairs: direct spill,
 //! exchange-driven spill (both partition schemes), `from_shards`, and the
 //! fully external CSR build must all reproduce `materialize(A ⊗ B)` bit
-//! for bit.
+//! for bit, and an exchange-driven spill writes one run per link.
 
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -11,14 +12,17 @@ use proptest::prelude::*;
 
 use kron_core::generate::materialize;
 use kron_core::KroneckerPair;
+use kron_dist::owner::DelegateOwner;
 use kron_dist::{
-    generate_distributed, spill_shards_direct, DistConfig, PartitionScheme, SpillConfig,
+    generate_distributed, spill_shards_direct, DistConfig, EdgeOwner, FactorPartition,
+    FaultConfig, GridPartition, HashOwner, OwnerConfig, PartitionScheme, SpillConfig,
+    TransportConfig, VertexBlockOwner,
 };
 use kron_graph::generators::{cycle, erdos_renyi, path};
 use kron_graph::shard::{
-    build_external_csr, build_external_csr_two_pass, CsrCacheConfig, ExternalCsr,
+    build_external_csr, build_external_csr_two_pass, CsrCacheConfig, ExternalCsr, ShardReader,
 };
-use kron_graph::CsrGraph;
+use kron_graph::{Arc, CsrGraph};
 
 static CASE: AtomicUsize = AtomicUsize::new(0);
 
@@ -55,23 +59,90 @@ fn assert_bits_equal(got: &CsrGraph, want: &CsrGraph, ctx: &str) {
     assert_eq!(got.targets(), want.targets(), "{ctx}: target array");
 }
 
+/// The three owner maps, each as the run's `OwnerConfig` and as the map
+/// it stands for.
+fn owners(pair: &KroneckerPair, ranks: usize) -> Vec<(OwnerConfig, Box<dyn EdgeOwner>)> {
+    let (threshold, seed) = (8, 13);
+    vec![
+        (OwnerConfig::VertexBlock, Box::new(VertexBlockOwner::new(pair.n_c(), ranks))),
+        (OwnerConfig::Hash { seed }, Box::new(HashOwner::new(ranks, seed))),
+        (
+            OwnerConfig::Delegate { threshold, seed },
+            Box::new(DelegateOwner::new(
+                pair.a().degrees(),
+                pair.b().degrees(),
+                threshold,
+                ranks,
+                seed,
+            )),
+        ),
+    ]
+}
+
+/// For each rank, the ranks that generate at least one arc it owns —
+/// from the partition and the owner map alone, not from a run.
+fn sources_of(
+    pair: &KroneckerPair,
+    scheme: PartitionScheme,
+    ranks: usize,
+    owner: &dyn EdgeOwner,
+) -> Vec<BTreeSet<usize>> {
+    let n_b = pair.b().n();
+    let mut sources = vec![BTreeSet::new(); ranks];
+    let mut route = |s: usize, (i, j): Arc, (k, l): Arc| {
+        sources[owner.owner(i * n_b + k, j * n_b + l)].insert(s);
+    };
+    match scheme {
+        PartitionScheme::OneD => {
+            let a: Vec<Arc> = pair.a().arcs().collect();
+            let b: Vec<Arc> = pair.b().arcs().collect();
+            let part = FactorPartition::new(scheme, ranks, &a, &b);
+            for s in 0..ranks {
+                for cell in part.cells_of(s) {
+                    for &x in &cell.a_arcs {
+                        for &y in &cell.b_arcs {
+                            route(s, x, y);
+                        }
+                    }
+                }
+            }
+        }
+        PartitionScheme::TwoD => {
+            let grid = GridPartition::new(pair.a(), pair.b(), ranks);
+            for s in 0..ranks {
+                let (sa, sb) = (grid.a_slice_of(s), grid.b_slice_of(s));
+                for i in sa.rows() {
+                    for &j in sa.neighbors(i) {
+                        for k in sb.rows() {
+                            for &l in sb.neighbors(k) {
+                                route(s, (i, j.into()), (k, l.into()));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    sources
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Direct per-rank spill → `from_shards` reproduces the sequentially
-    /// materialized product exactly, for every rank count and run size.
+    /// materialized product exactly, for every rank count; each rank
+    /// writes its row block as at most one run.
     #[test]
     fn direct_spill_from_shards_matches_materialize(
         pair in factor_pair(),
         ranks in 1usize..6,
-        run_arcs in 1usize..200,
     ) {
         let reference = materialize(&pair);
         let dir = scratch_dir("direct");
-        let mut spill = SpillConfig::new(dir.clone());
-        spill.run_arcs = run_arcs;
+        let spill = SpillConfig::new(dir.clone());
         let runs = spill_shards_direct(&pair, ranks, &spill).expect("direct spill").runs;
         prop_assert_eq!(runs.len(), ranks);
+        prop_assert!(runs.iter().all(|r| r.len() <= 1), "a rank split its block: {:?}", runs);
         let paths: Vec<&PathBuf> = runs.iter().flatten().collect();
         if paths.is_empty() {
             // An empty product spills nothing; nothing further to check.
@@ -80,7 +151,7 @@ proptest! {
             continue;
         }
         let rebuilt = CsrGraph::from_shards(&paths, 1024).expect("from_shards");
-        assert_bits_equal(&rebuilt, &reference, &format!("direct spill ranks={ranks} run_arcs={run_arcs}"));
+        assert_bits_equal(&rebuilt, &reference, &format!("direct spill ranks={ranks}"));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -97,9 +168,7 @@ proptest! {
             let dir = scratch_dir("exch");
             let mut cfg = DistConfig::new(ranks);
             cfg.scheme = scheme;
-            let mut spill = SpillConfig::new(dir.clone());
-            spill.run_arcs = 64;
-            cfg.spill = Some(spill);
+            cfg.spill = Some(SpillConfig::new(dir.clone()));
             let result = generate_distributed(&pair, &cfg);
             let paths: Vec<&PathBuf> = result.shard_runs.iter().flatten().collect();
             if paths.is_empty() {
@@ -143,8 +212,8 @@ proptest! {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Small-run conformance: for any run size the footers of a direct
-    /// spill predict the offsets exactly, the single-pass build is
+    /// Small-run conformance: the footers of a direct spill of a small
+    /// product predict the offsets exactly, the single-pass build is
     /// byte-equal to the two-pass reference, and the spill is smaller
     /// than the retired fixed-width layout (a 24-byte header + 16
     /// bytes/arc per run) once runs hold a few arcs, and at most a
@@ -153,11 +222,9 @@ proptest! {
     fn small_runs_build_identical_csr_files(
         pair in factor_pair(),
         ranks in 1usize..4,
-        run_arcs in 1usize..120,
     ) {
         let dir = scratch_dir("fmt");
-        let mut spill = SpillConfig::new(dir.join("runs"));
-        spill.run_arcs = run_arcs;
+        let spill = SpillConfig::new(dir.join("runs"));
         let runs = spill_shards_direct(&pair, ranks, &spill).expect("direct spill").runs;
         let paths: Vec<PathBuf> = runs.into_iter().flatten().collect();
         if paths.is_empty() {
@@ -217,5 +284,64 @@ proptest! {
         let stats = cached.cache_stats();
         prop_assert!(stats.hits + stats.misses > 0, "cache saw no traffic");
         std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// One run per exchange link: under both schemes, all three owner
+    /// maps, and a perfect or a dropping, duplicating and reordering
+    /// transport, rank `r` spills exactly one run per rank that routes it
+    /// an arc (itself included), so never more than `ranks`. Every run
+    /// holds only arcs `r` owns, and all runs together rebuild
+    /// `materialize(A ⊗ B)` bit for bit. Batches of 4 arcs put many
+    /// batches on each link, so a run is written across many deliveries.
+    #[test]
+    fn exchange_spill_writes_one_run_per_link(
+        pair in factor_pair(),
+        ranks in 2usize..5,
+        seed in 0u64..1000,
+    ) {
+        let reference = materialize(&pair);
+        for scheme in [PartitionScheme::OneD, PartitionScheme::TwoD] {
+            for (owner_config, owner) in owners(&pair, ranks) {
+                let sources = sources_of(&pair, scheme, ranks, &*owner);
+                for transport in
+                    [TransportConfig::Perfect, TransportConfig::Faulty(FaultConfig::chaos(seed))]
+                {
+                    let cell = format!(
+                        "scheme={scheme:?} owner={owner_config:?} transport={transport:?} ranks={ranks}"
+                    );
+                    let dir = scratch_dir("link");
+                    let mut cfg = DistConfig::new(ranks);
+                    cfg.scheme = scheme;
+                    cfg.owner = owner_config;
+                    cfg.transport = transport;
+                    cfg.batch_size = 4;
+                    cfg.spill = Some(SpillConfig::new(dir.clone()));
+                    let result = generate_distributed(&pair, &cfg);
+                    for (r, runs) in result.shard_runs.iter().enumerate() {
+                        prop_assert_eq!(runs.len(), sources[r].len(), "{}: rank {} runs", cell, r);
+                        prop_assert!(runs.len() <= ranks, "{}: rank {} runs", cell, r);
+                        prop_assert_eq!(result.stats.per_rank[r].spill_runs, runs.len() as u64);
+                        for run in runs {
+                            let mut reader = ShardReader::open(run).expect("open run");
+                            while let Some((p, q)) = reader.next_arc().expect("read run") {
+                                prop_assert_eq!(owner.owner(p, q), r, "{}: foreign arc", cell);
+                            }
+                        }
+                    }
+                    let paths: Vec<&PathBuf> = result.shard_runs.iter().flatten().collect();
+                    if paths.is_empty() {
+                        prop_assert_eq!(reference.nnz(), 0);
+                    } else {
+                        let rebuilt = CsrGraph::from_shards(&paths, 1024).expect("from_shards");
+                        assert_bits_equal(&rebuilt, &reference, &cell);
+                    }
+                    std::fs::remove_dir_all(&dir).ok();
+                }
+            }
+        }
     }
 }

@@ -271,9 +271,9 @@ pub struct ShardWriter {
     payload_len: u64,
     /// Reusable per-push encode scratch (<= 20 bytes live).
     scratch: Vec<u8>,
-    /// Encoded `(row-delta, count)` footer entries, appended at finish.
-    /// `O(min(arcs, n))` entries of a few bytes each — bounded by the
-    /// run size, never the graph size.
+    /// Encoded `(row-delta, count)` footer entries, appended at finish:
+    /// one entry of two varints (at most 2·[`MAX_VARINT_BYTES`] bytes)
+    /// per row the run covers.
     footer: Vec<u8>,
     footer_row: u64,
     footer_count: u64,
@@ -288,8 +288,8 @@ impl ShardWriter {
     }
 
     /// Creates a shard with an explicit IO buffer capacity — the only
-    /// resident memory the writer holds beyond the (run-bounded) footer
-    /// accumulator.
+    /// resident memory the writer holds beyond the footer accumulator
+    /// (two varints per row the run covers).
     pub fn with_buffer<P: AsRef<Path>>(path: P, n: u64, buf_bytes: usize) -> Result<Self> {
         let path = path.as_ref().to_path_buf();
         let mut out = BufWriter::with_capacity(buf_bytes.max(64), File::create(&path)?);
@@ -1421,18 +1421,6 @@ impl ExternalCsr {
     }
 }
 
-/// Sorts `arcs` and spills them as one run at `path` (helper for run
-/// buffers accumulated in arrival order).
-pub fn spill_sorted_run(path: &Path, n: u64, arcs: &mut Vec<Arc>) -> Result<ShardInfo> {
-    arcs.sort_unstable();
-    let mut writer = ShardWriter::create(path, n)?;
-    for &(u, v) in arcs.iter() {
-        writer.push(u, v)?;
-    }
-    arcs.clear();
-    writer.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1872,7 +1860,7 @@ mod tests {
         // takes it, but an in-memory CSR of it would need a 64 GiB offset
         // array, so `from_shards` must refuse before allocating one.
         let run = d.join("run.krsh");
-        spill_sorted_run(&run, 1 << 33, &mut vec![(0, 1), (1, 0)]).unwrap();
+        write_run(&run, 1 << 33, &[(0, 1), (1, 0)]);
         let err = CsrGraph::from_shards(&[&run], 1024).unwrap_err();
         assert!(matches!(err, GraphError::TooManyVertices { n } if n == 1 << 33), "{err}");
         assert!(err.to_string().contains("2^32"), "{err}");
@@ -2049,21 +2037,5 @@ mod tests {
         bad[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
         std::fs::write(&out, &bad).unwrap();
         assert!(ExternalCsr::open(&out).is_err(), "overflowing n accepted");
-    }
-
-    #[test]
-    fn spill_sorted_run_sorts_and_clears() {
-        let d = dir("spill_helper");
-        let path = d.join("run.krsh");
-        let mut buf = vec![(3u64, 0u64), (0, 1), (2, 2)];
-        let info = spill_sorted_run(&path, 4, &mut buf).unwrap();
-        assert!(buf.is_empty(), "run buffer must be recycled empty");
-        assert_eq!(info.arcs, 3);
-        let mut reader = ShardReader::open(&path).unwrap();
-        let mut back = Vec::new();
-        while let Some(arc) = reader.next_arc().unwrap() {
-            back.push(arc);
-        }
-        assert_eq!(back, vec![(0, 1), (2, 2), (3, 0)]);
     }
 }

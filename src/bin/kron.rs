@@ -13,6 +13,7 @@
 //! kron spectrum A.txt B.txt [--self-loops full]
 //! kron power A.txt K [--self-loops full] [--vertex P]
 //! kron validate A.txt B.txt [--ranks R] [--self-loops full]
+//! kron validate --help      # --help or -h after any command prints the usage
 //! ```
 
 use std::collections::BTreeMap;
@@ -49,12 +50,15 @@ usage:
                                            [--labels FILE]
   kron spectrum <A> <B> [--self-loops full|asis]
   kron power <A> <K> [--self-loops full|asis] [--vertex P]
-  kron validate <A> <B> [--ranks R] [--self-loops full|asis]";
+  kron validate <A> <B> [--ranks R] [--self-loops full|asis]
+  kron help                (or --help / -h after any command)";
 
 /// Parsed flags: positional arguments plus `--key value` / `--flag` pairs.
 struct Args {
     positional: Vec<String>,
     options: BTreeMap<String, String>,
+    /// `--help` or `-h` appeared where a flag may stand.
+    help: bool,
 }
 
 /// Flags that take no value.
@@ -63,9 +67,12 @@ const BOOLEAN_FLAGS: &[&str] = &["--count-only", "--binary"];
 fn parse_args(args: &[String]) -> Result<Args, String> {
     let mut positional = Vec::new();
     let mut options = BTreeMap::new();
+    let mut help = false;
     let mut iter = args.iter().peekable();
     while let Some(arg) = iter.next() {
-        if let Some(key) = arg.strip_prefix("--") {
+        if arg == "--help" || arg == "-h" {
+            help = true;
+        } else if let Some(key) = arg.strip_prefix("--") {
             if BOOLEAN_FLAGS.contains(&arg.as_str()) {
                 options.insert(key.to_string(), "true".to_string());
             } else {
@@ -78,7 +85,7 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
             positional.push(arg.clone());
         }
     }
-    Ok(Args { positional, options })
+    Ok(Args { positional, options, help })
 }
 
 impl Args {
@@ -147,6 +154,10 @@ fn run(raw: &[String]) -> Result<(), String> {
         }
         other => return Err(format!("unknown command {other:?}")),
     };
+    if args.help {
+        println!("{USAGE}");
+        return Ok(());
+    }
     if let Some(flag) = args.options.keys().find(|key| !flags.contains(&key.as_str())) {
         return Err(format!("unknown flag --{flag} for kron {command}"));
     }
@@ -445,6 +456,16 @@ mod tests {
         assert_eq!(asis.self_loop_mode().unwrap(), SelfLoopMode::AsIs);
         let bad = parse_args(&strs(&["--self-loops", "nope"])).unwrap();
         assert!(bad.self_loop_mode().is_err());
+    }
+
+    #[test]
+    fn parse_reads_help_in_flag_position() {
+        assert!(parse_args(&strs(&["a.txt", "--help"])).unwrap().help);
+        assert!(parse_args(&strs(&["-h", "--ranks", "2"])).unwrap().help);
+        // A flag's value is never a help request.
+        let out = parse_args(&strs(&["--out", "-h"])).unwrap();
+        assert!(!out.help);
+        assert_eq!(out.option("out"), Some("-h"));
     }
 
     #[test]

@@ -165,6 +165,28 @@ fn cli_rejects_unknown_flags() {
 }
 
 #[test]
+fn cli_help_after_a_command_prints_usage() {
+    // `--help` or `-h` after any command prints the usage and succeeds:
+    // it is neither a flag that needs a value nor a positional argument.
+    let commands = ["generate", "ground-truth", "stats", "dataset", "spectrum", "power", "validate"];
+    for command in commands {
+        for help in ["--help", "-h"] {
+            for args in [vec![command, help], vec![command, "a.txt", help, "--ranks", "2"]] {
+                let out = std::process::Command::new(env!("CARGO_BIN_EXE_kron"))
+                    .args(&args)
+                    .output()
+                    .unwrap();
+                let stdout = String::from_utf8_lossy(&out.stdout);
+                let stderr = String::from_utf8_lossy(&out.stderr);
+                assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+                assert!(stdout.starts_with("usage:\n"), "{args:?}: {stdout}");
+                assert!(stderr.is_empty(), "{args:?}: {stderr}");
+            }
+        }
+    }
+}
+
+#[test]
 fn errors_are_boxable_and_send() {
     fn takes_boxed(_: Box<dyn std::error::Error + Send + Sync>) {}
     takes_boxed(Box::new(KronError::NotAnEdge { p: 0, q: 1 }));

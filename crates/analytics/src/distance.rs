@@ -144,12 +144,6 @@ pub fn multi_source_bfs_hops(g: &CsrGraph, sources: &[VertexId]) -> Vec<Vec<u32>
     rows
 }
 
-/// Full Def. 9 hop-count matrix (row `i` = `hops(i, ·)`). Quadratic memory;
-/// only for factor-sized graphs.
-pub fn hops_matrix(g: &CsrGraph) -> Vec<Vec<u32>> {
-    (0..g.n()).map(|v| bfs_hops(g, v)).collect()
-}
-
 /// Eccentricity of one vertex (Def. 11): `max_j hops(i, j)`;
 /// [`UNREACHABLE`] when some vertex cannot be reached.
 pub fn eccentricity(g: &CsrGraph, v: VertexId) -> u32 {
@@ -256,47 +250,6 @@ pub fn closeness(g: &CsrGraph, v: VertexId) -> f64 {
         .filter(|&h| h != UNREACHABLE)
         .map(|h| 1.0 / h as f64)
         .sum()
-}
-
-/// Per-vertex eccentricity bounds from `k` pivot BFS passes — the cheap
-/// approximation regime the paper's Fig. 1 notes ("30% of vertices may be
-/// estimating a value 1 greater than actual eccentricity").
-///
-/// Each pivot `c` with exact `ε(c)` tightens, for every `v`:
-/// `lower(v) ≥ max(d(c,v), ε(c) − d(c,v))` and `upper(v) ≤ d(c,v) + ε(c)`.
-/// Pivots are chosen as the highest-degree vertex plus a deterministic
-/// spread. Cost: `O(k (n + m))` vs the exact algorithm's data-dependent
-/// sweep count.
-pub fn eccentricity_bounds_via_pivots(g: &CsrGraph, pivots: usize) -> Vec<(u32, u32)> {
-    let n = g.n() as usize;
-    if n == 0 {
-        return vec![];
-    }
-    let mut bounds = vec![(0u32, u32::MAX); n];
-    // Pivot 1: max degree; the rest: deterministic stride over V.
-    let mut picks: Vec<VertexId> =
-        vec![(0..g.n()).max_by_key(|&v| g.degree(v)).expect("n > 0")];
-    let stride = (g.n() / pivots.max(1) as u64).max(1);
-    let mut v = 0;
-    while picks.len() < pivots && v < g.n() {
-        if !picks.contains(&v) {
-            picks.push(v);
-        }
-        v += stride;
-    }
-    for c in picks {
-        let hops = bfs_hops(g, c);
-        let ecc_c = hops.iter().copied().max().unwrap_or(UNREACHABLE);
-        if ecc_c == UNREACHABLE {
-            continue; // disconnected: bounds stay open
-        }
-        for (u, &d) in hops.iter().enumerate() {
-            let (lo, hi) = &mut bounds[u];
-            *lo = (*lo).max(d.max(ecc_c.saturating_sub(d)));
-            *hi = (*hi).min(ecc_c.saturating_add(d));
-        }
-    }
-    bounds
 }
 
 /// Summary of a graph's distance structure.
@@ -434,45 +387,6 @@ mod tests {
     }
 
     #[test]
-    fn pivot_bounds_contain_exact_eccentricities() {
-        use kron_graph::generators::barabasi_albert;
-        let g = barabasi_albert(120, 2, 5).with_full_self_loops();
-        let exact = all_eccentricities(&g);
-        for pivots in [1usize, 4, 16] {
-            let bounds = eccentricity_bounds_via_pivots(&g, pivots);
-            for (v, &(lo, hi)) in bounds.iter().enumerate() {
-                assert!(
-                    lo <= exact[v] && exact[v] <= hi,
-                    "pivots={pivots} v={v}: {} not in [{lo}, {hi}]",
-                    exact[v]
-                );
-            }
-        }
-        // More pivots resolve most small-world vertices within +1 — the
-        // paper's Fig. 1 error regime.
-        let bounds = eccentricity_bounds_via_pivots(&g, 16);
-        let near = bounds
-            .iter()
-            .zip(&exact)
-            .filter(|(&(lo, hi), _)| hi - lo <= 1)
-            .count();
-        assert!(
-            near * 10 >= 7 * bounds.len(),
-            "only {near}/{} vertices within +1",
-            bounds.len()
-        );
-    }
-
-    #[test]
-    fn pivot_bounds_edge_cases() {
-        let empty = CsrGraph::from_arcs(0, vec![]).unwrap();
-        assert!(eccentricity_bounds_via_pivots(&empty, 4).is_empty());
-        let disconnected = CsrGraph::from_arcs(3, vec![(0, 1), (1, 0)]).unwrap();
-        let bounds = eccentricity_bounds_via_pivots(&disconnected, 2);
-        assert_eq!(bounds.len(), 3);
-    }
-
-    #[test]
     fn multi_source_matches_scalar_bfs() {
         use kron_graph::generators::{barabasi_albert, erdos_renyi};
         for g in [
@@ -512,16 +426,5 @@ mod tests {
         let g = path(4);
         assert!(multi_source_bfs_distances(&g, &[]).is_empty());
         assert_eq!(multi_source_bfs_distances(&g, &[2]), vec![bfs_distances(&g, 2)]);
-    }
-
-    #[test]
-    fn hops_matrix_is_symmetric_for_undirected() {
-        let g = cycle(6).with_full_self_loops();
-        let m = hops_matrix(&g);
-        for (i, row) in m.iter().enumerate() {
-            for (j, &h) in row.iter().enumerate() {
-                assert_eq!(h, m[j][i]);
-            }
-        }
     }
 }

@@ -86,13 +86,6 @@ impl Histogram {
         self.counts.range(..=value).map(|(_, &c)| c).sum()
     }
 
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (v, c) in other.iter() {
-            self.add_count(v, c);
-        }
-    }
-
     /// Dense count vector over `0..=max` (empty when no samples).
     pub fn to_dense(&self) -> Vec<u64> {
         match self.max() {
@@ -157,10 +150,10 @@ mod tests {
     }
 
     #[test]
-    fn merge_and_add_count() {
+    fn add_count_accumulates() {
         let mut a = Histogram::from_values([1, 1]);
-        let b = Histogram::from_values([1, 2]);
-        a.merge(&b);
+        a.add_count(1, 1);
+        a.add_count(2, 1);
         assert_eq!(a.count(1), 3);
         assert_eq!(a.count(2), 1);
         assert_eq!(a.total(), 4);

@@ -11,13 +11,10 @@
 //! `kron-core` formulas are correct on materialized product graphs.
 
 pub mod artifacts;
-pub mod betweenness;
 pub mod clustering;
 pub mod community;
-pub mod directed_triangles;
 pub mod distance;
 pub mod histogram;
-pub mod labeled;
 pub mod triangles;
 
 pub use clustering::{edge_clustering, vertex_clustering};

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 
-use kron_analytics::{betweenness, clustering, distance, triangles};
+use kron_analytics::{clustering, distance, triangles};
 use kron_graph::{CsrGraph, EdgeList};
 
 /// Strategy: random undirected loop-free graph on `n` vertices.
@@ -132,30 +132,6 @@ proptest! {
         for ((u, v), xi) in clustering::edge_clustering(&g) {
             prop_assert!((0.0..=1.0 + 1e-12).contains(&xi), "edge ({u},{v}): {xi}");
         }
-    }
-
-    /// Betweenness: nonnegative; total over vertices equals Σ over pairs
-    /// of (internal path length), bounded by pairs × (n−2).
-    #[test]
-    fn betweenness_sane(g in graph(9)) {
-        let bc = betweenness::betweenness(&g);
-        let total: f64 = bc.iter().sum();
-        prop_assert!(bc.iter().all(|&x| x >= -1e-12));
-        let n = 9.0f64;
-        let max_total = n * (n - 1.0) / 2.0 * (n - 2.0);
-        prop_assert!(total <= max_total + 1e-9);
-        // Pair-sum identity: Σ_v bc(v) = Σ_{s<t, connected} (d(s,t) − 1).
-        let fw = floyd_warshall(&g);
-        let mut expected = 0.0;
-        for s in 0..9usize {
-            for t in (s + 1)..9 {
-                let d = fw[s][t];
-                if d > 0 && d < u32::MAX / 4 {
-                    expected += (d - 1) as f64;
-                }
-            }
-        }
-        prop_assert!((total - expected).abs() < 1e-9, "{} vs {}", total, expected);
     }
 
     /// Community profile quadratic-form identity.

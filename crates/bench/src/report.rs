@@ -27,12 +27,6 @@ impl Table {
         self
     }
 
-    /// Convenience for string-literal rows.
-    pub fn row_strs(&mut self, cells: &[&str]) -> &mut Self {
-        let owned: Vec<String> = cells.iter().map(|s| s.to_string()).collect();
-        self.row(&owned)
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -81,7 +75,8 @@ mod tests {
     #[test]
     fn renders_aligned() {
         let mut t = Table::new("demo", &["name", "value"]);
-        t.row_strs(&["a", "1"]).row_strs(&["longer", "22"]);
+        t.row(&["a".to_string(), "1".to_string()])
+            .row(&["longer".to_string(), "22".to_string()]);
         let s = t.to_string();
         assert!(s.contains("== demo =="));
         assert!(s.contains("name    value"));
@@ -93,6 +88,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "arity")]
     fn rejects_bad_arity() {
-        Table::new("x", &["a", "b"]).row_strs(&["only-one"]);
+        Table::new("x", &["a", "b"]).row(&["only-one".to_string()]);
     }
 }

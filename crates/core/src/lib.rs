@@ -32,17 +32,14 @@ pub mod clustering;
 pub mod closeness;
 pub mod community;
 pub mod degree;
-pub mod directed;
 pub mod distance;
 pub mod generate;
-pub mod labeled;
 pub mod pair;
 pub mod power;
 pub mod rejection;
 pub mod scaling;
 pub mod spectrum;
 pub mod triangles;
-pub mod walks;
 
 pub use pair::{KronError, KroneckerPair, SelfLoopMode};
 

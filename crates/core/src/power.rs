@@ -94,11 +94,6 @@ impl KroneckerChain {
         &self.factors
     }
 
-    /// Factors as supplied.
-    pub fn base_factors(&self) -> &[CsrGraph] {
-        &self.base
-    }
-
     /// The self-loop mode.
     pub fn mode(&self) -> SelfLoopMode {
         self.mode

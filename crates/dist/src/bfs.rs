@@ -72,34 +72,13 @@ fn key(kind: u64, level: u32, seq: u64) -> u64 {
     (kind << 60) ^ ((level as u64) << 24) ^ seq
 }
 
-/// Runs a distributed BFS from `source` over perfect channels, returning
-/// the full distance vector (`dist[source] = 0`). `owner` must match the
-/// generation run.
-pub fn distributed_bfs(
-    result: &DistResult,
-    owner: &dyn EdgeOwner,
-    n_c: u64,
-    source: VertexId,
-) -> Vec<u32> {
-    distributed_bfs_with(result, owner, n_c, source, &TransportConfig::Perfect)
-}
-
-/// [`distributed_bfs`] over an explicit transport — pass a
-/// [`TransportConfig::Faulty`] to replay the search under a seeded
-/// chaos schedule.
-pub fn distributed_bfs_with(
-    result: &DistResult,
-    owner: &dyn EdgeOwner,
-    n_c: u64,
-    source: VertexId,
-    transport: &TransportConfig,
-) -> Vec<u32> {
-    distributed_bfs_traced(result, owner, n_c, source, transport).0
-}
-
-/// [`distributed_bfs_with`] that also returns the merged per-rank event
-/// timeline — level (epoch) boundaries with durations, stash-depth
-/// samples, and every transport fault event. The timeline is empty unless
+/// Runs a distributed BFS from `source` over `transport`, returning the
+/// full distance vector (`dist[source] = 0`) and the merged per-rank
+/// event timeline — level (epoch) boundaries with durations, stash-depth
+/// samples, and every transport fault event. `owner` must match the
+/// generation run. Pass [`TransportConfig::Perfect`] for plain channels,
+/// or a [`TransportConfig::Faulty`] to replay the search under a seeded
+/// chaos schedule. The timeline is empty unless
 /// `kron_obs::events::set_enabled(true)` was on when the search started.
 pub fn distributed_bfs_traced(
     result: &DistResult,
@@ -336,6 +315,11 @@ mod tests {
     use kron_core::{KroneckerPair, SelfLoopMode};
     use kron_graph::generators::{clique, cycle, erdos_renyi, path};
 
+    /// The search over perfect channels.
+    fn bfs(result: &DistResult, owner: &dyn EdgeOwner, n_c: u64, source: VertexId) -> Vec<u32> {
+        distributed_bfs_traced(result, owner, n_c, source, &TransportConfig::Perfect).0
+    }
+
     #[test]
     fn matches_thm3_ground_truth() {
         // The validation workflow: distributed BFS distances on the
@@ -347,7 +331,7 @@ mod tests {
             let result = generate_distributed(&pair, &DistConfig::new(ranks));
             let owner = VertexBlockOwner::new(pair.n_c(), ranks);
             for source in [0u64, 7, pair.n_c() - 1] {
-                let dist = distributed_bfs(&result, &owner, pair.n_c(), source);
+                let dist = bfs(&result, &owner, pair.n_c(), source);
                 for q in 0..pair.n_c() {
                     let expected = if q == source {
                         0
@@ -370,7 +354,7 @@ mod tests {
         cfg.owner = OwnerConfig::Hash { seed: 11 };
         let result = generate_distributed(&pair, &cfg);
         let owner = HashOwner::new(3, 11);
-        let dist = distributed_bfs(&result, &owner, pair.n_c(), 0);
+        let dist = bfs(&result, &owner, pair.n_c(), 0);
         let oracle = DistanceOracle::new(&pair).unwrap();
         for q in 1..pair.n_c() {
             assert_eq!(dist[q as usize], oracle.hops_of(0, q).unwrap());
@@ -383,7 +367,7 @@ mod tests {
         let pair = KroneckerPair::as_is(clique(2), clique(2)).unwrap();
         let result = generate_distributed(&pair, &DistConfig::new(2));
         let owner = VertexBlockOwner::new(pair.n_c(), 2);
-        let dist = distributed_bfs(&result, &owner, pair.n_c(), 0);
+        let dist = bfs(&result, &owner, pair.n_c(), 0);
         assert_eq!(dist[0], 0);
         assert_eq!(dist[3], 1);
         assert_eq!(dist[1], UNREACHABLE);
@@ -400,7 +384,7 @@ mod tests {
         let result = generate_distributed(&pair, &DistConfig::new(4));
         let owner = VertexBlockOwner::new(pair.n_c(), 4);
         for source in (0..pair.n_c()).step_by(11) {
-            let distributed = distributed_bfs(&result, &owner, pair.n_c(), source);
+            let distributed = bfs(&result, &owner, pair.n_c(), source);
             let sequential = bfs_distances(&c, source);
             assert_eq!(distributed, sequential, "source {source}");
         }
@@ -412,15 +396,16 @@ mod tests {
             KroneckerPair::new(path(4), cycle(5), SelfLoopMode::FullBoth).unwrap();
         let result = generate_distributed(&pair, &DistConfig::new(3));
         let owner = VertexBlockOwner::new(pair.n_c(), 3);
-        let baseline = distributed_bfs(&result, &owner, pair.n_c(), 0);
+        let baseline = bfs(&result, &owner, pair.n_c(), 0);
         for seed in [1u64, 7, 2024] {
-            let chaotic = distributed_bfs_with(
+            let chaotic = distributed_bfs_traced(
                 &result,
                 &owner,
                 pair.n_c(),
                 0,
                 &TransportConfig::Faulty(FaultConfig::dup_reorder_only(seed)),
-            );
+            )
+            .0;
             assert_eq!(chaotic, baseline, "repro seed={seed} (dup+reorder BFS)");
         }
     }

@@ -187,24 +187,6 @@ pub struct DistResult {
 }
 
 impl DistResult {
-    /// Writes each rank's stored arcs to `dir/rank_<r>.txt` (the HavoqGT-
-    /// style per-rank output layout). Returns the written paths.
-    pub fn write_per_rank_files(
-        &self,
-        dir: &std::path::Path,
-    ) -> std::io::Result<Vec<std::path::PathBuf>> {
-        std::fs::create_dir_all(dir)?;
-        let mut paths = Vec::with_capacity(self.per_rank.len());
-        for (rank, edges) in self.per_rank.iter().enumerate() {
-            let path = dir.join(format!("rank_{rank}.txt"));
-            kron_graph::io::write_text_file(&path, edges).map_err(|e| {
-                std::io::Error::other(format!("writing rank {rank}: {e}"))
-            })?;
-            paths.push(path);
-        }
-        Ok(paths)
-    }
-
     /// Union of all ranks' stored arcs as one edge list (validation use).
     ///
     /// The product map `(i,j) ⊗ (k,l) ↦ (i·n_B+k, j·n_B+l)` is injective
@@ -323,6 +305,7 @@ pub fn generate_distributed(pair: &KroneckerPair, config: &DistConfig) -> DistRe
     kron_obs::counter!("dist.redeliveries_discarded")
         .add(stats.total_redeliveries_discarded());
     kron_obs::counter!("dist.spilled_arcs").add(stats.total_spilled_arcs());
+    kron_obs::counter!("dist.window_waits").add(stats.total_window_waits());
     let timeline = Timeline::from_recorders(recorders);
     // Expose the merged timeline to the flight-recorder panic hook and
     // trace export; skip when event recording was off (empty timeline).
@@ -336,39 +319,6 @@ pub fn generate_distributed(pair: &KroneckerPair, config: &DistConfig) -> DistRe
 enum RunPartition {
     OneD(FactorPartition),
     TwoD(GridPartition),
-}
-
-/// Materializes the per-rank shards of `C = A ⊗ B` **directly from the
-/// factors**, with no generation loop and no exchange — the structure-
-/// exploiting shortcut available exactly when the storage map is the
-/// row-contiguous [`VertexBlockOwner`]: rank `r` owns the contiguous
-/// product-row interval [`VertexBlockOwner::row_range`], so its stored
-/// shard is precisely that row block of `C`, which
-/// [`kron_core::generate::synthesize_row_block`] emits already sorted
-/// and duplicate-free from the factor CSRs.
-///
-/// The output matches what a [`generate_distributed`] run under
-/// [`OwnerConfig::VertexBlock`] stores at each rank, up to arc order
-/// (exchange arrival order is nondeterministic; this path is sorted).
-pub fn materialize_shards_direct(pair: &KroneckerPair, ranks: usize) -> Vec<EdgeList> {
-    assert!(ranks > 0, "need at least one rank");
-    let owner = VertexBlockOwner::new(pair.n_c(), ranks);
-    (0..ranks)
-        .map(|rank| {
-            let rows = owner.row_range(rank);
-            let base = rows.start;
-            let (offsets, targets) =
-                kron_core::generate::synthesize_row_block(pair, rows);
-            let mut arcs: Vec<Arc> = Vec::with_capacity(targets.len());
-            for (idx, w) in offsets.windows(2).enumerate() {
-                let p = base + idx as u64;
-                for &q in &targets[w[0]..w[1]] {
-                    arcs.push((p, q));
-                }
-            }
-            EdgeList::from_arcs_unchecked(pair.n_c(), arcs)
-        })
-        .collect()
 }
 
 /// What one rank thread hands back to the run driver.
@@ -735,8 +685,7 @@ pub struct DirectSpillResult {
 
 /// Streams the per-rank row blocks of `C` straight to sorted shard runs
 /// on disk, with **no generation loop, no exchange, and no resident edge
-/// set** — the out-of-core sibling of [`materialize_shards_direct`]:
-/// rank `r` owns the contiguous product-row interval
+/// set**: rank `r` owns the contiguous product-row interval
 /// [`VertexBlockOwner::row_range`], whose rows
 /// `kron_core::generate::for_each_synthesized_row` emits already sorted
 /// through one reused row buffer, so each rank writes its block as one
@@ -896,13 +845,29 @@ mod tests {
 
     #[test]
     fn block_owner_stores_contiguous_rows() {
-        let pair = KroneckerPair::as_is(clique(4), clique(3)).unwrap();
-        let ranks = 3;
-        let result = run(&pair, &DistConfig::new(ranks));
-        let owner = VertexBlockOwner::new(pair.n_c(), ranks);
-        for (rank, edges) in result.per_rank.iter().enumerate() {
-            for &(p, _) in edges.arcs() {
-                assert_eq!(owner.vertex_owner(p), rank, "arc at wrong rank");
+        // Each rank stores exactly its row block of C, as synthesized
+        // from the factors.
+        let pairs = [
+            KroneckerPair::as_is(clique(4), clique(3)).unwrap(),
+            KroneckerPair::with_full_self_loops(erdos_renyi(7, 0.5, 4), cycle(5)).unwrap(),
+            KroneckerPair::as_is(clique(4), path(6)).unwrap(),
+        ];
+        for pair in &pairs {
+            for ranks in [1usize, 2, 3, 5] {
+                let result = run(pair, &DistConfig::new(ranks));
+                let owner = VertexBlockOwner::new(pair.n_c(), ranks);
+                assert_eq!(result.per_rank.len(), ranks);
+                for (rank, edges) in result.per_rank.iter().enumerate() {
+                    let mut stored = edges.arcs().to_vec();
+                    stored.sort_unstable();
+                    let mut block = Vec::new();
+                    kron_core::generate::for_each_synthesized_row(
+                        pair,
+                        owner.row_range(rank),
+                        |p, row| block.extend(row.iter().map(|&q| (p, q))),
+                    );
+                    assert_eq!(stored, block, "ranks={ranks} rank={rank}");
+                }
             }
         }
     }
@@ -980,46 +945,6 @@ mod tests {
         cfg.batch_size = 1;
         let result = generate_distributed(&pair, &cfg);
         assert_eq!(result.union(pair.n_c()), reference(&pair));
-    }
-
-    #[test]
-    fn per_rank_files_roundtrip() {
-        let pair = KroneckerPair::as_is(clique(3), cycle(4)).unwrap();
-        let result = run(&pair, &DistConfig::new(3));
-        let dir = std::env::temp_dir().join("kron_dist_per_rank_test");
-        let paths = result.write_per_rank_files(&dir).unwrap();
-        assert_eq!(paths.len(), 3);
-        let mut merged = EdgeList::new(pair.n_c());
-        for path in paths {
-            let part = kron_graph::io::read_text_file(path).unwrap();
-            for &(p, q) in part.arcs() {
-                merged.add_arc(p, q).unwrap();
-            }
-        }
-        merged.sort_dedup();
-        assert_eq!(merged, reference(&pair));
-    }
-
-    #[test]
-    fn direct_shards_match_distributed_run() {
-        let pairs = [
-            KroneckerPair::with_full_self_loops(erdos_renyi(7, 0.5, 4), cycle(5)).unwrap(),
-            KroneckerPair::as_is(clique(4), path(6)).unwrap(),
-        ];
-        for pair in &pairs {
-            for ranks in [1usize, 2, 3, 5] {
-                let shards = materialize_shards_direct(pair, ranks);
-                let run = generate_distributed(pair, &DistConfig::new(ranks));
-                assert_eq!(shards.len(), run.per_rank.len());
-                for (rank, (direct, exchanged)) in
-                    shards.iter().zip(&run.per_rank).enumerate()
-                {
-                    let mut exchanged = exchanged.clone();
-                    exchanged.sort_dedup();
-                    assert_eq!(direct, &exchanged, "ranks={ranks} rank={rank}");
-                }
-            }
-        }
     }
 
     #[test]

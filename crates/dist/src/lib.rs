@@ -31,16 +31,14 @@ pub mod triangle_count;
 pub mod validate;
 
 pub use generator::{
-    generate_distributed, materialize_shards_direct, spill_shards_direct, DirectSpillResult,
-    DistConfig, DistResult, OwnerConfig, SpillConfig, StorageMode, CREDIT_WINDOW,
+    generate_distributed, spill_shards_direct, DirectSpillResult, DistConfig, DistResult,
+    OwnerConfig, SpillConfig, StorageMode, CREDIT_WINDOW,
 };
 pub use owner::{EdgeOwner, HashOwner, VertexBlockOwner};
 pub use partition::{grid_dims, FactorPartition, FactorSlice, GridPartition, PartitionScheme};
 pub use reliability::{EpochTally, ReliableEndpoint};
 pub use stats::{GenStats, RankStats};
 pub use transport::{Endpoint, FaultConfig, TransportConfig, TransportStats};
-pub use bfs::{distributed_bfs, distributed_bfs_traced, distributed_bfs_with};
-pub use triangle_count::{
-    distributed_triangle_count, distributed_triangle_count_traced, distributed_triangle_count_with,
-};
+pub use bfs::distributed_bfs_traced;
+pub use triangle_count::{distributed_triangle_count, distributed_triangle_count_traced};
 pub use validate::{validate_against_ground_truth, ValidationReport};

@@ -61,24 +61,15 @@ fn key(kind: u64, seq: u64) -> u64 {
 /// Panics if a rank stores an arc whose source it does not own (the
 /// row-push algorithm requires source-complete rows).
 pub fn distributed_triangle_count(result: &DistResult, owner: &dyn EdgeOwner) -> u64 {
-    distributed_triangle_count_with(result, owner, &TransportConfig::Perfect)
+    distributed_triangle_count_traced(result, owner, &TransportConfig::Perfect).0
 }
 
 /// [`distributed_triangle_count`] over an explicit transport — pass a
 /// [`TransportConfig::Faulty`] to replay the count under a seeded chaos
-/// schedule.
-pub fn distributed_triangle_count_with(
-    result: &DistResult,
-    owner: &dyn EdgeOwner,
-    transport: &TransportConfig,
-) -> u64 {
-    distributed_triangle_count_traced(result, owner, transport).0
-}
-
-/// [`distributed_triangle_count_with`] that also returns the merged
-/// per-rank event timeline (push/count round boundaries, dedup discards,
-/// transport fault events). Empty unless
-/// `kron_obs::events::set_enabled(true)` was on when the count started.
+/// schedule — that also returns the merged per-rank event timeline
+/// (push/count round boundaries, dedup discards, transport fault events).
+/// The timeline is empty unless `kron_obs::events::set_enabled(true)` was
+/// on when the count started.
 pub fn distributed_triangle_count_traced(
     result: &DistResult,
     owner: &dyn EdgeOwner,
@@ -324,11 +315,12 @@ mod tests {
         let owner = VertexBlockOwner::new(pair.n_c(), 4);
         let baseline = distributed_triangle_count(&result, &owner);
         for seed in [3u64, 8, 4096] {
-            let counted = distributed_triangle_count_with(
+            let counted = distributed_triangle_count_traced(
                 &result,
                 &owner,
                 &TransportConfig::Faulty(FaultConfig::dup_reorder_only(seed)),
-            );
+            )
+            .0;
             assert_eq!(counted, baseline, "repro seed={seed} (dup+reorder TC)");
         }
     }

@@ -36,30 +36,6 @@ impl EdgeList {
         Ok(EdgeList { n, arcs })
     }
 
-    /// Creates a graph from an arc vector the caller guarantees is in
-    /// range, skipping the `O(nnz)` validation scan (checked in debug
-    /// builds). Used by generators whose arcs are in range by
-    /// construction, e.g. the Kronecker product of validated factors.
-    pub fn from_arcs_unchecked(n: u64, arcs: Vec<Arc>) -> Self {
-        debug_assert!(
-            arcs.iter().all(|&(u, v)| u < n && v < n),
-            "from_arcs_unchecked given an out-of-range arc"
-        );
-        EdgeList { n, arcs }
-    }
-
-    /// Creates an **undirected** graph from unordered vertex pairs: each pair
-    /// `{u, v}` with `u != v` contributes both arcs; `u == v` contributes one
-    /// self-loop arc.
-    pub fn from_undirected_pairs(n: u64, pairs: &[(VertexId, VertexId)]) -> Result<Self> {
-        let mut g = EdgeList::new(n);
-        for &(u, v) in pairs {
-            g.add_undirected(u, v)?;
-        }
-        g.sort_dedup();
-        Ok(g)
-    }
-
     /// Number of vertices.
     pub fn n(&self) -> u64 {
         self.n
@@ -83,11 +59,6 @@ impl EdgeList {
     /// Consumes the list and returns the raw arcs.
     pub fn into_arcs(self) -> Vec<Arc> {
         self.arcs
-    }
-
-    /// Grows the vertex count (never shrinks).
-    pub fn ensure_vertices(&mut self, n: u64) {
-        self.n = self.n.max(n);
     }
 
     /// Adds a single directed arc.
@@ -190,17 +161,6 @@ impl EdgeList {
             }
         }
         Ok(out)
-    }
-
-    /// Degree vector (adjacency-row sums): each arc `(u, v)` contributes 1 to
-    /// `deg[u]`. With both arcs stored this is the undirected degree; a self
-    /// loop contributes 1.
-    pub fn out_degrees(&self) -> Vec<u64> {
-        let mut deg = vec![0u64; self.n as usize];
-        for &(u, _) in &self.arcs {
-            deg[u as usize] += 1;
-        }
-        deg
     }
 }
 
@@ -314,18 +274,5 @@ mod tests {
         let h = g.relabel(&map, 2).unwrap();
         assert_eq!(h.n(), 2);
         assert_eq!(h.arcs(), &[(0, 1), (1, 0)]);
-    }
-
-    #[test]
-    fn out_degrees_counts_row_sums() {
-        let g = EdgeList::from_arcs(3, vec![(0, 1), (1, 0), (1, 2), (2, 1), (1, 1)]).unwrap();
-        assert_eq!(g.out_degrees(), vec![1, 3, 1]);
-    }
-
-    #[test]
-    fn from_undirected_pairs_builds_symmetric() {
-        let g = EdgeList::from_undirected_pairs(4, &[(0, 1), (1, 2), (3, 3), (1, 0)]).unwrap();
-        assert!(g.is_symmetric());
-        assert_eq!(g.undirected_edge_count(), 3);
     }
 }

@@ -1,5 +1,5 @@
 //! Structural graph operations: induced subgraphs, largest connected
-//! component extraction (with relabeling), disjoint unions.
+//! component extraction (with relabeling), disjoint copies.
 
 use crate::connectivity::connected_components;
 use crate::edge_list::EdgeList;
@@ -39,19 +39,6 @@ pub fn largest_connected_component(g: &CsrGraph) -> Result<InducedSubgraph> {
             original_of: vec![],
         }),
     }
-}
-
-/// Disjoint union: vertices of `b` are shifted by `a.n()`.
-pub fn disjoint_union(a: &CsrGraph, b: &CsrGraph) -> CsrGraph {
-    let shift = a.n();
-    let mut list = EdgeList::new(a.n() + b.n());
-    for (u, v) in a.arcs() {
-        list.add_arc(u, v).expect("arcs in range");
-    }
-    for (u, v) in b.arcs() {
-        list.add_arc(u + shift, v + shift).expect("arcs in range");
-    }
-    CsrGraph::from_edge_list(&list)
 }
 
 /// Disjoint union of `k` copies of `g`.
@@ -107,18 +94,6 @@ mod tests {
         let g = CsrGraph::from_arcs(0, vec![]).unwrap();
         let lcc = largest_connected_component(&g).unwrap();
         assert_eq!(lcc.graph.n(), 0);
-    }
-
-    #[test]
-    fn disjoint_union_shifts() {
-        let a = clique(2);
-        let b = clique(3);
-        let u = disjoint_union(&a, &b);
-        assert_eq!(u.n(), 5);
-        assert_eq!(u.undirected_edge_count(), 1 + 3);
-        assert!(u.has_arc(0, 1));
-        assert!(u.has_arc(2, 3));
-        assert!(!u.has_arc(1, 2));
     }
 
     #[test]

@@ -3,12 +3,9 @@
 //!
 //! The BFS labeling in [`crate::connectivity`] is the primary path; this
 //! union–find version exists as an independently-implemented cross-check
-//! (the two are compared in tests and in the property suite) and as a
-//! building block for streaming/edge-at-a-time pipelines where BFS over a
-//! finished CSR is not available — e.g. deciding connectivity while the
-//! distributed generator is still emitting edges.
+//! (the two are compared in tests and in the property suite).
 
-use crate::{CsrGraph, VertexId};
+use crate::CsrGraph;
 
 /// Disjoint-set forest with union by rank and path halving.
 #[derive(Debug, Clone)]
@@ -74,11 +71,6 @@ impl DisjointSets {
         true
     }
 
-    /// True when `a` and `b` share a set.
-    pub fn same_set(&mut self, a: u32, b: u32) -> bool {
-        self.find(a) == self.find(b)
-    }
-
     /// Dense component labels in `0..set_count()`, assigned in order of
     /// first appearance (matching the BFS labeling convention).
     pub fn labels(&mut self) -> Vec<u32> {
@@ -109,18 +101,6 @@ pub fn connected_components_uf(g: &CsrGraph) -> crate::connectivity::Components 
     crate::connectivity::Components { labels, count: sets.set_count() as u32 }
 }
 
-/// Incremental connectivity over a stream of arcs (no graph needed).
-pub fn components_of_arc_stream(
-    n: u64,
-    arcs: impl Iterator<Item = (VertexId, VertexId)>,
-) -> usize {
-    let mut sets = DisjointSets::new(n as usize);
-    for (u, v) in arcs {
-        sets.union(u as u32, v as u32);
-    }
-    sets.set_count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,7 +111,7 @@ mod tests {
     fn singleton_sets() {
         let mut s = DisjointSets::new(4);
         assert_eq!(s.set_count(), 4);
-        assert!(!s.same_set(0, 1));
+        assert_ne!(s.find(0), s.find(1));
         assert_eq!(s.labels(), vec![0, 1, 2, 3]);
     }
 
@@ -142,8 +122,8 @@ mod tests {
         assert!(s.union(1, 2));
         assert!(!s.union(0, 2), "already merged");
         assert_eq!(s.set_count(), 3);
-        assert!(s.same_set(0, 2));
-        assert!(!s.same_set(0, 3));
+        assert_eq!(s.find(0), s.find(2));
+        assert_ne!(s.find(0), s.find(3));
     }
 
     #[test]
@@ -175,15 +155,6 @@ mod tests {
             let uf = connected_components_uf(&g);
             assert_eq!(uf, bfs, "seed {seed}");
         }
-    }
-
-    #[test]
-    fn arc_stream_counting() {
-        // Stream the arcs of 3 disjoint cliques.
-        let g = disjoint_cliques(3, 4);
-        assert_eq!(components_of_arc_stream(g.n(), g.arcs()), 3);
-        // No arcs: all singletons.
-        assert_eq!(components_of_arc_stream(5, std::iter::empty()), 5);
     }
 
     use crate::CsrGraph;

@@ -96,18 +96,6 @@ pub const fn measuring() -> bool {
     cfg!(feature = "measure-alloc")
 }
 
-/// Bytes currently live process-wide (0 without the feature).
-pub fn live_bytes() -> u64 {
-    #[cfg(feature = "measure-alloc")]
-    {
-        counting::LIVE.load(std::sync::atomic::Ordering::Relaxed).max(0) as u64
-    }
-    #[cfg(not(feature = "measure-alloc"))]
-    {
-        0
-    }
-}
-
 /// Runs `f` and reports its allocation [`Measure`]. Nests: an inner
 /// `measure` resets the shared watermark, so an outer phase's peak is
 /// accurate only up to its own high-water point — measure sibling phases,

@@ -3,7 +3,8 @@
 #
 #   1. tier-1:   cargo build --release --offline && cargo test -q --offline,
 #                then scripts/loc.sh prints the program's size (non-test
-#                lines, pub items, unsafe lines; it gates nothing), then
+#                lines, pub items, unsafe lines, caller-less pub fns; it
+#                gates nothing), then
 #                the full --workspace test pass, which the root package's
 #                own test target does not cover, and the pipeline
 #                benchmark's self-check (benchmark/ is a workspace of its

@@ -23,8 +23,8 @@ use kron_core::distance::DistanceOracle;
 use kron_core::generate::materialize;
 use kron_core::KroneckerPair;
 use kron_dist::{
-    distributed_bfs_with, distributed_triangle_count_with, generate_distributed, DistConfig,
-    FaultConfig, TransportConfig, VertexBlockOwner,
+    distributed_bfs_traced, distributed_triangle_count_traced, generate_distributed, DistConfig,
+    FaultConfig, PartitionScheme, TransportConfig, VertexBlockOwner,
 };
 use kron_graph::generators::{cycle, erdos_renyi, rmat, RmatConfig};
 use kron_graph::{CsrGraph, VertexId};
@@ -83,18 +83,20 @@ fn fingerprint(pair: &KroneckerPair) -> Fingerprint {
     let faults = FaultConfig::chaos(0xDE7E_12B1);
     let result = generate_distributed(pair, &dist_config(ranks, TransportConfig::Faulty(faults)));
     let owner = VertexBlockOwner::new(pair.n_c(), ranks);
-    let bfs = distributed_bfs_with(
+    let bfs = distributed_bfs_traced(
         &result,
         &owner,
         pair.n_c(),
         0,
         &TransportConfig::Faulty(FaultConfig::chaos(0xDE7E_12B2)),
-    );
-    let tri = distributed_triangle_count_with(
+    )
+    .0;
+    let tri = distributed_triangle_count_traced(
         &result,
         &owner,
         &TransportConfig::Faulty(FaultConfig::chaos(0xDE7E_12B3)),
-    );
+    )
+    .0;
     Fingerprint {
         csr_offsets: csr.offsets().to_vec(),
         csr_targets: csr.targets().to_vec(),
@@ -434,6 +436,34 @@ fn metrics_counters_match_ground_truth() {
         report.spans.iter().any(|s| s.path.ends_with("vertex_triangles")),
         "triangle span missing"
     );
+}
+
+#[test]
+fn registry_mirrors_window_waits() {
+    let _serial = obs_lock();
+    let _restore = ObsOffOnDrop;
+    kron_obs::reset();
+    kron_obs::set_enabled(true);
+    // One-arc batches on a 1×2 grid under the block owner: both ranks
+    // route to rank 0 first, so senders often wait on credit. How often
+    // depends on thread scheduling, so only the mirror is asserted.
+    let pair =
+        KroneckerPair::with_full_self_loops(erdos_renyi(16, 0.5, 78), erdos_renyi(16, 0.5, 79))
+            .unwrap();
+    let mut cfg = DistConfig::new(2);
+    cfg.scheme = PartitionScheme::TwoD;
+    cfg.batch_size = 1;
+    let run = generate_distributed(&pair, &cfg);
+    kron_obs::set_enabled(false);
+
+    let report = kron_obs::report::ObsReport::capture();
+    let mirrored = report
+        .metrics
+        .counters
+        .iter()
+        .find(|c| c.name == "dist.window_waits")
+        .map(|c| c.value);
+    assert_eq!(mirrored, Some(run.stats.total_window_waits()));
 }
 
 #[test]

@@ -2,17 +2,18 @@
 //!
 //! The edge set of `C = A ⊗ B` is exactly the cross product of the factor
 //! arc sets: for arcs `(i, j) ∈ A` and `(k, l) ∈ B`,
-//! `(γ(i,k), γ(j,l)) ∈ C` (Def. 1 on 0/1 adjacencies). [`ArcIter`] streams
-//! these pairs lazily off the factor CSR structures without allocating;
-//! [`materialize`] builds an explicit [`CsrGraph`] for validation at small
-//! scale via **direct CSR synthesis**: the product row `p = (i, k)` has
-//! exactly `d_A(i)·d_B(k)` targets, so the offset array is the analytic
-//! prefix sum of `d_A ⊗ d_B`, and emitting targets `j·n_B + l` with `j`
-//! outer / `l` inner writes each row already sorted — no intermediate arc
-//! `Vec` and no counting sort. The arc stream ([`arcs`] → [`EdgeList`] →
-//! [`CsrGraph::from_edge_list`]) shares no code with synthesis, which
-//! makes it the reference the equivalence suites check bit-identity
-//! against. The distributed version of this loop lives in `kron-dist`.
+//! `(γ(i,k), γ(j,l)) ∈ C` (Def. 1 on 0/1 adjacencies). So row
+//! `p = (i, k)` of `C` is `j·n_B + l` over `j ∈ N_A(i)`, `l ∈ N_B(k)`:
+//! sorted and duplicate-free with `j` outer and `l` inner, as `l < n_B`.
+//!
+//! Only two entry points over a pair of factor rows form a product
+//! target: [`fill_product_row`] writes a row into a slice (for
+//! [`materialize`], [`for_each_synthesized_row`] and `kron-serve`'s
+//! Neighbors reply) and [`for_each_product_target`] visits each target
+//! (for `kron-dist`'s rank loop). [`arcs`] ([`ArcIter`]) streams the
+//! same arcs factor-major through [`KroneckerPair::join`], sharing no
+//! code with them: it is the reference the equivalence suites check
+//! against (`arcs` → [`EdgeList`] → [`CsrGraph::from_edge_list`]).
 //!
 //! [`EdgeList`]: kron_graph::EdgeList
 
@@ -120,23 +121,47 @@ pub fn arcs(pair: &KroneckerPair) -> ArcIter<'_> {
     ArcIter::new(pair)
 }
 
-/// Calls `visit(p, q)` for every arc of `C` without collecting factor arcs
-/// (the zero-allocation inner loop used by throughput benchmarks).
-pub fn for_each_arc<F: FnMut(u64, u64)>(pair: &KroneckerPair, mut visit: F) {
-    let a = pair.a();
-    let b = pair.b();
-    let nb = b.n();
-    for i in 0..a.n() {
-        for &j in a.neighbors(i) {
-            // `KroneckerPair::new` checked n_A·n_B ≤ u64::MAX, so these
-            // cannot wrap; checked_mul keeps that contract explicit.
-            let row_base = i.checked_mul(nb).expect("product index fits u64");
-            let col_base = u64::from(j).checked_mul(nb).expect("product index fits u64");
-            for k in 0..b.n() {
-                for &l in b.neighbors(k) {
-                    visit(row_base + k, col_base + u64::from(l));
-                }
-            }
+/// Writes row `p = (i, k)` of `C`, from the factor rows `row_a = N_A(i)`
+/// and `row_b = N_B(k)`, into `out`, which must hold exactly
+/// `|row_a|·|row_b|` cells: cell `x·|row_b| + y` gets
+/// `put(cell, row_a[x]·n_B + row_b[y])`, so the row lands sorted. `put`
+/// picks the encoding (a `u32` or `u64` id, little-endian bytes).
+#[inline]
+pub fn fill_product_row<T, F: FnMut(&mut T, u64)>(
+    row_a: &[u32],
+    row_b: &[u32],
+    n_b: u64,
+    out: &mut [T],
+    mut put: F,
+) {
+    assert_eq!(out.len(), row_a.len() * row_b.len(), "row span must fit the product row");
+    if row_b.is_empty() {
+        return;
+    }
+    for (cells, &j) in out.chunks_exact_mut(row_b.len()).zip(row_a) {
+        let base = u64::from(j) * n_b;
+        for (cell, &l) in cells.iter_mut().zip(row_b) {
+            put(cell, base + u64::from(l));
+        }
+    }
+}
+
+/// Calls `visit(q)` for every target of the product row over `row_a`
+/// and `row_b`, in [`fill_product_row`]'s increasing order, storing
+/// nothing: a caller that routes each arc as it is made holds no row.
+/// Always inlined, so the `kron-dist` rank loop's per-arc `emit` is
+/// compiled into one loop body with it (plain `#[inline]` ran slower).
+#[inline(always)]
+pub fn for_each_product_target<F: FnMut(u64)>(
+    row_a: &[u32],
+    row_b: &[u32],
+    n_b: u64,
+    mut visit: F,
+) {
+    for &j in row_a {
+        let base = u64::from(j) * n_b;
+        for &l in row_b {
+            visit(base + u64::from(l));
         }
     }
 }
@@ -161,45 +186,15 @@ fn product_offsets(pair: &KroneckerPair) -> Vec<usize> {
     offsets
 }
 
-/// Fills the target array of every product row `p = (i, k)` at its
-/// analytic offset.
-///
-/// For a fixed row, targets `j·n_B + l` are emitted with `j` outer
-/// (ascending over `A`'s sorted row) and `l` inner (ascending over `B`'s
-/// sorted row). Since `l < n_B`, consecutive targets are strictly
-/// increasing across the whole row — each row lands already sorted and
-/// duplicate-free, which is what lets [`CsrGraph::from_sorted_parts`]
-/// skip the counting sort entirely. Every target is below `n_C`, which
-/// [`materialize`] checked is at most 2^32, so the `u32` store is exact.
-fn fill_product_rows(pair: &KroneckerPair, offsets: &[usize], out: &mut [u32]) {
-    let a = pair.a();
-    let b = pair.b();
-    let nb = b.n();
-    for i in 0..a.n() {
-        let row_a = a.neighbors(i);
-        for k in 0..nb {
-            let p = (i * nb + k) as usize;
-            let mut w = offsets[p];
-            let row_b = b.neighbors(k);
-            for &j in row_a {
-                let col_base = u64::from(j) * nb;
-                for &l in row_b {
-                    out[w] = (col_base + u64::from(l)) as u32;
-                    w += 1;
-                }
-            }
-        }
-    }
-}
-
 /// Materializes `C` as an explicit CSR graph, built **directly from the
 /// factor CSRs** — no intermediate arc `Vec`, no counting sort.
 ///
-/// Offsets come from the analytic prefix sum of `d_A ⊗ d_B`; each row is
-/// emitted already sorted (see [`fill_product_rows`]' ordering argument),
-/// so the result is field-for-field identical to
-/// `CsrGraph::from_edge_list` over the product arc stream while doing
-/// `O(nnz_C)` writes straight into the output.
+/// Offsets come from the analytic prefix sum of `d_A ⊗ d_B`, and
+/// [`fill_product_row`] writes each row's span of the target array in
+/// place, already sorted. So the result is field-for-field identical to
+/// `CsrGraph::from_edge_list` over the product arc stream, from
+/// `O(nnz_C)` writes straight into the output. Every target is below
+/// `n_C`, checked here to be at most 2^32, so the `u32` store is exact.
 ///
 /// Memory is `4·nnz_C + 8·(n_C + 1)` bytes, after a transient
 /// `n_B`-entry degree table — intended for validation-scale products
@@ -213,49 +208,21 @@ pub fn materialize(pair: &KroneckerPair) -> CsrGraph {
     kron_obs::counter!("core.synthesized_arcs").add(total as u64);
     let offsets = product_offsets(pair);
     let mut targets = vec![0u32; total as usize];
-    fill_product_rows(pair, &offsets, &mut targets);
-    CsrGraph::from_sorted_parts(pair.n_c(), offsets, targets)
-}
-
-/// Synthesizes the CSR rows of `C` for the contiguous product-row range
-/// `rows` only: returns `(offsets, targets)` with offsets local to the
-/// block (`offsets[0] == 0`, `rows.len() + 1` entries) and global column
-/// ids. The block boundary may cut inside an `A`-row's span, so rows are
-/// addressed as `p = (i, k)` individually.
-///
-/// This is what lets a row-contiguous storage owner (`VertexBlockOwner`)
-/// materialize each rank's shard straight from the factors — no
-/// generation loop, no exchange.
-pub fn synthesize_row_block(
-    pair: &KroneckerPair,
-    rows: std::ops::Range<u64>,
-) -> (Vec<usize>, Vec<u64>) {
-    assert!(rows.end <= pair.n_c(), "row range exceeds n_C");
-    let a = pair.a();
-    let b = pair.b();
-    let nb = b.n();
-    let mut offsets = Vec::with_capacity((rows.end - rows.start) as usize + 1);
-    offsets.push(0usize);
-    let mut cursor = 0usize;
-    for p in rows.clone() {
-        let (i, k) = pair.split(p);
-        cursor += (a.degree(i) * b.degree(k)) as usize;
-        offsets.push(cursor);
-    }
-    let mut targets = vec![0u64; cursor];
-    for (idx, p) in rows.enumerate() {
-        let (i, k) = pair.split(p);
-        let mut w = offsets[idx];
-        let row_b = b.neighbors(k);
-        for &j in a.neighbors(i) {
-            let col_base = u64::from(j) * nb;
-            for &l in row_b {
-                targets[w] = col_base + u64::from(l);
-                w += 1;
-            }
+    let (a, b) = (pair.a(), pair.b());
+    let n_b = b.n();
+    // Rows are consecutive spans of `targets` in `p` order, so each row
+    // splits its span off the front of what is left.
+    let mut rest = targets.as_mut_slice();
+    for i in 0..a.n() {
+        let row_a = a.neighbors(i);
+        for k in 0..n_b {
+            let row_b = b.neighbors(k);
+            let (row, tail) = std::mem::take(&mut rest).split_at_mut(row_a.len() * row_b.len());
+            fill_product_row(row_a, row_b, n_b, row, |cell, q| *cell = q as u32);
+            rest = tail;
         }
     }
-    (offsets, targets)
+    CsrGraph::from_sorted_parts(pair.n_c(), offsets, targets)
 }
 
 /// Streams the sorted target row of every product row `p ∈ rows` to
@@ -263,29 +230,23 @@ pub fn synthesize_row_block(
 /// out-of-core synthesis primitive: resident memory is the largest single
 /// product row (`max d_A(i) · max d_B(k)` targets), never the block.
 ///
-/// Row ordering and content are identical to [`synthesize_row_block`]
-/// over the same range; the shard spill path streams these rows straight
-/// to disk so a `C` that cannot fit in RAM never has to.
+/// Rows are those of [`materialize`], with `u64` ids; the shard spill
+/// path streams them straight to disk so a `C` that cannot fit in RAM
+/// never has to.
 pub fn for_each_synthesized_row<F: FnMut(u64, &[u64])>(
     pair: &KroneckerPair,
     rows: std::ops::Range<u64>,
     mut visit: F,
 ) {
     assert!(rows.end <= pair.n_c(), "row range exceeds n_C");
-    let a = pair.a();
-    let b = pair.b();
-    let nb = b.n();
+    let (a, b) = (pair.a(), pair.b());
+    let n_b = b.n();
     let mut row_buf: Vec<u64> = Vec::new();
     for p in rows {
         let (i, k) = pair.split(p);
-        row_buf.clear();
-        let row_b = b.neighbors(k);
-        for &j in a.neighbors(i) {
-            let col_base = u64::from(j) * nb;
-            for &l in row_b {
-                row_buf.push(col_base + u64::from(l));
-            }
-        }
+        let (row_a, row_b) = (a.neighbors(i), b.neighbors(k));
+        row_buf.resize(row_a.len() * row_b.len(), 0);
+        fill_product_row(row_a, row_b, n_b, &mut row_buf, |cell, q| *cell = q);
         visit(p, &row_buf);
     }
 }
@@ -346,14 +307,32 @@ mod tests {
     }
 
     #[test]
-    fn iterator_and_closure_agree() {
-        let pair = KroneckerPair::with_full_self_loops(path(3), clique(3)).unwrap();
-        let mut via_iter: Vec<_> = arcs(&pair).collect();
-        let mut via_closure = Vec::new();
-        for_each_arc(&pair, |p, q| via_closure.push((p, q)));
-        via_iter.sort_unstable();
-        via_closure.sort_unstable();
-        assert_eq!(via_iter, via_closure);
+    fn entry_points_agree_on_every_row() {
+        for mode in [SelfLoopMode::AsIs, SelfLoopMode::FullBoth] {
+            for (a, b) in [(star(5), cycle(4)), (clique(3), path(4))] {
+                let pair = KroneckerPair::new(a, b, mode).unwrap();
+                let c = materialize(&pair);
+                let n_b = pair.b().n();
+                for p in 0..pair.n_c() {
+                    let (i, k) = pair.split(p);
+                    let (row_a, row_b) = (pair.a().neighbors(i), pair.b().neighbors(k));
+                    let mut filled = vec![0u64; row_a.len() * row_b.len()];
+                    fill_product_row(row_a, row_b, n_b, &mut filled, |cell, q| *cell = q);
+                    let mut visited = Vec::new();
+                    for_each_product_target(row_a, row_b, n_b, |q| visited.push(q));
+                    assert_eq!(filled, visited, "mode={mode:?} row {p}");
+                    let stored: Vec<u64> = c.neighbors(p).iter().map(|&q| q.into()).collect();
+                    assert_eq!(filled, stored, "mode={mode:?} row {p}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "row span must fit the product row")]
+    fn fill_product_row_rejects_a_short_span() {
+        let mut out = [0u64; 3];
+        fill_product_row(&[0, 1], &[0, 2], 3, &mut out, |cell, q| *cell = q);
     }
 
     #[test]
@@ -424,40 +403,25 @@ mod tests {
     }
 
     #[test]
-    fn row_block_synthesis_covers_the_whole_product() {
+    fn streamed_rows_match_materialize() {
         let pair = KroneckerPair::with_full_self_loops(star(4), cycle(5)).unwrap();
         let c = materialize(&pair);
-        // Any split of the row space reassembles to the full CSR.
-        for cut in [0u64, 1, 7, pair.n_c() / 2, pair.n_c()] {
-            let (off_lo, tgt_lo) = synthesize_row_block(&pair, 0..cut);
-            let (off_hi, tgt_hi) = synthesize_row_block(&pair, cut..pair.n_c());
-            assert_eq!(off_lo.len() as u64 + off_hi.len() as u64, pair.n_c() + 2);
-            let mut offsets = off_lo.clone();
-            offsets.pop();
-            offsets.extend(off_hi.iter().map(|&o| o + tgt_lo.len()));
-            let targets = tgt_lo.iter().chain(&tgt_hi).map(|&v| v as u32).collect();
-            let rebuilt = CsrGraph::from_sorted_parts(pair.n_c(), offsets, targets);
-            assert_eq!(rebuilt, c, "cut={cut}");
+        let n_c = pair.n_c();
+        // Whole, inner, empty and last-row ranges, and both halves of
+        // every split of the row space, stream exactly C's rows in order.
+        let mut ranges = vec![0..n_c, 3..11, 0..0, n_c - 1..n_c];
+        for cut in [0u64, 1, 7, n_c / 2, n_c] {
+            ranges.extend([0..cut, cut..n_c]);
         }
-    }
-
-    #[test]
-    fn streamed_rows_match_block_synthesis() {
-        let pair = KroneckerPair::with_full_self_loops(star(4), cycle(5)).unwrap();
-        for range in [0..pair.n_c(), 3..11, 0..0, pair.n_c() - 1..pair.n_c()] {
-            let (offsets, targets) = synthesize_row_block(&pair, range.clone());
-            let mut streamed_offsets = vec![0usize];
-            let mut streamed_targets = Vec::new();
+        for range in ranges {
             let mut expected_p = range.start;
             for_each_synthesized_row(&pair, range.clone(), |p, row| {
                 assert_eq!(p, expected_p, "rows must stream in order");
                 expected_p += 1;
-                streamed_targets.extend_from_slice(row);
-                streamed_offsets.push(streamed_targets.len());
+                let stored: Vec<u64> = c.neighbors(p).iter().map(|&q| q.into()).collect();
+                assert_eq!(row, stored.as_slice(), "range={range:?} row {p}");
             });
-            assert_eq!(expected_p, range.end);
-            assert_eq!(streamed_offsets, offsets, "range={range:?}");
-            assert_eq!(streamed_targets, targets, "range={range:?}");
+            assert_eq!(expected_p, range.end, "range={range:?}");
         }
     }
 

@@ -77,9 +77,11 @@ impl<'a> RejectionFamily<'a> {
 
     /// Streams the arcs of `G_{C,ν}` (one generation pass, Def. 8 filter).
     pub fn for_each_arc<F: FnMut(VertexId, VertexId)>(&self, nu: f64, mut visit: F) {
-        generate::for_each_arc(self.pair, |p, q| {
-            if self.hash.keeps(p, q, nu) {
-                visit(p, q);
+        generate::for_each_synthesized_row(self.pair, 0..self.pair.n_c(), |p, row| {
+            for &q in row {
+                if self.hash.keeps(p, q, nu) {
+                    visit(p, q);
+                }
             }
         });
     }
@@ -95,10 +97,12 @@ impl<'a> RejectionFamily<'a> {
     /// (the paper's joint-generation trick, applied to edges).
     pub fn arc_counts(&self, thresholds: &[f64]) -> Vec<u64> {
         let mut counts = vec![0u64; thresholds.len()];
-        generate::for_each_arc(self.pair, |p, q| {
-            let h = self.hash.hash01(p, q);
-            for (idx, &nu) in thresholds.iter().enumerate() {
-                counts[idx] += u64::from(h <= nu);
+        generate::for_each_synthesized_row(self.pair, 0..self.pair.n_c(), |p, row| {
+            for &q in row {
+                let h = self.hash.hash01(p, q);
+                for (idx, &nu) in thresholds.iter().enumerate() {
+                    counts[idx] += u64::from(h <= nu);
+                }
             }
         });
         counts

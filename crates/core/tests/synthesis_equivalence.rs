@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use kron_analytics::Histogram;
 use kron_core::closeness::{closeness_batch, closeness_fast};
 use kron_core::distance::DistanceOracle;
-use kron_core::generate::{arcs, materialize, synthesize_row_block};
+use kron_core::generate::{arcs, for_each_synthesized_row, materialize};
 use kron_core::triangles::TriangleOracle;
 use kron_core::{KroneckerPair, SelfLoopMode};
 use kron_graph::{CsrGraph, EdgeList};
@@ -36,8 +36,8 @@ fn arc_oracle(pair: &KroneckerPair) -> CsrGraph {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Direct synthesis (whole and row-block) equals the arc-stream oracle
-    /// exactly, in both self-loop modes.
+    /// Direct synthesis (whole and streamed by rows) equals the arc-stream
+    /// oracle exactly, in both self-loop modes.
     #[test]
     fn synthesis_matches_arc_path(
         raw_a in raw_arcs(6, 24),
@@ -50,18 +50,21 @@ proptest! {
             let pair = KroneckerPair::new(a.clone(), b.clone(), mode).unwrap();
             let reference = arc_oracle(&pair);
             prop_assert_eq!(&materialize(&pair), &reference, "direct synthesis");
-            // A random two-way row split reassembles into the full CSR.
+            // A random two-way row split, streamed row by row, reassembles
+            // into the full CSR.
             let n_c = pair.n_c();
             let cut = cut_num * n_c / 8;
-            let (mut off, mut tgt) = synthesize_row_block(&pair, 0..cut);
-            let (off_hi, tgt_hi) = synthesize_row_block(&pair, cut..n_c);
-            off.pop();
-            off.extend(off_hi.iter().map(|o| o + tgt.len()));
-            tgt.extend_from_slice(&tgt_hi);
-            prop_assert_eq!(off.as_slice(), reference.offsets(), "block offsets, cut={}", cut);
+            let (mut off, mut tgt) = (vec![0usize], Vec::new());
+            for range in [0..cut, cut..n_c] {
+                for_each_synthesized_row(&pair, range, |_, row| {
+                    tgt.extend_from_slice(row);
+                    off.push(tgt.len());
+                });
+            }
+            prop_assert_eq!(off.as_slice(), reference.offsets(), "streamed offsets, cut={}", cut);
             let reference_targets: Vec<u64> =
                 reference.targets().iter().map(|&v| u64::from(v)).collect();
-            prop_assert_eq!(tgt, reference_targets, "block targets, cut={}", cut);
+            prop_assert_eq!(tgt, reference_targets, "streamed targets, cut={}", cut);
         }
     }
 

@@ -1,7 +1,7 @@
 //! The distributed generation engine.
 //!
 //! Each simulated rank runs on its own thread and executes §III's loop:
-//! generate the arcs of its work cells `C_r = A_r ⊗ B_r`, look up each
+//! generate the arcs of its work cell `C_r = A_r ⊗ B_r`, look up each
 //! arc's storage owner, batch arcs per destination, and exchange batches
 //! over an all-to-all [`crate::transport`] mesh (the stand-in for
 //! HavoqGT's asynchronous MPI communication). The exchange rides the
@@ -21,11 +21,12 @@
 //! draining until an ack frees a slot. Resident exchange memory is thus
 //! bounded by the window (see [`CREDIT_WINDOW`]), never by `|E_C|`.
 //!
-//! Both generation loops emit a rank's arcs in increasing `(p, q)` order,
-//! and each link delivers in order, so the arcs one source sends one
-//! owner arrive as a sorted stream. A spilling rank writes each source's
-//! stream straight to its own shard run: no run buffer and no sort, and
-//! at most `ranks` runs per rank.
+//! Both schemes run one generation loop over the rank's cell of a
+//! [`GridPartition`] (1D is its `R × 1` case). It emits the rank's arcs
+//! in increasing `(p, q)` order, and each link delivers in order, so the
+//! arcs one source sends one owner arrive as a sorted stream. A spilling
+//! rank writes each source's stream straight to its own shard run: no
+//! run buffer and no sort, and at most `ranks` runs per rank.
 //!
 //! The credit wait cannot deadlock. A waiting rank drains, stores and
 //! acks everything delivered to it, so it keeps serving the peers that
@@ -39,6 +40,7 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
+use kron_core::generate::for_each_product_target;
 use kron_core::KroneckerPair;
 use kron_graph::shard::ShardWriter;
 use kron_graph::{Arc, EdgeList};
@@ -46,7 +48,7 @@ use kron_obs::events::Timeline;
 use kron_obs::metrics::{LocalCounter, LocalRegistry};
 
 use crate::owner::{DelegateOwner, EdgeOwner, HashOwner, VertexBlockOwner};
-use crate::partition::{FactorPartition, GridPartition, PartitionScheme};
+use crate::partition::{GridPartition, PartitionScheme};
 use crate::reliability::{Packet, ReliableEndpoint};
 use crate::stats::{GenStats, RankStats};
 use crate::transport::{Endpoint, TransportConfig};
@@ -239,18 +241,9 @@ pub fn generate_distributed(pair: &KroneckerPair, config: &DistConfig) -> DistRe
     if let Some(spill) = &config.spill {
         std::fs::create_dir_all(&spill.dir).expect("create spill directory");
     }
-    // 1D deals the factor *arc lists* (B replicated); 2D gives each rank
-    // only its row-contiguous CSR slices of both factors.
-    let partition = match config.scheme {
-        PartitionScheme::OneD => {
-            let a_arcs: Vec<Arc> = pair.a().arcs().collect();
-            let b_arcs: Vec<Arc> = pair.b().arcs().collect();
-            RunPartition::OneD(FactorPartition::new(config.scheme, config.ranks, &a_arcs, &b_arcs))
-        }
-        PartitionScheme::TwoD => {
-            RunPartition::TwoD(GridPartition::new(pair.a(), pair.b(), config.ranks))
-        }
-    };
+    // Each rank holds only its CSR slices of the two factors: 2D splits
+    // both, 1D deals A's arcs and shares one whole-B slice.
+    let grid = GridPartition::new(config.scheme, pair.a(), pair.b(), config.ranks);
 
     let owner: Box<dyn EdgeOwner + Send + Sync> = match config.owner {
         OwnerConfig::VertexBlock => Box::new(VertexBlockOwner::new(pair.n_c(), config.ranks)),
@@ -274,12 +267,8 @@ pub fn generate_distributed(pair: &KroneckerPair, config: &DistConfig) -> DistRe
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(config.ranks);
         for ep in endpoints {
-            let partition = &partition;
-            let cfg = config;
-            handles.push(scope.spawn(move || match partition {
-                RunPartition::OneD(p) => run_rank(ep, p, owner, cfg, n_b, pair.n_c()),
-                RunPartition::TwoD(g) => run_rank_2d(ep, g, owner, cfg, n_b, pair.n_c()),
-            }));
+            let grid = &grid;
+            handles.push(scope.spawn(move || run_rank(ep, grid, owner, config, n_b, pair.n_c())));
         }
         for handle in handles {
             per_rank.push(handle.join().expect("rank thread panicked"));
@@ -313,12 +302,6 @@ pub fn generate_distributed(pair: &KroneckerPair, config: &DistConfig) -> DistRe
         kron_obs::events::publish_timeline(&timeline);
     }
     DistResult { per_rank: edges, shard_runs, stats, timeline }
-}
-
-/// The partition structure a run executes on, per scheme.
-enum RunPartition {
-    OneD(FactorPartition),
-    TwoD(GridPartition),
 }
 
 /// What one rank thread hands back to the run driver.
@@ -395,12 +378,10 @@ impl RankStore {
     }
 }
 
-/// The per-rank exchange engine shared by the 1D and 2D generation
-/// loops: owner routing, batch outboxes with buffer recycling, the
-/// periodic drain and credit window, the Done protocol, and the
-/// memory-or-spill store. Generation loops differ only in how they
-/// enumerate `(p, q)`; they call [`Exchange::emit`] per arc and
-/// [`Exchange::finish`] once.
+/// The per-rank exchange engine behind the generation loop: owner
+/// routing, batch outboxes with buffer recycling, the periodic drain and
+/// credit window, the Done protocol, and the memory-or-spill store. The
+/// loop calls [`Exchange::emit`] per arc and [`Exchange::finish`] once.
 struct Exchange<'a> {
     link: ReliableEndpoint<Message>,
     rank: usize,
@@ -593,46 +574,12 @@ impl<'a> Exchange<'a> {
     }
 }
 
+/// One rank's generation loop, for both schemes: rank `r` holds only its
+/// grid cell's factor slices `A_x` and `B_y` and synthesizes the product
+/// tile `A_x ⊗ B_y` **row by row in sorted order** — for each product row
+/// `p = (i, k)`, `for_each_product_target` yields the targets in
+/// increasing order — routing every arc through the reliable exchange.
 fn run_rank(
-    ep: Endpoint<Packet<Message>>,
-    partition: &FactorPartition,
-    owner: &(dyn EdgeOwner + Send + Sync),
-    config: &DistConfig,
-    n_b: u64,
-    n_c: u64,
-) -> RankOutput {
-    let rank = ep.rank();
-    let mut ex = Exchange::new(ep, owner, config, n_c);
-    // Generation phase: multiply this rank's work cell (1D deals one per
-    // rank). Both arc lists are in CSR order, so walking A's rows `i`,
-    // then B's rows `k`, then `j`, then `l` emits in increasing `(p, q)`.
-    let same_row = |x: &Arc, y: &Arc| x.0 == y.0;
-    for cell in partition.cells_of(rank) {
-        ex.add_factor_arcs((cell.a_arcs.len() + cell.b_arcs.len()) as u64);
-        for row_a in cell.a_arcs.chunk_by(same_row) {
-            let row_base = row_a[0].0 * n_b;
-            for row_b in cell.b_arcs.chunk_by(same_row) {
-                let p = row_base + row_b[0].0;
-                for &(_, j) in row_a {
-                    let col_base = j * n_b;
-                    for &(_, l) in row_b {
-                        ex.emit(p, col_base + l);
-                    }
-                }
-            }
-        }
-    }
-    ex.finish()
-}
-
-/// The 2D generation loop (Rem. 1 made real): rank `(x, y)` holds only
-/// the row slices `A_x`, `B_y` and synthesizes its product tile
-/// `A_x ⊗ B_y` **row by row in sorted order** — for each product row
-/// `p = (i, k)` the targets `j·n_B + l` are emitted `j`-outer / `l`-inner
-/// over the sorted slice rows, exactly the
-/// `kron_core::generate::synthesize_row_block` emission order — and
-/// routes every arc through the same reliable exchange as the 1D path.
-fn run_rank_2d(
     ep: Endpoint<Packet<Message>>,
     grid: &GridPartition,
     owner: &(dyn EdgeOwner + Send + Sync),
@@ -650,19 +597,9 @@ fn run_rank_2d(
         if row_a.is_empty() {
             continue;
         }
-        let row_base = i * n_b;
         for k in b_slice.rows() {
-            let row_b = b_slice.neighbors(k);
-            if row_b.is_empty() {
-                continue;
-            }
-            let p = row_base + k;
-            for &j in row_a {
-                let col_base = u64::from(j) * n_b;
-                for &l in row_b {
-                    ex.emit(p, col_base + u64::from(l));
-                }
-            }
+            let p = i * n_b + k;
+            for_each_product_target(row_a, b_slice.neighbors(k), n_b, |q| ex.emit(p, q));
         }
     }
     ex.finish()

@@ -15,12 +15,9 @@
 //!
 //! Arcs are dealt round-robin by index, which keeps sorted input balanced.
 //!
-//! [`FactorPartition`] is the *analytic* model (arc lists dealt to work
-//! cells — what `table3_partition` sweeps); [`GridPartition`] is the
-//! *execution* structure the real 2D generator runs on: a divisor grid
-//! `R_a × R_b = R` of row-contiguous factor **slices**, one cell per
-//! rank, so each rank holds only its CSR slice of `A` and of `B` and can
-//! synthesize its product tile row-by-row in sorted order.
+//! [`FactorPartition`] is Table 3's *analytic* model: arc lists dealt to
+//! work cells, swept to rank counts no run spawns. [`GridPartition`] is
+//! what the generator executes, for both schemes: 1D is its `R × 1` case.
 
 use std::ops::Range;
 
@@ -157,7 +154,8 @@ impl FactorPartition {
 /// is exactly `ranks` (one cell per rank, no cell dealt twice, no rank
 /// idle) and the grid is as close to square as the divisor structure
 /// allows: 4 → 2×2, 8 → 2×4, 12 → 3×4. A prime `ranks` degenerates to
-/// `1 × ranks`, which is the 1D layout — the price of exact cover.
+/// `1 × ranks`, the 1D layout with the factors' roles swapped — the
+/// price of exact cover.
 pub fn grid_dims(ranks: usize) -> (usize, usize) {
     assert!(ranks > 0, "need at least one rank");
     let mut r_a = 1;
@@ -171,9 +169,10 @@ pub fn grid_dims(ranks: usize) -> (usize, usize) {
     (r_a, ranks / r_a)
 }
 
-/// A row-contiguous CSR slice of one factor: the rows in `rows` with
-/// offsets rebased to the slice (`offsets[0] == 0`) and the factor's
-/// `u32` neighbor ids. This is *all* of that factor a 2D rank holds.
+/// A CSR slice of one factor: rows `rows` (whole rows of a range, or a
+/// 1D rank's dealt share of every row), offsets rebased to the slice
+/// (`offsets[0] == 0`), `u32` neighbor ids. It is *all* a rank holds of
+/// that factor.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FactorSlice {
     rows: Range<u64>,
@@ -191,6 +190,20 @@ impl FactorSlice {
             g.offsets()[start..=end].iter().map(|&o| o - base).collect();
         let targets = g.targets()[base..g.offsets()[end]].to_vec();
         FactorSlice { rows, offsets, targets }
+    }
+
+    /// The arcs of `g` whose CSR index is `part` mod `parts`: what
+    /// [`FactorPartition`]'s 1D scheme deals rank `part`, rows still sorted.
+    fn dealt(g: &CsrGraph, part: usize, parts: usize) -> Self {
+        let mut offsets = Vec::with_capacity(g.n() as usize + 1);
+        let mut targets = Vec::with_capacity(g.nnz() / parts + 1);
+        offsets.push(0);
+        for span in g.offsets().windows(2) {
+            let dealt = (span[0]..span[1]).filter(|idx| idx % parts == part);
+            targets.extend(dealt.map(|idx| g.targets()[idx]));
+            offsets.push(targets.len());
+        }
+        FactorSlice { rows: 0..g.n(), offsets, targets }
     }
 
     /// The factor rows this slice covers.
@@ -228,14 +241,15 @@ fn split_rows_by_arcs(g: &CsrGraph, parts: usize) -> Vec<Range<u64>> {
     bounds.windows(2).map(|w| w[0]..w[1]).collect()
 }
 
-/// Rem. 1's 2D partition as the real generator executes it: ranks form a
-/// [`grid_dims`] grid, `A`'s rows are split into `R_a` arc-balanced
-/// contiguous slices and `B`'s into `R_b`, and rank `r` at grid
-/// coordinate `(x, y) = (r mod R_a, ⌊r / R_a⌋)` holds **only**
-/// `A_x` and `B_y` — per-rank factor storage `|E_A|/R_a + |E_B|/R_b`,
-/// never a full factor. Its work cell is the product tile
-/// `A_x ⊗ B_y`, and the tiles cover `C` exactly once because the row
-/// slices do.
+/// The partition the generator executes: an `R_a × R_b = R` grid where
+/// rank `r` at `(x, y) = (r mod R_a, ⌊r / R_a⌋)` holds **only** the
+/// slices `A_x` and `B_y` and generates the tile `A_x ⊗ B_y`. The tiles
+/// cover `C` exactly once because each factor's slices partition its arcs.
+/// 2D (Rem. 1) is a [`grid_dims`] grid of arc-balanced row ranges, so a
+/// rank holds `|E_A|/R_a + |E_B|/R_b` factor arcs, never a full factor.
+/// 1D (§III) is the `R × 1` grid: rank `r`'s `A` slice is
+/// [`FactorPartition`]'s deal (CSR index ≡ `r` mod `R`), and its `B`
+/// slice is `B` whole, one slice every rank shares.
 #[derive(Debug, Clone)]
 pub struct GridPartition {
     ranks: usize,
@@ -246,13 +260,25 @@ pub struct GridPartition {
 }
 
 impl GridPartition {
-    /// Builds the grid partition of `a` and `b` over `ranks` ranks.
-    pub fn new(a: &CsrGraph, b: &CsrGraph, ranks: usize) -> Self {
-        let (r_a, r_b) = grid_dims(ranks);
-        let a_slices =
-            split_rows_by_arcs(a, r_a).into_iter().map(|r| FactorSlice::of(a, r)).collect();
-        let b_slices =
-            split_rows_by_arcs(b, r_b).into_iter().map(|r| FactorSlice::of(b, r)).collect();
+    /// Builds the `scheme` partition of `a` and `b` over `ranks` ranks.
+    pub fn new(scheme: PartitionScheme, a: &CsrGraph, b: &CsrGraph, ranks: usize) -> Self {
+        assert!(ranks > 0, "need at least one rank");
+        let (r_a, r_b, a_slices, b_slices) = match scheme {
+            PartitionScheme::OneD => (
+                ranks,
+                1,
+                (0..ranks).map(|r| FactorSlice::dealt(a, r, ranks)).collect(),
+                vec![FactorSlice::of(b, 0..b.n())],
+            ),
+            PartitionScheme::TwoD => {
+                let (r_a, r_b) = grid_dims(ranks);
+                let a_slices =
+                    split_rows_by_arcs(a, r_a).into_iter().map(|r| FactorSlice::of(a, r)).collect();
+                let b_slices =
+                    split_rows_by_arcs(b, r_b).into_iter().map(|r| FactorSlice::of(b, r)).collect();
+                (r_a, r_b, a_slices, b_slices)
+            }
+        };
         GridPartition { ranks, r_a, r_b, a_slices, b_slices }
     }
 
@@ -455,7 +481,7 @@ mod tests {
         let a = graph(100);
         let b = graph(100);
         for ranks in [1usize, 2, 3, 4, 8, 16] {
-            let p = GridPartition::new(&a, &b, ranks);
+            let p = GridPartition::new(PartitionScheme::TwoD, &a, &b, ranks);
             let (ra, rb) = p.grid();
             assert_eq!((ra, rb), grid_dims(ranks));
             // Every rank's tile is distinct and the tiles cover A × B.
@@ -477,7 +503,7 @@ mod tests {
     fn grid_partition_storage_beats_one_d_replication() {
         let a = graph(100);
         let b = graph(100);
-        let grid = GridPartition::new(&a, &b, 16);
+        let grid = GridPartition::new(PartitionScheme::TwoD, &a, &b, 16);
         // 1D replicates all of B: ≥ 100 factor arcs per rank. The 4×4
         // grid holds 25 + 25.
         let max_2d = (0..16).map(|r| grid.factor_storage_of(r)).max().unwrap();
@@ -491,7 +517,7 @@ mod tests {
         // splitting must not put all remaining rows in one slice.
         let a = star(64);
         let b = graph(32);
-        let p = GridPartition::new(&a, &b, 8);
+        let p = GridPartition::new(PartitionScheme::TwoD, &a, &b, 8);
         assert_eq!(p.grid(), (2, 4));
         let total: u128 = (0..8).map(|r| p.workload_of(r)).sum();
         assert_eq!(total, a.nnz() as u128 * b.nnz() as u128);
@@ -503,10 +529,37 @@ mod tests {
     }
 
     #[test]
+    fn one_d_grid_executes_the_analytic_deal() {
+        use kron_graph::generators::{erdos_renyi, star};
+        // The executed R × 1 grid holds exactly what Table 3's model deals
+        // each rank: A's arcs at CSR index ≡ r mod R, and B whole.
+        for (a, b) in [(erdos_renyi(12, 0.4, 5), star(6)), (star(9), erdos_renyi(7, 0.5, 8))] {
+            let a_arcs: Vec<Arc> = a.arcs().collect();
+            let b_arcs: Vec<Arc> = b.arcs().collect();
+            for ranks in 1..=7usize {
+                let grid = GridPartition::new(PartitionScheme::OneD, &a, &b, ranks);
+                let model = FactorPartition::new(PartitionScheme::OneD, ranks, &a_arcs, &b_arcs);
+                assert_eq!(grid.grid(), (ranks, 1));
+                for r in 0..ranks {
+                    let slice = grid.a_slice_of(r);
+                    let held: Vec<Arc> = slice
+                        .rows()
+                        .flat_map(|i| slice.neighbors(i).iter().map(move |&j| (i, j.into())))
+                        .collect();
+                    assert_eq!(held, model.cells_of(r)[0].a_arcs, "ranks={ranks} rank={r}");
+                    assert_eq!(*grid.b_slice_of(r), FactorSlice::of(&b, 0..b.n()));
+                    assert_eq!(grid.workload_of(r), model.workload_of(r));
+                    assert_eq!(grid.factor_storage_of(r), model.factor_storage_of(r));
+                }
+            }
+        }
+    }
+
+    #[test]
     fn grid_partition_handles_empty_factors() {
         let a = CsrGraph::from_arcs(4, vec![]).unwrap();
         let b = graph(4);
-        let p = GridPartition::new(&a, &b, 4);
+        let p = GridPartition::new(PartitionScheme::TwoD, &a, &b, 4);
         assert_eq!((0..4).map(|r| p.workload_of(r)).sum::<u128>(), 0);
         assert_eq!(p.workload_imbalance(), 1.0);
     }

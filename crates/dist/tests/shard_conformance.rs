@@ -14,9 +14,9 @@ use kron_core::generate::materialize;
 use kron_core::KroneckerPair;
 use kron_dist::owner::DelegateOwner;
 use kron_dist::{
-    generate_distributed, spill_shards_direct, DistConfig, EdgeOwner, FactorPartition,
-    FaultConfig, GridPartition, HashOwner, OwnerConfig, PartitionScheme, SpillConfig,
-    TransportConfig, VertexBlockOwner,
+    generate_distributed, spill_shards_direct, DistConfig, EdgeOwner, FaultConfig,
+    GridPartition, HashOwner, OwnerConfig, PartitionScheme, SpillConfig, TransportConfig,
+    VertexBlockOwner,
 };
 use kron_graph::generators::{cycle, erdos_renyi, path};
 use kron_graph::shard::{
@@ -92,32 +92,14 @@ fn sources_of(
     let mut route = |s: usize, (i, j): Arc, (k, l): Arc| {
         sources[owner.owner(i * n_b + k, j * n_b + l)].insert(s);
     };
-    match scheme {
-        PartitionScheme::OneD => {
-            let a: Vec<Arc> = pair.a().arcs().collect();
-            let b: Vec<Arc> = pair.b().arcs().collect();
-            let part = FactorPartition::new(scheme, ranks, &a, &b);
-            for s in 0..ranks {
-                for cell in part.cells_of(s) {
-                    for &x in &cell.a_arcs {
-                        for &y in &cell.b_arcs {
-                            route(s, x, y);
-                        }
-                    }
-                }
-            }
-        }
-        PartitionScheme::TwoD => {
-            let grid = GridPartition::new(pair.a(), pair.b(), ranks);
-            for s in 0..ranks {
-                let (sa, sb) = (grid.a_slice_of(s), grid.b_slice_of(s));
-                for i in sa.rows() {
-                    for &j in sa.neighbors(i) {
-                        for k in sb.rows() {
-                            for &l in sb.neighbors(k) {
-                                route(s, (i, j.into()), (k, l.into()));
-                            }
-                        }
+    let grid = GridPartition::new(scheme, pair.a(), pair.b(), ranks);
+    for s in 0..ranks {
+        let (sa, sb) = (grid.a_slice_of(s), grid.b_slice_of(s));
+        for i in sa.rows() {
+            for &j in sa.neighbors(i) {
+                for k in sb.rows() {
+                    for &l in sb.neighbors(k) {
+                        route(s, (i, j.into()), (k, l.into()));
                     }
                 }
             }

@@ -1284,7 +1284,9 @@ impl ExternalCsr {
         }
         let start = self.read_word(24 + p * 8)?;
         let end = self.read_word(24 + (p + 1) * 8)?;
-        if start > end || end > self.arcs {
+        let bad_first = p == 0 && start != 0;
+        let bad_last = p + 1 == self.n && end != self.arcs;
+        if start > end || end > self.arcs || bad_first || bad_last {
             return Err(corrupt(&self.path, format!("row {p} offsets [{start},{end}) corrupt")));
         }
         Ok((start, end))
@@ -1325,24 +1327,46 @@ impl ExternalCsr {
         Ok(())
     }
 
+    /// Reads the `n + 1` offsets from `offsets` (positioned at the first)
+    /// and calls `row(p, start, end)` for each row's span, in id order,
+    /// after checking it: the first offset is 0, offsets never decrease
+    /// or pass the arc count, and the last equals it. Every streaming
+    /// reader walks the offsets through here, so none trusts them.
+    fn for_each_span<R: Read, F: FnMut(u64, u64, u64) -> Result<()>>(
+        &self,
+        offsets: &mut R,
+        mut row: F,
+    ) -> Result<()> {
+        let mut buf = [0u8; 8];
+        offsets.read_exact(&mut buf)?;
+        let mut prev = u64::from_le_bytes(buf);
+        if prev != 0 {
+            return Err(corrupt(&self.path, "first offset is not zero"));
+        }
+        for p in 0..self.n {
+            offsets.read_exact(&mut buf)?;
+            let next = u64::from_le_bytes(buf);
+            if next < prev || next > self.arcs {
+                return Err(corrupt(&self.path, format!("offsets corrupt at row {p}")));
+            }
+            row(p, prev, next)?;
+            prev = next;
+        }
+        if prev != self.arcs {
+            return Err(corrupt(&self.path, "final offset disagrees with arc count"));
+        }
+        Ok(())
+    }
+
     /// Streams every vertex's degree in id order through a bounded
     /// buffer — the beyond-RAM degree scan.
     pub fn for_each_degree<F: FnMut(u64, u64)>(&mut self, mut f: F) -> Result<()> {
         self.file.seek(SeekFrom::Start(24))?;
-        let mut reader = BufReader::with_capacity(DEFAULT_IO_BUF, &self.file);
-        let mut buf = [0u8; 8];
-        reader.read_exact(&mut buf)?;
-        let mut prev = u64::from_le_bytes(buf);
-        for p in 0..self.n {
-            reader.read_exact(&mut buf)?;
-            let next = u64::from_le_bytes(buf);
-            if next < prev {
-                return Err(corrupt(&self.path, format!("offsets not monotone at row {p}")));
-            }
-            f(p, next - prev);
-            prev = next;
-        }
-        Ok(())
+        let mut offs = BufReader::with_capacity(DEFAULT_IO_BUF, &self.file);
+        self.for_each_span(&mut offs, |p, start, end| {
+            f(p, end - start);
+            Ok(())
+        })
     }
 
     /// Streams every row in id order — two bounded sequential readers
@@ -1356,20 +1380,10 @@ impl ExternalCsr {
         let mut tgts = BufReader::with_capacity(DEFAULT_IO_BUF, File::open(&self.path)?);
         tgts.seek(SeekFrom::Start(24 + (self.n + 1) * 8))?;
         let mut buf = [0u8; 8];
-        offs.read_exact(&mut buf)?;
-        let mut prev = u64::from_le_bytes(buf);
-        if prev != 0 {
-            return Err(corrupt(&self.path, "first offset is not zero"));
-        }
         let mut row_buf: Vec<u64> = Vec::new();
-        for p in 0..self.n {
-            offs.read_exact(&mut buf)?;
-            let next = u64::from_le_bytes(buf);
-            if next < prev || next > self.arcs {
-                return Err(corrupt(&self.path, format!("offsets corrupt at row {p}")));
-            }
+        self.for_each_span(&mut offs, |p, start, end| {
             row_buf.clear();
-            for _ in prev..next {
+            for _ in start..end {
                 tgts.read_exact(&mut buf)?;
                 let v = u64::from_le_bytes(buf);
                 if v >= self.n {
@@ -1377,37 +1391,27 @@ impl ExternalCsr {
                 }
                 row_buf.push(v);
             }
-            f(p, &row_buf)?;
-            prev = next;
-        }
-        if prev != self.arcs {
-            return Err(corrupt(&self.path, "final offset disagrees with arc count"));
-        }
-        Ok(())
+            f(p, &row_buf)
+        })
     }
 
     /// Loads the whole file as an in-memory [`CsrGraph`] — validation-
     /// scale only; this is the one method that allocates O(arcs). A file
     /// over more than [`CsrGraph::MAX_VERTICES`] vertices is rejected
     /// before any allocation; row reads and the streaming visitors have
-    /// no such limit.
+    /// no such limit. Every row must be strictly increasing, as
+    /// [`CsrGraph::from_sorted_parts`] assumes.
     pub fn load(&mut self) -> Result<CsrGraph> {
         CsrGraph::check_vertex_count(self.n)?;
         self.file.seek(SeekFrom::Start(24))?;
         let mut reader = BufReader::with_capacity(DEFAULT_IO_BUF, &self.file);
-        let mut buf = [0u8; 8];
         let mut offsets = Vec::with_capacity(self.n as usize + 1);
-        for row in 0..=self.n {
-            reader.read_exact(&mut buf)?;
-            let offset = u64::from_le_bytes(buf);
-            if offset > self.arcs || offsets.last().is_some_and(|&o| (o as u64) > offset) {
-                return Err(corrupt(&self.path, format!("offsets corrupt at row {row}")));
-            }
-            offsets.push(offset as usize);
-        }
-        if offsets.last() != Some(&(self.arcs as usize)) {
-            return Err(corrupt(&self.path, "final offset disagrees with arc count"));
-        }
+        offsets.push(0);
+        self.for_each_span(&mut reader, |_, _, end| {
+            offsets.push(end as usize);
+            Ok(())
+        })?;
+        let mut buf = [0u8; 8];
         let mut targets = Vec::with_capacity(self.arcs as usize);
         for _ in 0..self.arcs {
             reader.read_exact(&mut buf)?;
@@ -1416,6 +1420,11 @@ impl ExternalCsr {
                 return Err(corrupt(&self.path, format!("target {v} out of range")));
             }
             targets.push(v as u32);
+        }
+        for (p, span) in offsets.windows(2).enumerate() {
+            if targets[span[0]..span[1]].windows(2).any(|w| w[0] >= w[1]) {
+                return Err(corrupt(&self.path, format!("row {p} not strictly increasing")));
+            }
         }
         Ok(CsrGraph::from_sorted_parts(self.n, offsets, targets))
     }
@@ -2037,5 +2046,37 @@ mod tests {
         bad[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
         std::fs::write(&out, &bad).unwrap();
         assert!(ExternalCsr::open(&out).is_err(), "overflowing n accepted");
+
+        write_run(&run, 3, &[(0, 1), (0, 2), (2, 2)]);
+        build_external_csr(&[&run], &out, 1024).unwrap();
+        let good = std::fs::read(&out).unwrap();
+        // Offsets [0, 2, 2, 3] at byte 24, targets [1, 2, 2] at byte 56.
+        let with_offsets = |offsets: [u64; 4]| {
+            let mut bad = good.clone();
+            for (w, o) in offsets.iter().enumerate() {
+                bad[24 + 8 * w..32 + 8 * w].copy_from_slice(&o.to_le_bytes());
+            }
+            bad
+        };
+        // Each corruption keeps the file length, so `open` accepts it
+        // and every reader has to check the offsets itself.
+        for offsets in [[0, 2, 2, 100], [0, 2, 2, 2], [1, 2, 2, 3], [3, 3, 3, 3], [0, 3, 2, 3]] {
+            std::fs::write(&out, with_offsets(offsets)).unwrap();
+            let mut ext = ExternalCsr::open(&out).unwrap();
+            assert!((0..3).any(|p| ext.degree(p).is_err()), "degree read {offsets:?}");
+            let mut row = Vec::new();
+            assert!((0..3).any(|p| ext.row_into(p, &mut row).is_err()), "row read {offsets:?}");
+            assert!(ext.for_each_degree(|_, _| {}).is_err(), "degree scan read {offsets:?}");
+            assert!(ext.for_each_row(|_, _| Ok(())).is_err(), "row scan read {offsets:?}");
+            assert!(ext.load().is_err(), "load read {offsets:?}");
+        }
+        // A row stored out of order: only `load` promises sorted rows.
+        let mut bad = good.clone();
+        bad[56..64].copy_from_slice(&2u64.to_le_bytes());
+        bad[64..72].copy_from_slice(&1u64.to_le_bytes());
+        std::fs::write(&out, &bad).unwrap();
+        assert!(ExternalCsr::open(&out).unwrap().load().is_err(), "unsorted row loaded");
+        std::fs::write(&out, &good).unwrap();
+        assert_eq!(ExternalCsr::open(&out).unwrap().load().unwrap().nnz(), 3);
     }
 }

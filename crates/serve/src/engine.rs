@@ -31,6 +31,7 @@ use kron_analytics::distance::UNREACHABLE;
 use kron_analytics::triangles::vertex_triangles;
 use kron_core::closeness::closeness_from_cumulative;
 use kron_core::distance::DistanceOracle;
+use kron_core::generate::fill_product_row;
 use kron_core::{KroneckerPair, SelfLoopMode};
 use kron_graph::connectivity::connected_components;
 use kron_graph::generators::{rmat, RmatConfig};
@@ -247,11 +248,9 @@ impl QueryEngine {
     }
 
     /// Writes the Neighbors reply of `p` straight from the two factor
-    /// rows: the header, the count `d_A(i)·d_B(k)`, then `j·n_B + l` for
-    /// `j` in row_A(i) and `l` in row_B(k). `j` outer / `l` inner over
-    /// sorted factor rows makes the row strictly increasing — the same
-    /// argument as `synthesize_row_block`. `out` is sized once for the
-    /// whole row, so the loop does one add and one store per arc.
+    /// rows: the header, the count `d_A(i)·d_B(k)`, then the row's
+    /// targets, which `kron_core::generate::fill_product_row` writes as
+    /// little-endian words into the reply, sized once for the whole row.
     fn neighbors_into(&self, p: u64, room: usize, out: &mut Vec<u8>) {
         let (i, k) = self.pair.split(p);
         let row_a = self.pair.a().neighbors(i);
@@ -267,23 +266,17 @@ impl QueryEngine {
         out.extend_from_slice(&(deg as u32).to_le_bytes());
         let at = out.len();
         out.resize(at + 8 * deg as usize, 0);
-        let nb = self.pair.b().n();
-        // FullBoth puts a self loop in every factor row, so `row_b` is
-        // never empty and the chunk length is never 0.
-        let rows = out[at..].chunks_exact_mut(8 * row_b.len());
-        for (dst, &j) in rows.zip(row_a) {
-            let base = u64::from(j) * nb;
-            for (cell, &l) in dst.chunks_exact_mut(8).zip(row_b) {
-                cell.copy_from_slice(&(base + u64::from(l)).to_le_bytes());
-            }
-        }
+        let (cells, _) = out[at..].as_chunks_mut::<8>();
+        fill_product_row(row_a, row_b, self.pair.b().n(), cells, |cell, q| {
+            *cell = q.to_le_bytes();
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kron_core::generate::synthesize_row_block;
+    use kron_core::generate::arcs;
     use kron_graph::generators::{clique, cycle, disjoint_cliques, erdos_renyi};
 
     fn engine() -> QueryEngine {
@@ -295,16 +288,21 @@ mod tests {
     const ROOM: usize = protocol::MAX_FRAME_LEN - protocol::HEADER_LEN;
 
     #[test]
-    fn rows_match_synthesize_row_block() {
+    fn rows_match_the_arc_stream() {
+        // The reference rows come from `generate::arcs`, which shares no
+        // code with the product-row kernel the engine fills its reply with.
         let e = engine();
+        let mut rows = vec![Vec::new(); e.n_c() as usize];
+        for (p, q) in arcs(e.pair()) {
+            rows[p as usize].push(q);
+        }
         let (mut got, mut want) = (Vec::new(), Vec::new());
-        for p in 0..e.n_c() {
+        for (p, row) in rows.iter_mut().enumerate() {
+            row.sort_unstable();
             got.clear();
-            e.reply_into(Query { kind: QueryKind::Neighbors, vertex: p }, ROOM, &mut got);
-            let (offsets, cols) = synthesize_row_block(e.pair(), p..p + 1);
-            assert_eq!(offsets, vec![0, cols.len()]);
+            e.reply_into(Query { kind: QueryKind::Neighbors, vertex: p as u64 }, ROOM, &mut got);
             want.clear();
-            protocol::put_ok_neighbors(&mut want, &cols);
+            protocol::put_ok_neighbors(&mut want, row);
             assert_eq!(got, want, "row {p}");
         }
     }

@@ -11,12 +11,14 @@
 //!   way a batching client would drive the server.
 //!
 //! Every response is validated **bit-for-bit**: the [`Validator`]
-//! recomputes the exact expected response frame through the independent
-//! `kron_core` oracle path (`synthesize_row_block`, `TriangleOracle`,
+//! recomputes the exact expected response frame through the `kron_core`
+//! oracle path (`for_each_synthesized_row`, `TriangleOracle`,
 //! `closeness_fast`, `CommunityOracle`, `DistanceOracle::hops_of`) and
 //! the client `==`-compares whole payloads. A server that drops a bit
-//! anywhere — synthesis, encoding, the reply budget — fails the run,
-//! not just a spot check.
+//! anywhere — encoding, framing, the reply budget — fails the run, not
+//! just a spot check. Neighbors rows come from the same product-row
+//! kernel the engine fills its replies with, so the engine's unit test
+//! checks those rows against `kron_core::generate::arcs` instead.
 //!
 //! Determinism: client `c` draws from `SmallRng::seed_from_u64(seed ⊕
 //! mix(c))`, so a given `(seed, clients, weights, zipf_s)` always
@@ -32,7 +34,7 @@ use kron_core::closeness::closeness_fast;
 use kron_core::community::CommunityOracle;
 use kron_core::degree::degree_of;
 use kron_core::distance::DistanceOracle;
-use kron_core::generate::synthesize_row_block;
+use kron_core::generate::for_each_synthesized_row;
 use kron_core::triangles::TriangleOracle;
 use kron_core::KroneckerPair;
 use kron_graph::connectivity::connected_components;
@@ -161,8 +163,9 @@ impl<'a> Validator<'a> {
                     protocol::put_err(out, ErrorCode::ReplyTooLarge, deg);
                     return;
                 }
-                let (_, cols) = synthesize_row_block(self.pair, q.vertex..q.vertex + 1);
-                protocol::put_ok_neighbors(out, &cols);
+                for_each_synthesized_row(self.pair, q.vertex..q.vertex + 1, |_, row| {
+                    protocol::put_ok_neighbors(out, row);
+                });
             }
             QueryKind::Degree => {
                 let d = degree_of(self.pair, q.vertex).expect("vertex checked");

@@ -8,7 +8,7 @@ use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
 
-use kron_core::generate::synthesize_row_block;
+use kron_core::generate::for_each_synthesized_row;
 use kron_core::KroneckerPair;
 use kron_graph::generators::{cycle, erdos_renyi, star};
 use kron_serve::engine::QueryEngine;
@@ -44,7 +44,9 @@ fn spawn_small(workers: usize) -> (Arc<QueryEngine>, server::ServerHandle) {
 
 /// The product row of `p` through the `kron_core` oracle path.
 fn oracle_row(engine: &QueryEngine, p: u64) -> Vec<u64> {
-    synthesize_row_block(engine.pair(), p..p + 1).1
+    let mut row = Vec::new();
+    for_each_synthesized_row(engine.pair(), p..p + 1, |_, r| row.extend_from_slice(r));
+    row
 }
 
 fn connect(handle: &server::ServerHandle) -> TcpStream {

@@ -2,9 +2,13 @@
 # Single pre-PR entry point: chains every check the repo knows about.
 #
 #   1. tier-1:   cargo build --release --offline && cargo test -q --offline,
-#                then scripts/loc.sh prints the program's size (non-test
-#                lines, pub items, unsafe lines, caller-less pub fns; it
-#                gates nothing), then
+#                then the warning gate (cargo check --workspace
+#                --all-targets --offline must print no warning, so a
+#                private function a deletion leaves without callers
+#                fails as dead_code instead of lingering), then
+#                scripts/loc.sh prints the program's size (non-test
+#                lines, pub items, unsafe lines, caller-less pub fns as
+#                its header defines them; it gates nothing), then
 #                the full --workspace test pass, which the root package's
 #                own test target does not cover, and the pipeline
 #                benchmark's self-check (benchmark/ is a workspace of its
@@ -42,6 +46,14 @@ cargo build --release --offline
 
 echo "==== ci: tier-1 tests ===="
 cargo test -q --offline
+
+echo "==== ci: compiler warnings (none allowed) ===="
+check_out="$(cargo check --workspace --all-targets --offline 2>&1)"
+echo "${check_out}"
+if grep -q '^warning' <<<"${check_out}"; then
+  echo "ci.sh: FATAL: cargo check printed a warning" >&2
+  exit 1
+fi
 
 echo "==== ci: size (printed, not gated) ===="
 scripts/loc.sh

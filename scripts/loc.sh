@@ -11,10 +11,13 @@
 #   unsafe lines     lines before that point, other than // comments, that
 #                    hold the word unsafe
 #   caller-less fns  pub fns of crates/*/src, before that point, whose
-#                    name is a whole word on no other line before that
-#                    point, other than // comments, of crates/*/src, src,
+#                    name is a whole word on no line before that point,
+#                    other than // comments, of crates/*/src, src,
 #                    examples, crates/bench/examples or benchmark/src:
-#                    functions only tests call
+#                    functions only tests call. String literals are
+#                    blanked out first, and a line that defines a fn does
+#                    not count as a use of that fn's name, so a name said
+#                    only in a message, or defined twice, is no use.
 #
 # It only prints; nothing is gated on the counts. The patterns spell
 # whitespace as [ \t] because mawk reads \s as a literal s.
@@ -39,20 +42,54 @@ awk '
         printf "unsafe lines     %d\n", unsafes
     }' "${files[@]}"
 
-# uses[w] counts the scanned lines holding the word w, so a pub fn whose
-# name has uses 1 appears on its own definition line only.
+# uses[w] counts the scanned lines holding the word w outside string
+# literals, other than lines that define a fn named w.
 mapfile -d '' scanned < <(git ls-files -z -- \
     ':(glob)crates/*/src/**/*.rs' ':(glob)src/**/*.rs' ':(glob)examples/**/*.rs' \
     ':(glob)crates/bench/examples/**/*.rs' ':(glob)benchmark/src/**/*.rs')
 awk '
-    FNR == 1 { in_test = 0 }
+    # blank(s): s with the contents of its string literals removed. A
+    # literal may run over lines, so its closing delimiter stays in quote.
+    function blank(s,    out, i, c) {
+        out = ""
+        for (i = 1; i <= length(s); i++) {
+            c = substr(s, i, 1)
+            if (quote != "") {
+                if (c == "\\" && quote == "\"") {
+                    i++
+                } else if (substr(s, i, length(quote)) == quote) {
+                    i += length(quote) - 1
+                    quote = ""
+                    out = out " "
+                }
+            } else if (substr(s, i, 3) == "r#\"") {
+                quote = "\"#"
+                i += 2
+            } else if (c == "\"") {
+                quote = "\""
+            } else if (substr(s, i, 3) == "\047\"\047") {
+                i += 2
+                out = out " "
+            } else {
+                out = out c
+            }
+        }
+        return out
+    }
+    FNR == 1 { in_test = 0; quote = "" }
     /#\[cfg\(test\)\]/ { in_test = 1 }
     in_test || /^[ \t]*\/\// { next }
     {
-        n = split($0, words, /[^A-Za-z0-9_]+/)
+        line = blank($0)
+        defined = ""
+        if (match(line, /(^|[^A-Za-z0-9_])fn[ \t]+[A-Za-z0-9_]+/)) {
+            defined = substr(line, RSTART, RLENGTH)
+            sub(/^.*fn[ \t]+/, "", defined)
+        }
+        n = split(line, words, /[^A-Za-z0-9_]+/)
         for (i = 1; i <= n; i++) {
             w = words[i]
-            if (w != "" && seen[w] != FILENAME ":" FNR) {
+            if (w != "" && w != defined && seen[w] != FILENAME ":" FNR) {
                 seen[w] = FILENAME ":" FNR
                 uses[w]++
             }
@@ -65,6 +102,6 @@ awk '
         defs[++ndefs] = name
     }
     END {
-        for (i = 1; i <= ndefs; i++) if (uses[defs[i]] == 1) callerless++
+        for (i = 1; i <= ndefs; i++) if (uses[defs[i]] == 0) callerless++
         printf "caller-less fns  %d\n", callerless
     }' "${scanned[@]}"

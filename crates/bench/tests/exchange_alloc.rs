@@ -1,7 +1,7 @@
 //! Proves the distributed exchange's memory bound with the counting
 //! allocator: a spilling `generate_distributed` run keeps peak live heap
-//! under a budget built from the rank count, the rows each rank owns, the
-//! IO buffers, the credit window and the batch size — never from `|E_C|` —
+//! under a budget built from the rank count, the factor slices, the IO
+//! buffers, the credit window and the batch size — never from `|E_C|` —
 //! while holding the product's arcs would take at least 5× that budget.
 //!
 //! Runs only with `--features measure-alloc` (a kron-bench default
@@ -12,7 +12,6 @@
 use kron_core::KroneckerPair;
 use kron_dist::{generate_distributed, DistConfig, PartitionScheme, SpillConfig, CREDIT_WINDOW};
 use kron_graph::generators::erdos_renyi;
-use kron_graph::shard::MAX_VARINT_BYTES;
 
 /// Bytes of one product arc.
 const ARC: u64 = 16;
@@ -53,20 +52,14 @@ fn exchange_peak_memory_is_bounded_by_the_credit_window() {
             "ranks={ranks}: lost arcs"
         );
 
-        // Per rank: one open run per source rank, each an IO buffer plus
-        // a footer of two varints per product row the rank owns (a
-        // doubling `Vec`, so its capacity is the next power of two), the
+        // Per rank: one open run per source rank, each an IO buffer, the
         // factor slices, one open outbox plus one recycled buffer per
         // peer, and the taken batch being stored.
         let r = ranks as u64;
         let batch_bytes = batch_size.next_power_of_two() as u64 * ARC;
         let factor_bytes = ARC * (pair.a().nnz() + pair.b().nnz()) as u64
             + ARC * (pair.a().n() + pair.b().n() + 2);
-        let rows_owned = pair.n_c().div_ceil(r);
-        let footer = (rows_owned * 2 * MAX_VARINT_BYTES as u64).next_power_of_two();
-        let per_rank = r * (io_buf_bytes as u64 + footer)
-            + factor_bytes
-            + (2 * r + 1) * batch_bytes;
+        let per_rank = r * io_buf_bytes as u64 + factor_bytes + (2 * r + 1) * batch_bytes;
         // Per directed link: at most CREDIT_WINDOW unacked batches, each
         // held as a retained copy plus its copy on the wire or in the
         // receiver's delivery queue.

@@ -31,8 +31,8 @@ fn external_build_peak_memory_stays_under_budget() {
     let mut spill = SpillConfig::new(dir.clone());
     spill.io_buf_bytes = buf_bytes;
 
-    // The whole out-of-core pipeline — synthesize + spill, two-pass
-    // external merge, then a streaming degree scan of the result — inside
+    // The whole out-of-core pipeline — synthesize + spill, single-pass
+    // external build, then a streaming degree scan of the result — inside
     // one measured window.
     let out = dir.join("product.krsc");
     let ((runs_total, stats, degree_sum), external) = kron_obs::alloc::measure(|| {

@@ -45,7 +45,6 @@ use kron_core::KroneckerPair;
 use kron_graph::shard::ShardWriter;
 use kron_graph::{Arc, EdgeList};
 use kron_obs::events::Timeline;
-use kron_obs::metrics::{LocalCounter, LocalRegistry};
 
 use crate::owner::{DelegateOwner, EdgeOwner, HashOwner, VertexBlockOwner};
 use crate::partition::{GridPartition, PartitionScheme};
@@ -110,10 +109,9 @@ pub enum OwnerConfig {
 /// Out-of-core storage: ranks spill their stored arcs as sorted shard
 /// runs (`kron_graph::shard`) instead of resident [`EdgeList`]s, one run
 /// per source rank that sent them an arc. A spilling rank's storage
-/// holds at most `ranks` open writers, each an IO buffer plus a footer
-/// of two varints per product row its link covers: `O(rows owned)` per
-/// writer. Its exchange adds at most [`CREDIT_WINDOW`] batches in flight
-/// per outgoing link, plus their retained copies.
+/// holds at most `ranks` open writers, each only its IO buffer. Its
+/// exchange adds at most [`CREDIT_WINDOW`] batches in flight per
+/// outgoing link, plus their retained copies.
 #[derive(Debug, Clone)]
 pub struct SpillConfig {
     /// Directory the per-rank run files are written to.
@@ -391,21 +389,7 @@ struct Exchange<'a> {
     /// Generated arcs left until the next inbox drain.
     until_drain: usize,
     owner: &'a (dyn EdgeOwner + Send + Sync),
-    // The rank's counters live in a LocalRegistry (index-handle adds in
-    // the per-arc loop); RankStats is snapshotted from it at the end.
-    reg: LocalRegistry,
-    c_generated: LocalCounter,
-    c_sent_remote: LocalCounter,
-    c_sent_local: LocalCounter,
-    c_stored: LocalCounter,
-    c_messages: LocalCounter,
-    c_factor_arcs: LocalCounter,
-    c_retransmissions: LocalCounter,
-    c_redeliveries: LocalCounter,
-    c_buffers_reused: LocalCounter,
-    c_spill_runs: LocalCounter,
-    c_spill_arcs: LocalCounter,
-    c_window_waits: LocalCounter,
+    stats: RankStats,
     store: RankStore,
     outboxes: Vec<Vec<Arc>>,
     // Recycled batch buffers: drained inbound `Vec`s are cleared and
@@ -424,7 +408,6 @@ impl<'a> Exchange<'a> {
         n_c: u64,
     ) -> Self {
         let rank = ep.rank();
-        let mut reg = LocalRegistry::new();
         Exchange {
             rank,
             ranks: config.ranks,
@@ -432,19 +415,7 @@ impl<'a> Exchange<'a> {
             count_only: config.storage == StorageMode::CountOnly,
             until_drain: config.batch_size,
             owner,
-            c_generated: reg.counter(RankStats::GENERATED),
-            c_sent_remote: reg.counter(RankStats::SENT_REMOTE),
-            c_sent_local: reg.counter(RankStats::SENT_LOCAL),
-            c_stored: reg.counter(RankStats::STORED),
-            c_messages: reg.counter(RankStats::MESSAGES),
-            c_factor_arcs: reg.counter(RankStats::FACTOR_ARCS),
-            c_retransmissions: reg.counter(RankStats::RETRANSMISSIONS),
-            c_redeliveries: reg.counter(RankStats::REDELIVERIES_DISCARDED),
-            c_buffers_reused: reg.counter(RankStats::BATCH_BUFFERS_REUSED),
-            c_spill_runs: reg.counter(RankStats::SPILL_RUNS),
-            c_spill_arcs: reg.counter(RankStats::SPILL_ARCS),
-            c_window_waits: reg.counter(RankStats::WINDOW_WAITS),
-            reg,
+            stats: RankStats::default(),
             store: RankStore::new(config, rank, n_c),
             outboxes: vec![Vec::new(); config.ranks],
             spare: Vec::new(),
@@ -455,7 +426,7 @@ impl<'a> Exchange<'a> {
 
     /// Accounts factor arcs this rank holds (`|E_{A_r}| + |E_{B_r}|`).
     fn add_factor_arcs(&mut self, arcs: u64) {
-        self.reg.add(self.c_factor_arcs, arcs);
+        self.stats.factor_arcs += arcs;
     }
 
     /// Routes one generated product arc: store locally, or batch toward
@@ -465,7 +436,7 @@ impl<'a> Exchange<'a> {
     /// batches.
     #[inline]
     fn emit(&mut self, p: u64, q: u64) {
-        self.reg.inc(self.c_generated);
+        self.stats.generated += 1;
         if self.count_only {
             return;
         }
@@ -476,15 +447,15 @@ impl<'a> Exchange<'a> {
         }
         let dest = self.owner.owner(p, q);
         if dest == self.rank {
-            self.reg.inc(self.c_sent_local);
-            self.reg.inc(self.c_stored);
+            self.stats.sent_local += 1;
+            self.stats.stored += 1;
             self.store.store(self.rank, p, q);
         } else {
-            self.reg.inc(self.c_sent_remote);
+            self.stats.sent_remote += 1;
             self.outboxes[dest].push((p, q));
             if self.outboxes[dest].len() >= self.batch_size {
                 let refill = self.spare.pop();
-                self.reg.add(self.c_buffers_reused, u64::from(refill.is_some()));
+                self.stats.batch_buffers_reused += u64::from(refill.is_some());
                 let batch =
                     std::mem::replace(&mut self.outboxes[dest], refill.unwrap_or_default());
                 self.send_batch(dest, batch);
@@ -495,12 +466,12 @@ impl<'a> Exchange<'a> {
     /// Sends one batch to `dest`, then drains until the link is back
     /// under its [`CREDIT_WINDOW`].
     fn send_batch(&mut self, dest: usize, batch: Vec<Arc>) {
-        self.reg.inc(self.c_messages);
+        self.stats.messages += 1;
         self.link.send(dest, Message::Batch(batch));
         if self.link.in_flight(dest) < CREDIT_WINDOW {
             return;
         }
-        self.reg.inc(self.c_window_waits);
+        self.stats.window_waits += 1;
         while self.link.in_flight(dest) >= CREDIT_WINDOW {
             if let Some((from, message)) = self.link.poll_for_credit(dest) {
                 self.deliver(from, message);
@@ -520,8 +491,8 @@ impl<'a> Exchange<'a> {
     fn deliver(&mut self, from: usize, message: Message) {
         match message {
             Message::Batch(mut batch) => {
+                self.stats.stored += batch.len() as u64;
                 for &(p, q) in &batch {
-                    self.reg.inc(self.c_stored);
                     self.store.store(from, p, q);
                 }
                 batch.clear();
@@ -564,13 +535,13 @@ impl<'a> Exchange<'a> {
         }
         // Late acks and held duplicates must still reach draining peers.
         self.link.shutdown();
-        self.reg.set(self.c_retransmissions, self.link.retransmissions);
-        self.reg.set(self.c_redeliveries, self.link.duplicates_discarded);
+        self.stats.retransmissions = self.link.retransmissions;
+        self.stats.redeliveries_discarded = self.link.duplicates_discarded;
         let recorder = self.link.take_recorder_with_accounting();
         let (stored, shard_runs, spilled) = self.store.finish();
-        self.reg.set(self.c_spill_runs, shard_runs.len() as u64);
-        self.reg.set(self.c_spill_arcs, spilled);
-        RankOutput { stats: RankStats::from_registry(&self.reg), stored, shard_runs, recorder }
+        self.stats.spill_runs = shard_runs.len() as u64;
+        self.stats.spill_arcs = spilled;
+        RankOutput { stats: self.stats, stored, shard_runs, recorder }
     }
 }
 
@@ -627,8 +598,8 @@ pub struct DirectSpillResult {
 /// `kron_core::generate::for_each_synthesized_row` emits already sorted
 /// through one reused row buffer, so each rank writes its block as one
 /// run (none if the block is empty) with no sort buffer at all. Peak
-/// resident memory is one product row plus one IO buffer and one run
-/// footer (two varints per row of the block) — never `O(|E_C|)`.
+/// resident memory is one product row plus one IO buffer — never
+/// `O(|E_C|)`.
 /// Returns the per-rank run paths and spill accounting (mirrored into
 /// the global obs registry); `kron_graph::build_external_csr` over all
 /// runs completes the beyond-RAM pipeline.

@@ -1,12 +1,9 @@
 //! Per-rank counters and aggregate load/storage metrics.
 //!
-//! Internally the generator's hot loop counts into a
-//! [`kron_obs::metrics::LocalRegistry`] (index-handle adds, always on);
-//! [`RankStats::from_registry`] snapshots the registry back into this
-//! struct at run end, so the public field/serde shape is unchanged while
-//! the counting itself rides the shared observability layer.
+//! Each rank's exchange counts straight into its [`RankStats`] (plain
+//! field adds, always on); `generate_distributed` mirrors the
+//! aggregates into the global `kron-obs` registry.
 
-use kron_obs::metrics::LocalRegistry;
 use serde::{Deserialize, Serialize};
 
 /// Counters collected by one simulated rank.
@@ -42,52 +39,6 @@ pub struct RankStats {
     /// drained its inbox until an ack freed a slot
     /// (`kron_dist::generator::CREDIT_WINDOW`).
     pub window_waits: u64,
-}
-
-impl RankStats {
-    /// Registry name of [`RankStats::generated`].
-    pub const GENERATED: &'static str = "dist.rank.generated";
-    /// Registry name of [`RankStats::sent_remote`].
-    pub const SENT_REMOTE: &'static str = "dist.rank.sent_remote";
-    /// Registry name of [`RankStats::sent_local`].
-    pub const SENT_LOCAL: &'static str = "dist.rank.sent_local";
-    /// Registry name of [`RankStats::stored`].
-    pub const STORED: &'static str = "dist.rank.stored";
-    /// Registry name of [`RankStats::messages`].
-    pub const MESSAGES: &'static str = "dist.rank.messages";
-    /// Registry name of [`RankStats::factor_arcs`].
-    pub const FACTOR_ARCS: &'static str = "dist.rank.factor_arcs";
-    /// Registry name of [`RankStats::retransmissions`].
-    pub const RETRANSMISSIONS: &'static str = "dist.rank.retransmissions";
-    /// Registry name of [`RankStats::redeliveries_discarded`].
-    pub const REDELIVERIES_DISCARDED: &'static str = "dist.rank.redeliveries_discarded";
-    /// Registry name of [`RankStats::batch_buffers_reused`].
-    pub const BATCH_BUFFERS_REUSED: &'static str = "dist.rank.batch_buffers_reused";
-    /// Registry name of [`RankStats::spill_runs`].
-    pub const SPILL_RUNS: &'static str = "dist.rank.spill_runs";
-    /// Registry name of [`RankStats::spill_arcs`].
-    pub const SPILL_ARCS: &'static str = "dist.rank.spill_arcs";
-    /// Registry name of [`RankStats::window_waits`].
-    pub const WINDOW_WAITS: &'static str = "dist.rank.window_waits";
-
-    /// Snapshots a rank's [`LocalRegistry`] into the public struct
-    /// (counters the rank never touched read as 0).
-    pub fn from_registry(reg: &LocalRegistry) -> RankStats {
-        RankStats {
-            generated: reg.get(Self::GENERATED),
-            sent_remote: reg.get(Self::SENT_REMOTE),
-            sent_local: reg.get(Self::SENT_LOCAL),
-            stored: reg.get(Self::STORED),
-            messages: reg.get(Self::MESSAGES),
-            factor_arcs: reg.get(Self::FACTOR_ARCS),
-            retransmissions: reg.get(Self::RETRANSMISSIONS),
-            redeliveries_discarded: reg.get(Self::REDELIVERIES_DISCARDED),
-            batch_buffers_reused: reg.get(Self::BATCH_BUFFERS_REUSED),
-            spill_runs: reg.get(Self::SPILL_RUNS),
-            spill_arcs: reg.get(Self::SPILL_ARCS),
-            window_waits: reg.get(Self::WINDOW_WAITS),
-        }
-    }
 }
 
 /// Aggregated statistics over all ranks of one generation run.

@@ -194,12 +194,11 @@ proptest! {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Small-run conformance: the footers of a direct spill of a small
-    /// product predict the offsets exactly, the single-pass build is
-    /// byte-equal to the two-pass reference, and the spill is smaller
-    /// than the retired fixed-width layout (a 24-byte header + 16
-    /// bytes/arc per run) once runs hold a few arcs, and at most a
-    /// quarter of it once they hold 64.
+    /// Small-run conformance: over a direct spill of a small product the
+    /// single-pass build is byte-equal to the two-pass reference, and the
+    /// spill is smaller than the retired fixed-width layout (a 24-byte
+    /// header + 16 bytes/arc per run) once runs hold a few arcs, and at
+    /// most a quarter of it once they hold 64.
     #[test]
     fn small_runs_build_identical_csr_files(
         pair in factor_pair(),
@@ -218,14 +217,13 @@ proptest! {
         let s1 = build_external_csr(&paths, &one, 1024).expect("single-pass build");
         let s2 = build_external_csr_two_pass(&paths, &two, 1024).expect("two-pass build");
         prop_assert_eq!(s1.arcs, s2.arcs, "pass arc counts");
-        prop_assert!(!s1.offsets_rewritten, "disjoint direct-spill runs must predict exactly");
         let b1 = std::fs::read(&one).expect("read single-pass KRSC");
         let b2 = std::fs::read(&two).expect("read two-pass KRSC");
         prop_assert_eq!(b1, b2, "single-pass differs from two-pass");
         let bytes: u64 = paths.iter().map(|p| std::fs::metadata(p).expect("run file").len()).sum();
         let fixed = 24 * paths.len() as u64 + 16 * pair.nnz_c() as u64;
-        // A 1-arc run is 44 B against the fixed layout's 40 B, so the
-        // size win needs a few arcs per run to amortize header + footer.
+        // A run's 32-byte header is 8 B above the fixed layout's, so the
+        // size win needs a few arcs per run to amortize it.
         if pair.nnz_c() >= 2 * paths.len() as u128 {
             prop_assert!(bytes < fixed, "spill {} B not below fixed width {} B", bytes, fixed);
         }

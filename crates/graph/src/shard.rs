@@ -5,15 +5,12 @@
 //! RAM; this module is the disk tier that makes such a product storable
 //! and analyzable on a small box. Three layers:
 //!
-//! * **Sorted-run shard files** (`KRSH` version 2): a length-prefixed
+//! * **Sorted-run shard files** (`KRSH` version 3): a length-prefixed
 //!   binary format holding one *sorted* run of arcs, delta-encoded as
 //!   `(row-delta, target-delta)` canonical LEB128 varints over the
-//!   already-sorted stream (~2–4 bytes/arc), followed by a per-row
-//!   `(row, count)` footer sidecar that lets the external build predict
-//!   the degree table without a counting pass. Files stamped with any
-//!   other version — including the retired fixed-width v1 — are
-//!   rejected at open. [`ShardWriter`] streams arcs out through a
-//!   bounded buffer (enforcing sortedness at write time);
+//!   already-sorted stream (~2–4 bytes/arc). Files stamped with any
+//!   other version are rejected at open. [`ShardWriter`] streams arcs
+//!   out through a bounded buffer (enforcing sortedness at write time);
 //!   [`ShardReader`] streams them back a *block* at a time,
 //!   validating declared lengths with overflow-checked arithmetic
 //!   *before* trusting them — the same adversarial-decode discipline as
@@ -33,12 +30,12 @@
 //!   stream as an in-memory CSR **bit-identical** to
 //!   [`CsrGraph::from_edge_list`] over the same arc multiset;
 //!   [`build_external_csr`] goes fully out-of-core in **one** merge
-//!   pass: run footers predict the offset table, the pass verifies every
-//!   row boundary against the prediction while appending targets, and
-//!   only a divergence (cross-run duplicates, forged footers) triggers
-//!   an `O(n)` seek-back rewrite — output byte-identical to the
-//!   reference two-pass build ([`build_external_csr_two_pass`]) in every
-//!   case. [`ExternalCsr`] reads that file back — whole (for
+//!   pass: it streams the targets past the header and offset region,
+//!   counts each row's arcs as the merge passes them, and writes the
+//!   header and the prefix-summed offsets once at the end — output
+//!   byte-identical to the reference two-pass build
+//!   ([`build_external_csr_two_pass`]). [`ExternalCsr`] reads that file
+//!   back — whole (for
 //!   validation-scale equality checks), row-at-a-time through an
 //!   optional bounded block cache (4-way set-associative, seeded
 //!   random eviction), or via streaming visitors
@@ -62,9 +59,11 @@ use crate::{Arc, GraphError, Result};
 
 /// Magic bytes of a sorted-run shard file.
 pub const SHARD_MAGIC: &[u8; 4] = b"KRSH";
-/// Wire version of the delta-varint shard format with a row footer — the
-/// only version readers accept.
-pub const SHARD_V2_VERSION: u32 = 2;
+/// Wire version of the delta-varint shard format — the only version
+/// readers accept. Version 1 stored 16 fixed-width bytes per arc;
+/// version 2 used today's codec but trailed the payload with a per-row
+/// `(row, count)` footer that the external build no longer needs.
+pub const SHARD_VERSION: u32 = 3;
 /// Magic bytes of an external CSR file.
 pub const CSR_MAGIC: &[u8; 4] = b"KRSC";
 /// Current external CSR format version.
@@ -76,10 +75,12 @@ pub const DEFAULT_IO_BUF: usize = 64 * 1024;
 /// Longest canonical LEB128 encoding of a `u64`.
 pub const MAX_VARINT_BYTES: usize = 10;
 
-const V2_HEADER: u64 = 40;
+/// Bytes of a shard header: magic, version, `n`, arc count and payload
+/// length.
+const SHARD_HEADER: u64 = 32;
 
-/// Placeholder written at create time for the count/payload/footer
-/// lengths; a shard dropped before [`ShardWriter::finish`] keeps it, and
+/// Placeholder written at create time for the count and payload
+/// length; a shard dropped before [`ShardWriter::finish`] keeps it, and
 /// every reader rejects it (the overflow-checked length reconstruction
 /// fails), so half-written shards can never be merged.
 const UNFINISHED: u64 = u64::MAX;
@@ -154,7 +155,7 @@ pub fn decode_varint(bytes: &[u8]) -> std::result::Result<Varint, &'static str> 
 }
 
 // ---------------------------------------------------------------------------
-// Header parsing shared by the reader and the footer scan
+// Header parsing
 // ---------------------------------------------------------------------------
 
 #[derive(Debug, Clone, Copy)]
@@ -163,8 +164,6 @@ struct ShardHeader {
     count: u64,
     /// Arc payload bytes.
     payload_len: u64,
-    /// Footer bytes.
-    footer_len: u64,
 }
 
 /// Reads and fully validates a shard header from `file`: magic, version,
@@ -183,24 +182,22 @@ fn read_shard_header(file: &mut File, path: &Path) -> Result<ShardHeader> {
         return Err(corrupt(path, "bad magic (expected KRSH)"));
     }
     let version = u32::from_le_bytes(fixed[4..8].try_into().expect("4 bytes"));
-    if version != SHARD_V2_VERSION {
+    if version != SHARD_VERSION {
         return Err(corrupt(
             path,
-            format!("unsupported shard version {version} (expected {SHARD_V2_VERSION})"),
+            format!("unsupported shard version {version} (expected {SHARD_VERSION})"),
         ));
     }
-    if len < V2_HEADER {
+    if len < SHARD_HEADER {
         return Err(corrupt(path, "shard truncated (header)"));
     }
-    let mut rest = [0u8; 32];
+    let mut rest = [0u8; 24];
     file.read_exact(&mut rest)?;
     let n = u64::from_le_bytes(rest[0..8].try_into().expect("8 bytes"));
     let count = u64::from_le_bytes(rest[8..16].try_into().expect("8 bytes"));
     let payload_len = u64::from_le_bytes(rest[16..24].try_into().expect("8 bytes"));
-    let footer_len = u64::from_le_bytes(rest[24..32].try_into().expect("8 bytes"));
     let need = payload_len
-        .checked_add(footer_len)
-        .and_then(|b| b.checked_add(V2_HEADER))
+        .checked_add(SHARD_HEADER)
         .ok_or_else(|| corrupt(path, "declared sizes overflow byte length"))?;
     if len != need {
         return Err(corrupt(
@@ -208,32 +205,17 @@ fn read_shard_header(file: &mut File, path: &Path) -> Result<ShardHeader> {
             format!("file length {len} does not match declared sizes ({need})"),
         ));
     }
-    if count == 0 {
-        if payload_len != 0 || footer_len != 0 {
-            return Err(corrupt(path, "empty run with non-empty payload or footer"));
-        }
-    } else {
-        // Each arc encodes as 2..=20 payload bytes; the footer holds
-        // 1..=count entries of 2..=20 bytes. A forged count dies here for
-        // the cost of two multiplications.
-        let min_payload = count
-            .checked_mul(2)
-            .ok_or_else(|| corrupt(path, "arc count overflows byte length"))?;
-        let max_payload = count.saturating_mul(20);
-        if payload_len < min_payload || payload_len > max_payload {
-            return Err(corrupt(
-                path,
-                format!("payload length {payload_len} impossible for {count} arcs"),
-            ));
-        }
-        if footer_len < 2 || footer_len > max_payload {
-            return Err(corrupt(
-                path,
-                format!("footer length {footer_len} impossible for {count} arcs"),
-            ));
-        }
+    // Each arc encodes as 2..=20 payload bytes. A forged count dies here
+    // for the cost of two multiplications.
+    let min_payload =
+        count.checked_mul(2).ok_or_else(|| corrupt(path, "arc count overflows byte length"))?;
+    if payload_len < min_payload || payload_len > count.saturating_mul(20) {
+        return Err(corrupt(
+            path,
+            format!("payload length {payload_len} impossible for {count} arcs"),
+        ));
     }
-    Ok(ShardHeader { n, count, payload_len, footer_len })
+    Ok(ShardHeader { n, count, payload_len })
 }
 
 /// Summary of one finished shard run.
@@ -245,7 +227,7 @@ pub struct ShardInfo {
     pub n: u64,
     /// Arcs in the run.
     pub arcs: u64,
-    /// Total bytes of the finished file (header + payload + footer).
+    /// Total bytes of the finished file (header + payload).
     pub bytes: u64,
 }
 
@@ -271,13 +253,6 @@ pub struct ShardWriter {
     payload_len: u64,
     /// Reusable per-push encode scratch (<= 20 bytes live).
     scratch: Vec<u8>,
-    /// Encoded `(row-delta, count)` footer entries, appended at finish:
-    /// one entry of two varints (at most 2·[`MAX_VARINT_BYTES`] bytes)
-    /// per row the run covers.
-    footer: Vec<u8>,
-    footer_row: u64,
-    footer_count: u64,
-    footer_prev_row: u64,
 }
 
 impl ShardWriter {
@@ -288,38 +263,17 @@ impl ShardWriter {
     }
 
     /// Creates a shard with an explicit IO buffer capacity — the only
-    /// resident memory the writer holds beyond the footer accumulator
-    /// (two varints per row the run covers).
+    /// resident memory the writer holds.
     pub fn with_buffer<P: AsRef<Path>>(path: P, n: u64, buf_bytes: usize) -> Result<Self> {
         let path = path.as_ref().to_path_buf();
         let mut out = BufWriter::with_capacity(buf_bytes.max(64), File::create(&path)?);
         out.write_all(SHARD_MAGIC)?;
-        out.write_all(&SHARD_V2_VERSION.to_le_bytes())?;
+        out.write_all(&SHARD_VERSION.to_le_bytes())?;
         out.write_all(&n.to_le_bytes())?;
-        for _ in 0..3 {
+        for _ in 0..2 {
             out.write_all(&UNFINISHED.to_le_bytes())?;
         }
-        Ok(ShardWriter {
-            out,
-            path,
-            n,
-            arcs: 0,
-            last: None,
-            payload_len: 0,
-            scratch: Vec::new(),
-            footer: Vec::new(),
-            footer_row: 0,
-            footer_count: 0,
-            footer_prev_row: 0,
-        })
-    }
-
-    fn flush_footer_entry(&mut self) {
-        let mut entry = std::mem::take(&mut self.footer);
-        encode_varint(self.footer_row - self.footer_prev_row, &mut entry);
-        encode_varint(self.footer_count, &mut entry);
-        self.footer = entry;
-        self.footer_prev_row = self.footer_row;
+        Ok(ShardWriter { out, path, n, arcs: 0, last: None, payload_len: 0, scratch: Vec::new() })
     }
 
     /// Appends one arc; must be `>=` the previous arc and in `0..n`.
@@ -351,17 +305,6 @@ impl ShardWriter {
         self.out.write_all(&scratch)?;
         self.payload_len += scratch.len() as u64;
         self.scratch = scratch;
-        // Row footer: close the open entry on a row change.
-        if self.arcs == 0 {
-            self.footer_row = u;
-            self.footer_count = 1;
-        } else if u == self.footer_row {
-            self.footer_count += 1;
-        } else {
-            self.flush_footer_entry();
-            self.footer_row = u;
-            self.footer_count = 1;
-        }
         self.last = Some((u, v));
         self.arcs += 1;
         Ok(())
@@ -372,26 +315,19 @@ impl ShardWriter {
         self.arcs
     }
 
-    /// Flushes, appends the footer, patches the header's length fields,
-    /// and returns the run summary. Dropping a writer without calling
-    /// this leaves the file unreadable by design.
+    /// Flushes, patches the header's length fields, and returns the run
+    /// summary. Dropping a writer without calling this leaves the file
+    /// unreadable by design.
     pub fn finish(mut self) -> Result<ShardInfo> {
-        if self.arcs > 0 {
-            self.flush_footer_entry();
-        }
-        let footer_len = self.footer.len() as u64;
-        let footer = std::mem::take(&mut self.footer);
-        self.out.write_all(&footer)?;
         self.out.flush()?;
-        // count, payload_len and footer_len are contiguous at byte 16 —
-        // one seek patches all three.
+        // count and payload_len are contiguous at byte 16 — one seek
+        // patches both.
         let file = self.out.get_mut();
         file.seek(SeekFrom::Start(16))?;
         file.write_all(&self.arcs.to_le_bytes())?;
         file.write_all(&self.payload_len.to_le_bytes())?;
-        file.write_all(&footer_len.to_le_bytes())?;
         file.flush()?;
-        let bytes = V2_HEADER + self.payload_len + footer_len;
+        let bytes = SHARD_HEADER + self.payload_len;
         kron_obs::counter!("shard.spilled_runs").add(1);
         kron_obs::counter!("shard.spilled_arcs").add(self.arcs);
         kron_obs::counter!("shard.spilled_bytes").add(bytes);
@@ -576,98 +512,6 @@ impl ShardReader {
         self.block_pos += 1;
         Ok(Some(arc))
     }
-}
-
-// ---------------------------------------------------------------------------
-// Footer scan
-// ---------------------------------------------------------------------------
-
-/// Reads one varint byte-at-a-time from `input`, bounded by `left`.
-fn footer_varint(input: &mut impl Read, left: &mut u64, path: &Path) -> Result<u64> {
-    let mut buf = [0u8; MAX_VARINT_BYTES];
-    let mut filled = 0usize;
-    loop {
-        if *left == 0 {
-            return Err(corrupt(path, "footer ends mid-varint"));
-        }
-        input.read_exact(&mut buf[filled..filled + 1])?;
-        *left -= 1;
-        filled += 1;
-        match decode_varint(&buf[..filled]) {
-            Ok(Varint::Value { value, .. }) => return Ok(value),
-            Ok(Varint::NeedMore) => continue,
-            Err(msg) => return Err(corrupt(path, msg)),
-        }
-    }
-}
-
-/// Adds a shard's per-row arc counts (from its footer sidecar) into
-/// `counts[row + 1]`, the layout a prefix sum turns into CSR offsets.
-///
-/// The footer is validated like any other untrusted input: rows must be
-/// strictly increasing and `< n`, counts positive, every addition
-/// overflow-checked, and the entry sum must reproduce the header's arc
-/// count exactly. A footer can still *lie consistently* about which rows
-/// its arcs live in — [`build_external_csr`] verifies every row boundary
-/// during the merge pass and self-heals, so a forged footer costs a
-/// rewrite, never a corrupt CSR.
-pub fn sum_footer_degrees<P: AsRef<Path>>(
-    path: P,
-    counts: &mut [u64],
-    buf_bytes: usize,
-) -> Result<()> {
-    let path = path.as_ref();
-    let mut file = File::open(path)?;
-    let header = read_shard_header(&mut file, path)?;
-    if counts.len() as u64 != header.n + 1 {
-        return Err(corrupt(
-            path,
-            format!("degree table sized {} for universe n={}", counts.len(), header.n),
-        ));
-    }
-    file.seek(SeekFrom::Start(V2_HEADER + header.payload_len))?;
-    let mut input = BufReader::with_capacity(buf_bytes.clamp(64, DEFAULT_IO_BUF), file);
-    let mut left = header.footer_len;
-    let mut prev_row = 0u64;
-    let mut first = true;
-    let mut sum = 0u64;
-    while left > 0 {
-        let delta = footer_varint(&mut input, &mut left, path)?;
-        let count = footer_varint(&mut input, &mut left, path)?;
-        let row = if first {
-            delta
-        } else {
-            if delta == 0 {
-                return Err(corrupt(path, "footer rows not strictly increasing"));
-            }
-            prev_row
-                .checked_add(delta)
-                .ok_or_else(|| corrupt(path, "footer row overflows u64"))?
-        };
-        if row >= header.n {
-            return Err(corrupt(path, format!("footer row {row} out of range (n={})", header.n)));
-        }
-        if count == 0 {
-            return Err(corrupt(path, "footer entry with zero count"));
-        }
-        sum = sum
-            .checked_add(count)
-            .filter(|&s| s <= header.count)
-            .ok_or_else(|| corrupt(path, "footer counts exceed declared arcs"))?;
-        let slot = &mut counts[row as usize + 1];
-        *slot = slot
-            .checked_add(count)
-            .ok_or_else(|| corrupt(path, "summed degree overflows u64"))?;
-        prev_row = row;
-        first = false;
-    }
-    if sum != header.count {
-        return Err(corrupt(
-            path,
-            format!("footer counts sum to {sum}, header declares {}", header.count),
-        ));
-    }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -880,8 +724,9 @@ pub struct ExternalCsrStats {
     /// Merge passes taken (1 for [`build_external_csr`], 2 for the
     /// reference builder).
     pub merge_passes: u32,
-    /// Whether the offset region had to be rewritten after the merge
-    /// pass (cross-run duplicates or a lying footer).
+    /// Whether the offset region was written more than once. Always
+    /// `false`: both build functions write it exactly once. Kept for
+    /// reports that print it (`shard.offsets_rewritten`).
     pub offsets_rewritten: bool,
 }
 
@@ -893,19 +738,18 @@ fn write_csr_header<W: Write>(out: &mut W, n: u64, count: u64) -> Result<()> {
     Ok(())
 }
 
-/// Fully out-of-core CSR build in **one** merge pass: run footers
-/// predict the offset table, which is written optimistically before the
-/// pass; the pass appends targets while verifying every row boundary
-/// against the prediction. If the prediction holds (honest footers, no
-/// cross-run duplicates — the normal spill output) the file is already
-/// correct when the pass ends. Any divergence flips the build into
-/// repair mode, which finalizes true boundaries in place and rewrites the
-/// `O(n)` offset region with one seek — so the output is
-/// **byte-identical** to [`build_external_csr_two_pass`] in every case,
-/// for half the merge work in the common one.
+/// Fully out-of-core CSR build in **one** merge pass: the targets are
+/// streamed to their final place behind the `24 + 8·(n + 1)`-byte header
+/// and offset region while the pass counts each row's arcs into the
+/// `(n + 1)`-entry offset table; once the merge ends, the table is
+/// prefix-summed and the header and offsets are written, once. The
+/// output is **byte-identical** to [`build_external_csr_two_pass`] for
+/// half its merge work.
 ///
 /// Write errors surface at the failing write (the merge visitor is
-/// fallible), not at a final flush. Peak resident memory is the
+/// fallible), not at a final flush. A build that fails leaves a file
+/// whose header was never written (zero bytes, or nothing at all), which
+/// [`ExternalCsr::open`] rejects. Peak resident memory is the
 /// `(n + 1)`-entry offset table plus the bounded run buffers:
 /// independent of the arc count, which only ever exists on disk.
 pub fn build_external_csr<P: AsRef<Path>>(
@@ -915,91 +759,42 @@ pub fn build_external_csr<P: AsRef<Path>>(
 ) -> Result<ExternalCsrStats> {
     let _span = kron_obs::span::enter("shard/build_external_csr");
     let readers = open_all(paths, buf_bytes)?;
-    let first = readers
+    let n = readers
         .first()
-        .ok_or_else(|| corrupt(Path::new("<no shards>"), "external build needs >= 1 run"))?;
-    let n = first.n();
-    let n_usize = n as usize;
-
-    // Predicted offsets from the footers. The prediction is untrusted —
-    // every row boundary is re-verified during the merge pass below.
-    let mut offsets = vec![0u64; n_usize + 1];
-    for p in paths {
-        sum_footer_degrees(p, &mut offsets, buf_bytes)?;
+        .ok_or_else(|| corrupt(Path::new("<no shards>"), "external build needs >= 1 run"))?
+        .n();
+    let mut offsets = vec![0u64; n as usize + 1];
+    let mut file = File::create(out)?;
+    file.seek(SeekFrom::Start(24 + (n + 1) * 8))?;
+    let mut writer = BufWriter::with_capacity(buf_bytes.max(64), file);
+    let stats = try_merge_shards(readers, |u, v| {
+        offsets[u as usize + 1] += 1;
+        writer.write_all(&v.to_le_bytes())?;
+        Ok(())
+    })?;
+    for i in 0..n as usize {
+        offsets[i + 1] += offsets[i];
     }
-    for i in 1..=n_usize {
-        offsets[i] = offsets[i]
-            .checked_add(offsets[i - 1])
-            .ok_or_else(|| corrupt(out, "predicted offsets overflow u64"))?;
-    }
-    let predicted_total = offsets[n_usize];
-
-    let mut writer = BufWriter::with_capacity(buf_bytes.max(64), File::create(out)?);
-    write_csr_header(&mut writer, n, predicted_total)?;
+    writer.seek(SeekFrom::Start(0))?;
+    write_csr_header(&mut writer, n, stats.arcs_out)?;
     for offset in &offsets {
         writer.write_all(&offset.to_le_bytes())?;
     }
-
-    // The single merge pass: append targets, and verify each row boundary
-    // the moment the stream moves past it. `dirty` flips on the first
-    // boundary that disagrees with the prediction; every boundary is
-    // overwritten with the truth as it is passed, so from then on
-    // `offsets` is the true table.
-    let mut dirty = false;
-    let mut row = 0u64;
-    let mut pos = 0u64;
-    let mut close_row = |row: &mut u64, pos: u64| {
-        let slot = *row as usize + 1;
-        if offsets[slot] != pos {
-            dirty = true;
-            offsets[slot] = pos;
-        }
-        *row += 1;
-    };
-    let writer_ref = &mut writer;
-    let stats = try_merge_shards(readers, |u, v| {
-        while row < u {
-            close_row(&mut row, pos);
-        }
-        writer_ref.write_all(&v.to_le_bytes())?;
-        pos += 1;
-        Ok(())
-    })?;
-    while row < n {
-        close_row(&mut row, pos);
-    }
-    debug_assert!(dirty || stats.arcs_out == predicted_total);
-
     writer.flush()?;
-    if dirty {
-        // Repair: the arc count and the offset region are contiguous
-        // from byte 16, so one seek rewrites both.
-        let file = writer.get_mut();
-        file.seek(SeekFrom::Start(16))?;
-        let mut patch = BufWriter::with_capacity(buf_bytes.max(64), &mut *file);
-        patch.write_all(&stats.arcs_out.to_le_bytes())?;
-        for offset in &offsets {
-            patch.write_all(&offset.to_le_bytes())?;
-        }
-        patch.flush()?;
-    }
     let bytes = 24 + (n + 1) * 8 + stats.arcs_out * 8;
     kron_obs::counter!("shard.external_csr_arcs").add(stats.arcs_out);
     kron_obs::counter!("shard.external_csr_bytes").add(bytes);
-    if dirty {
-        kron_obs::counter!("shard.external_csr_offset_rewrites").add(1);
-    }
     Ok(ExternalCsrStats {
         arcs: stats.arcs_out,
         duplicates_discarded: stats.duplicates_discarded,
         bytes,
         merge_passes: 1,
-        offsets_rewritten: dirty,
+        offsets_rewritten: false,
     })
 }
 
 /// The reference builder: two merge passes (degree count, then targets),
-/// no footer use. Kept as the conformance oracle —
+/// each writing in file order. Kept as the conformance oracle —
 /// [`build_external_csr`] must produce byte-identical files.
 pub fn build_external_csr_two_pass<P: AsRef<Path>>(
     paths: &[P],
@@ -1584,7 +1379,7 @@ mod tests {
         bad[4] = 99;
         std::fs::write(&path, &bad).unwrap();
         assert!(ShardReader::open(&path).is_err());
-        // Truncated payload/footer.
+        // Truncated payload.
         std::fs::write(&path, &good[..good.len() - 1]).unwrap();
         assert!(ShardReader::open(&path).is_err());
         // Trailing byte.
@@ -1613,12 +1408,15 @@ mod tests {
     }
 
     #[test]
-    fn version_1_header_is_rejected() {
-        let d = dir("version1");
-        // The retired fixed-width layout — magic, version 1, n, count,
-        // then 16 bytes per arc — including one whose count is forged to
-        // u64::MAX: rejected on the version word before any size in the
-        // header is read, let alone allocated for.
+    fn retired_versions_are_rejected() {
+        let d = dir("retired_versions");
+        // The fixed-width version 1 — magic, version 1, n, count, then 16
+        // bytes per arc — and the footer-carrying version 2 — a 40-byte
+        // header of magic, version 2, n, count, payload_len and
+        // footer_len, the payload, then per-row (row, count) varints.
+        // Both are also forged to u64::MAX sizes: rejected on the version
+        // word before any size in the header is read, let alone
+        // allocated for.
         let mut fixed = Vec::new();
         fixed.extend_from_slice(SHARD_MAGIC);
         fixed.extend_from_slice(&1u32.to_le_bytes());
@@ -1628,54 +1426,71 @@ mod tests {
             fixed.extend_from_slice(&u.to_le_bytes());
             fixed.extend_from_slice(&v.to_le_bytes());
         }
-        let mut forged = fixed[..16].to_vec();
-        forged.extend_from_slice(&u64::MAX.to_le_bytes());
-        // A current file restamped as version 1.
-        let restamped = d.join("restamped.krsh");
-        write_run(&restamped, 4, &[(0, 1), (1, 2)]);
-        let mut bytes = std::fs::read(&restamped).unwrap();
-        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
-        for (name, bytes) in [("fixed", fixed), ("forged", forged), ("restamped", bytes)] {
+        let mut forged_1 = fixed[..16].to_vec();
+        forged_1.extend_from_slice(&u64::MAX.to_le_bytes());
+        let mut v2 = Vec::new();
+        v2.extend_from_slice(SHARD_MAGIC);
+        v2.extend_from_slice(&2u32.to_le_bytes());
+        for word in [4u64, 2, 4, 4] {
+            v2.extend_from_slice(&word.to_le_bytes()); // n, count, payload, footer
+        }
+        v2.extend_from_slice(&[0, 1, 1, 2]); // arcs (0,1) and (1,2)
+        v2.extend_from_slice(&[0, 1, 1, 1]); // footer (row 0: 1), (row +1: 1)
+        let mut forged_2 = v2[..16].to_vec();
+        forged_2.extend_from_slice(&[0xFF; 24]);
+        // A current file restamped as each retired version.
+        let current = d.join("current.krsh");
+        write_run(&current, 4, &[(0, 1), (1, 2)]);
+        let current = std::fs::read(&current).unwrap();
+        let restamp = |version: u32| {
+            let mut bytes = current.clone();
+            bytes[4..8].copy_from_slice(&version.to_le_bytes());
+            bytes
+        };
+        let files = [
+            ("fixed", 1, fixed),
+            ("forged_1", 1, forged_1),
+            ("restamped_1", 1, restamp(1)),
+            ("v2", 2, v2),
+            ("forged_2", 2, forged_2),
+            ("restamped_2", 2, restamp(2)),
+        ];
+        for (name, version, bytes) in files {
             let path = d.join(format!("{name}.krsh"));
             std::fs::write(&path, &bytes).unwrap();
+            let want = format!("unsupported shard version {version}");
             let err = ShardReader::open(&path).expect_err(name).to_string();
-            assert!(err.contains("unsupported shard version 1"), "{name}: {err}");
-            let mut counts = vec![0u64; 5];
-            assert!(sum_footer_degrees(&path, &mut counts, 512).is_err(), "{name}: footer scan");
-            assert!(counts.iter().all(|&c| c == 0), "{name}: degree table touched");
+            assert!(err.contains(&want), "{name}: {err}");
             let out = d.join(format!("{name}.krsc"));
-            assert!(build_external_csr(&[&path], &out, 512).is_err(), "{name}: external build");
+            let err = build_external_csr(&[&path], &out, 512).expect_err(name).to_string();
+            assert!(err.contains(&want), "{name}: external build: {err}");
         }
     }
 
     #[test]
-    fn reader_rejects_v2_payload_corruption() {
-        let d = dir("v2_payload");
+    fn reader_rejects_payload_corruption() {
+        let d = dir("payload");
         // Out-of-range row via a forged delta: arc decodes to u = 5 >= n.
         let path = d.join("range.krsh");
         let mut bytes = Vec::new();
         bytes.extend_from_slice(SHARD_MAGIC);
-        bytes.extend_from_slice(&SHARD_V2_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&SHARD_VERSION.to_le_bytes());
         bytes.extend_from_slice(&4u64.to_le_bytes()); // n
         bytes.extend_from_slice(&1u64.to_le_bytes()); // count
         bytes.extend_from_slice(&2u64.to_le_bytes()); // payload_len
-        bytes.extend_from_slice(&2u64.to_le_bytes()); // footer_len
         bytes.extend_from_slice(&[5, 0]); // arc (5, 0)
-        bytes.extend_from_slice(&[5, 1]); // footer (row 5, count 1)
         std::fs::write(&path, &bytes).unwrap();
-        assert!(drain(&path).is_err(), "out-of-range v2 arc accepted");
+        assert!(drain(&path).is_err(), "out-of-range arc accepted");
 
         // Payload with leftover bytes after the declared arcs.
         let path = d.join("trailing.krsh");
         let mut bytes = Vec::new();
         bytes.extend_from_slice(SHARD_MAGIC);
-        bytes.extend_from_slice(&SHARD_V2_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&SHARD_VERSION.to_le_bytes());
         bytes.extend_from_slice(&4u64.to_le_bytes());
         bytes.extend_from_slice(&1u64.to_le_bytes());
         bytes.extend_from_slice(&4u64.to_le_bytes()); // two arcs' worth
-        bytes.extend_from_slice(&2u64.to_le_bytes());
         bytes.extend_from_slice(&[0, 1, 1, 0]); // arcs (0,1) and (1,0)
-        bytes.extend_from_slice(&[0, 1]);
         std::fs::write(&path, &bytes).unwrap();
         assert!(drain(&path).is_err(), "trailing payload bytes accepted");
 
@@ -1683,13 +1498,11 @@ mod tests {
         let path = d.join("midvarint.krsh");
         let mut bytes = Vec::new();
         bytes.extend_from_slice(SHARD_MAGIC);
-        bytes.extend_from_slice(&SHARD_V2_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&SHARD_VERSION.to_le_bytes());
         bytes.extend_from_slice(&4u64.to_le_bytes());
         bytes.extend_from_slice(&1u64.to_le_bytes());
         bytes.extend_from_slice(&2u64.to_le_bytes());
-        bytes.extend_from_slice(&2u64.to_le_bytes());
         bytes.extend_from_slice(&[0x00, 0x80]); // second varint never ends
-        bytes.extend_from_slice(&[0, 1]);
         std::fs::write(&path, &bytes).unwrap();
         assert!(drain(&path).is_err(), "mid-varint truncation accepted");
     }
@@ -1768,27 +1581,6 @@ mod tests {
     }
 
     #[test]
-    fn sum_footer_degrees_matches_actual_degrees() {
-        let d = dir("footer_sum");
-        let n = 30u64;
-        let arcs: Vec<Arc> = {
-            let mut a: Vec<Arc> =
-                (0..200u64).map(|i| ((i * 13) % n, (i * 7) % n)).collect();
-            a.sort_unstable();
-            a
-        };
-        let path = d.join("run.krsh");
-        write_run(&path, n, &arcs);
-        let mut counts = vec![0u64; n as usize + 1];
-        sum_footer_degrees(&path, &mut counts, 1024).unwrap();
-        let mut expect = vec![0u64; n as usize + 1];
-        for &(u, _) in &arcs {
-            expect[u as usize + 1] += 1;
-        }
-        assert_eq!(counts, expect);
-    }
-
-    #[test]
     fn from_shards_matches_from_edge_list() {
         let d = dir("from_shards");
         let arcs = vec![(0u64, 3u64), (1, 1), (2, 0), (3, 2), (0, 1), (1, 1)];
@@ -1831,7 +1623,6 @@ mod tests {
         assert_eq!(stats.duplicates_discarded, 0);
         assert_eq!(stats.bytes, std::fs::metadata(&out).unwrap().len());
         assert_eq!(stats.merge_passes, 1);
-        assert!(!stats.offsets_rewritten, "honest v2 footers should predict exactly");
 
         let mut ext = ExternalCsr::open(&out).unwrap();
         assert_eq!(ext.n(), 4);
@@ -1903,35 +1694,25 @@ mod tests {
             a.dedup();
             a
         };
-        // (label, run splits, expect a rewrite?)
+        // Disjoint runs, and runs that share 40 arcs the merge discards.
         let halves = base.len() / 2;
-        let cases: Vec<(&str, Vec<Vec<Arc>>, bool)> = vec![
-            ("v2 disjoint", vec![base[..halves].to_vec(), base[halves..].to_vec()], false),
-            (
-                "v2 overlapping",
-                vec![base[..halves + 20].to_vec(), base[halves - 20..].to_vec()],
-                true,
-            ),
+        let cases: Vec<(&str, Vec<Vec<Arc>>)> = vec![
+            ("disjoint", vec![base[..halves].to_vec(), base[halves..].to_vec()]),
+            ("overlapping", vec![base[..halves + 20].to_vec(), base[halves - 20..].to_vec()]),
         ];
-        for (label, splits, expect_rewrite) in cases {
+        for (label, splits) in cases {
             let mut paths = Vec::new();
             for (i, split) in splits.iter().enumerate() {
-                let path = d.join(format!("{}_{i}.krsh", label.replace(' ', "_")));
+                let path = d.join(format!("{label}_{i}.krsh"));
                 write_run(&path, n, split);
                 paths.push(path);
             }
-            let one = d.join(format!("{}_one.krsc", label.replace(' ', "_")));
-            let two = d.join(format!("{}_two.krsc", label.replace(' ', "_")));
+            let one = d.join(format!("{label}_one.krsc"));
+            let two = d.join(format!("{label}_two.krsc"));
             let s1 = build_external_csr(&paths, &one, 512).unwrap();
             let s2 = build_external_csr_two_pass(&paths, &two, 512).unwrap();
-            assert_eq!(s1.arcs, s2.arcs, "{label}: arcs");
-            assert_eq!(
-                s1.duplicates_discarded, s2.duplicates_discarded,
-                "{label}: duplicates"
-            );
             assert_eq!(s1.merge_passes, 1, "{label}");
-            assert_eq!(s2.merge_passes, 2, "{label}");
-            assert_eq!(s1.offsets_rewritten, expect_rewrite, "{label}: rewrite flag");
+            assert_eq!(ExternalCsrStats { merge_passes: 2, ..s1 }, s2, "{label}: stats");
             assert_eq!(
                 std::fs::read(&one).unwrap(),
                 std::fs::read(&two).unwrap(),
@@ -1941,36 +1722,28 @@ mod tests {
     }
 
     #[test]
-    fn forged_footer_self_heals_or_errors() {
-        let d = dir("forged_footer");
-        let n = 4u64;
-        let path = d.join("run.krsh");
-        write_run(&path, n, &[(0, 1), (0, 2), (1, 0)]);
-        let good = std::fs::read(&path).unwrap();
-        // Footer is [(row 0, count 2), (row +1, count 1)] = [0,2,1,1] at
-        // the tail. A *consistent* lie keeps the sum: [(0,1),(+1,2)].
-        assert_eq!(&good[good.len() - 4..], &[0, 2, 1, 1]);
-        let mut lying = good.clone();
-        let at = lying.len() - 4;
-        lying[at..].copy_from_slice(&[0, 1, 1, 2]);
-        std::fs::write(&path, &lying).unwrap();
-        // The merge pass catches the divergence and rewrites: output is
-        // still byte-identical to the reference build.
-        let one = d.join("one.krsc");
-        let two = d.join("two.krsc");
-        let s1 = build_external_csr(&[&path], &one, 512).unwrap();
-        assert!(s1.offsets_rewritten, "lying footer must force a rewrite");
-        build_external_csr_two_pass(&[&path], &two, 512).unwrap();
-        assert_eq!(std::fs::read(&one).unwrap(), std::fs::read(&two).unwrap());
-
-        // An *inconsistent* footer (sum != count) is a clean error.
-        let mut broken = good.clone();
-        let at = broken.len() - 4;
-        broken[at..].copy_from_slice(&[0, 2, 1, 2]);
-        std::fs::write(&path, &broken).unwrap();
-        let mut counts = vec![0u64; n as usize + 1];
-        assert!(sum_footer_degrees(&path, &mut counts, 512).is_err());
-        assert!(build_external_csr(&[&path], &one, 512).is_err());
+    fn failed_build_leaves_no_readable_csr() {
+        let d = dir("failed_build");
+        let n = 50u64;
+        let mut arcs: Vec<Arc> =
+            (0..n).flat_map(|u| (0..4).map(move |k| (u, (u + 7 * k) % n))).collect();
+        arcs.sort_unstable();
+        let run = d.join("run.krsh");
+        write_run(&run, n, &arcs);
+        let out = d.join("c.krsc");
+        build_external_csr(&[&run], &out, 512).unwrap();
+        assert!(ExternalCsr::open(&out).is_ok());
+        // The last payload byte gains a continuation bit, so the run
+        // decodes 12 blocks of 16 arcs and fails in the 13th: the merge
+        // has already written most of the targets when it stops.
+        let mut bytes = std::fs::read(&run).unwrap();
+        *bytes.last_mut().unwrap() |= 0x80;
+        std::fs::write(&run, &bytes).unwrap();
+        let err = build_external_csr(&[&run], &out, 512).unwrap_err();
+        assert!(err.to_string().contains("mid-varint"), "{err}");
+        let written = std::fs::metadata(&out).unwrap().len();
+        assert!(written > 24 + (n + 1) * 8, "the merge stopped before writing targets");
+        assert!(ExternalCsr::open(&out).is_err(), "a failed build left a readable CSR");
     }
 
     #[test]

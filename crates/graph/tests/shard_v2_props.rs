@@ -1,10 +1,10 @@
-//! Property tests for the KRSH v2 delta-varint codec and its pipeline:
+//! Property tests for the KRSH delta-varint codec and its pipeline:
 //! LEB128 encode→decode identity with canonical-form (overlong)
-//! rejection, v2 run roundtrips over random sorted streams, a corruption
-//! corpus aimed at the v2-specific surfaces (truncation mid-varint,
-//! forged payload/footer lengths, bit flips in the compressed region,
-//! forged footers), and the single-pass external build emitting files
-//! byte-identical to the two-pass reference.
+//! rejection, run roundtrips over random sorted streams, a corruption
+//! corpus aimed at the codec's surfaces (truncation mid-varint, forged
+//! count and payload lengths, bit flips in the compressed region), and
+//! the single-pass external build emitting files byte-identical to the
+//! two-pass reference.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -136,26 +136,26 @@ proptest! {
         prop_assert!(decode_varint(&no_terminator).is_err());
     }
 
-    /// v2 encode→decode identity, and the compressed run beats the
+    /// Encode→decode identity, and the compressed run beats the
     /// retired fixed-width layout (24-byte header + 16 bytes/arc) on any
     /// non-trivial stream.
     #[test]
     fn v2_roundtrip_identity(arcs in sorted_run(64, 300)) {
         let p2 = write_run("rt2", 64, &arcs);
-        let reader = ShardReader::open(&p2).expect("open v2 shard");
+        let reader = ShardReader::open(&p2).expect("open shard");
         prop_assert_eq!(reader.arcs_total(), arcs.len() as u64);
         drop(reader);
-        prop_assert_eq!(drain(&p2).expect("drain v2 shard"), arcs.clone());
+        prop_assert_eq!(drain(&p2).expect("drain shard"), arcs.clone());
         if arcs.len() >= 16 {
             let fixed = 24 + 16 * arcs.len() as u64;
             let b2 = std::fs::metadata(&p2).unwrap().len();
-            prop_assert!(b2 < fixed, "v2 file {b2}B not smaller than fixed width {fixed}B");
+            prop_assert!(b2 < fixed, "run file {b2}B not smaller than fixed width {fixed}B");
         }
         std::fs::remove_file(&p2).ok();
     }
 
-    /// Every strict truncation of a v2 file — including cuts landing
-    /// mid-varint in the payload or footer — is a clean error.
+    /// Every strict truncation of a run file — including cuts landing
+    /// mid-varint in the payload — is a clean error.
     #[test]
     fn v2_truncation_rejected(arcs in sorted_run(32, 100), cut in 0usize..100_000) {
         let path = write_run("trunc", 32, &arcs);
@@ -168,7 +168,7 @@ proptest! {
         std::fs::remove_file(&path).ok();
     }
 
-    /// Single-bit flips anywhere in a v2 file never panic and never
+    /// Single-bit flips anywhere in a run file never panic and never
     /// over-allocate: either a clean error, or — when validity is
     /// preserved — a stream still satisfying every format invariant.
     #[test]
@@ -187,13 +187,13 @@ proptest! {
         std::fs::remove_file(&path).ok();
     }
 
-    /// Forged header lengths — arc count (bytes 16..24), payload_len
-    /// (24..32), footer_len (32..40) — are rejected by the framing
-    /// cross-check before any count-proportional allocation.
+    /// Forged header lengths — arc count (bytes 16..24) and payload_len
+    /// (24..32) — are rejected by the framing cross-check before any
+    /// count-proportional allocation.
     #[test]
     fn v2_forged_lengths_rejected(
         arcs in sorted_run(32, 80),
-        field in 0usize..3,
+        field in 0usize..2,
         forged in 0u64..=u64::MAX,
     ) {
         let path = write_run("forge", 32, &arcs);

@@ -31,8 +31,8 @@
 //! any thread schedule.
 //!
 //! * [`span`] — RAII phase timers forming a per-thread phase stack.
-//! * [`metrics`] — counters / max-gauges / log2-bucket histograms, with
-//!   the global sharded registry and the per-rank [`metrics::LocalRegistry`].
+//! * [`metrics`] — counters / max-gauges / log2-bucket histograms in
+//!   the global sharded registry.
 //! * [`alloc`] — live/peak allocation tracking (feature `measure-alloc`).
 //! * [`events`] — the distributed per-rank event log and timeline merge.
 //! * [`ring`] — the always-on flight recorder: lock-free per-thread

@@ -1,22 +1,14 @@
 //! Metrics registry: counters, max-gauges, and log2-bucket histograms.
 //!
-//! Two registries with one merge discipline:
-//!
-//! * The **global sharded registry** — handles ([`Counter`], [`Gauge`],
-//!   [`Histogram`]) are interned once per site (the [`counter!`],
-//!   [`gauge!`], [`histogram!`] macros cache them in a `OnceLock`);
-//!   updates go to a thread-local shard as plain indexed arithmetic, and
-//!   shards fold into the global accumulator when a thread exits or on
-//!   [`flush_thread`]. Every merge operation is commutative — sum for
-//!   counters and histogram buckets, max for gauges — and snapshots sort
-//!   by name, so the merged result is identical under any thread
-//!   schedule. Disabled probes pay one atomic load and a branch.
-//!
-//! * The always-on [`LocalRegistry`] — a single-owner registry for code
-//!   that must produce its statistics regardless of the global toggle
-//!   (the per-rank `RankStats` of `kron-dist` are snapshotted from one at
-//!   run end). Updates are one indexed add, cheap enough for per-arc
-//!   hot loops.
+//! One global sharded registry: handles ([`Counter`], [`Gauge`],
+//! [`Histogram`]) are interned once per site (the [`counter!`],
+//! [`gauge!`], [`histogram!`] macros cache them in a `OnceLock`);
+//! updates go to a thread-local shard as plain indexed arithmetic, and
+//! shards fold into the global accumulator when a thread exits or on
+//! [`flush_thread`]. Every merge operation is commutative — sum for
+//! counters and histogram buckets, max for gauges — and snapshots sort
+//! by name, so the merged result is identical under any thread
+//! schedule. Disabled probes pay one atomic load and a branch.
 //!
 //! Histogram buckets are powers of two: value `v` lands in bucket
 //! `ceil(log2(v + 1))`, i.e. bucket 0 holds exactly `v = 0`, bucket `i`
@@ -446,71 +438,6 @@ pub fn reset() {
     accumulator().lock().expect("metric accumulator poisoned").clear();
 }
 
-/// Single-owner registry for always-on statistics (no global toggle, no
-/// sharing): handles are vector indices, updates one indexed add — cheap
-/// enough for per-arc hot loops. `kron-dist` keeps one per rank and
-/// snapshots `RankStats` from it at run end.
-#[derive(Debug, Clone, Default)]
-pub struct LocalRegistry {
-    names: Vec<&'static str>,
-    values: Vec<u64>,
-}
-
-/// Handle into a [`LocalRegistry`].
-#[derive(Debug, Clone, Copy)]
-pub struct LocalCounter(usize);
-
-impl LocalRegistry {
-    /// Empty registry.
-    pub fn new() -> LocalRegistry {
-        LocalRegistry::default()
-    }
-
-    /// Registers (or finds) the counter named `name`.
-    pub fn counter(&mut self, name: &'static str) -> LocalCounter {
-        if let Some(id) = self.names.iter().position(|&n| n == name) {
-            return LocalCounter(id);
-        }
-        self.names.push(name);
-        self.values.push(0);
-        LocalCounter(self.names.len() - 1)
-    }
-
-    /// Adds `v` to the counter.
-    #[inline]
-    pub fn add(&mut self, c: LocalCounter, v: u64) {
-        self.values[c.0] += v;
-    }
-
-    /// Adds one.
-    #[inline]
-    pub fn inc(&mut self, c: LocalCounter) {
-        self.values[c.0] += 1;
-    }
-
-    /// Overwrites the counter (for values computed elsewhere and adopted
-    /// at run end, e.g. the reliable layer's retransmission total).
-    pub fn set(&mut self, c: LocalCounter, v: u64) {
-        self.values[c.0] = v;
-    }
-
-    /// Current value of the counter named `name` (0 if never registered).
-    pub fn get(&self, name: &str) -> u64 {
-        self.names
-            .iter()
-            .position(|&n| n == name)
-            .map_or(0, |id| self.values[id])
-    }
-
-    /// Name-sorted `(name, value)` view.
-    pub fn snapshot(&self) -> Vec<(&'static str, u64)> {
-        let mut out: Vec<(&'static str, u64)> =
-            self.names.iter().copied().zip(self.values.iter().copied()).collect();
-        out.sort_by_key(|&(name, _)| name);
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -558,21 +485,6 @@ mod tests {
         assert_eq!(bucket_bounds(64).1, u64::MAX);
         assert_eq!(bucket_bounds(0), (0, 0));
         assert_eq!(bucket_bounds(3), (4, 7));
-    }
-
-    #[test]
-    fn local_registry_accumulates_and_sorts() {
-        let mut reg = LocalRegistry::new();
-        let b = reg.counter("b.metric");
-        let a = reg.counter("a.metric");
-        let b2 = reg.counter("b.metric");
-        reg.add(b, 2);
-        reg.inc(a);
-        reg.add(b2, 3);
-        assert_eq!(reg.get("b.metric"), 5);
-        assert_eq!(reg.get("a.metric"), 1);
-        assert_eq!(reg.get("never"), 0);
-        assert_eq!(reg.snapshot(), vec![("a.metric", 1), ("b.metric", 5)]);
     }
 
     /// Global-registry behaviour shares the process-wide toggle and

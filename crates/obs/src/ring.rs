@@ -42,7 +42,7 @@ use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::io::{self, Write as _};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, Once, OnceLock};
 use std::time::Instant;
 
@@ -247,7 +247,6 @@ struct Recorder {
 }
 
 static RECORDER: OnceLock<Recorder> = OnceLock::new();
-static ENABLED: AtomicBool = AtomicBool::new(true);
 
 /// Span-name intern table: name → id, plus the id → name list.
 static NAMES: Mutex<Option<(BTreeMap<&'static str, u32>, Vec<&'static str>)>> = Mutex::new(None);
@@ -310,19 +309,6 @@ fn with_ring(f: impl FnOnce(&Ring, Instant)) {
     });
 }
 
-/// Turns flight recording on or off. On by default ("always-on"); the
-/// off path — one relaxed load and a branch — exists for the obs-overhead
-/// benchmark and for experiments, not as a production mode.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether the flight recorder is currently recording.
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
 #[inline]
 fn now_ns(origin: Instant) -> u64 {
     origin.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
@@ -338,9 +324,6 @@ fn meta_word(etype: u8, kind: u8, flags: u8, count: u16) -> u64 {
 /// the recorder on.
 #[inline]
 pub fn record_query(id: u64, kind: u8, flags: u8, count: u16, stages: StageNs) {
-    if !enabled() {
-        return;
-    }
     with_ring(|ring, origin| {
         ring.push(&[
             0, // seq, filled by push
@@ -369,9 +352,6 @@ fn intern(name: &'static str) -> u64 {
 }
 
 fn record_span(etype: u8, name: &'static str) {
-    if !enabled() {
-        return;
-    }
     let id = intern(name);
     with_ring(|ring, origin| {
         ring.push(&[0, now_ns(origin), meta_word(etype, 0, 0, 0), id, 0, 0, 0, 0, 0]);
@@ -514,7 +494,6 @@ mod tests {
     #[test]
     fn record_drain_roundtrip_and_overflow() {
         let _serial = crate::test_serial();
-        set_enabled(true);
         // Claim this thread's ring, then note where we start.
         record_query(0, 0, 0, 1, StageNs::default());
         let start = {
@@ -553,21 +532,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_records_nothing() {
-        let _serial = crate::test_serial();
-        set_enabled(true);
-        record_query(0, 0, 0, 1, StageNs::default()); // ensure ring claimed
-        let before = recorded_total();
-        set_enabled(false);
-        record_query(999, 0, 0, 1, StageNs::default());
-        assert_eq!(recorded_total(), before);
-        set_enabled(true);
-    }
-
-    #[test]
     fn slow_query_filter_most_recent_first() {
         let _serial = crate::test_serial();
-        set_enabled(true);
         reset();
         let slow = StageNs { read_ns: 0, queue_ns: 0, engine_ns: 9_000_000, cache_ns: 0, write_ns: 0 };
         let fast = StageNs { read_ns: 0, queue_ns: 0, engine_ns: 10, cache_ns: 0, write_ns: 0 };
@@ -584,7 +550,6 @@ mod tests {
     #[test]
     fn span_events_reach_the_ring() {
         let _serial = crate::test_serial();
-        set_enabled(true);
         crate::set_enabled(true);
         reset();
         {
@@ -611,7 +576,6 @@ mod tests {
     #[test]
     fn dump_writes_lint_clean_json() {
         let _serial = crate::test_serial();
-        set_enabled(true);
         record_query(42, 2, 0, 1, StageNs::default());
         let path = dump_to_temp("unit test/tag").expect("dump");
         let text = std::fs::read_to_string(&path).expect("read dump");

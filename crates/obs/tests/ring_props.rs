@@ -26,7 +26,6 @@ proptest! {
         base in 0u64..1 << 32,
     ) {
         let _g = serial();
-        ring::set_enabled(true);
         ring::reset();
         for i in 0..n {
             ring::record_query(base + i as u64, 2, 0, 1, StageNs::default());
@@ -62,7 +61,6 @@ proptest! {
         counts in proptest::collection::vec(1usize..200, 1..4usize),
     ) {
         let _g = serial();
-        ring::set_enabled(true);
         ring::reset();
         let handles: Vec<_> = counts
             .iter()

@@ -230,7 +230,6 @@ fn admin_json(resp: Response) -> String {
 fn admin_opcodes_answer_live_with_lint_clean_json() {
     let _g = obs_serial();
     kron_obs::set_enabled(true);
-    kron_obs::ring::set_enabled(true);
     let (engine, handle) = spawn_small(1);
     let mut stream = connect(&handle);
 
@@ -290,7 +289,6 @@ fn admin_opcodes_answer_live_with_lint_clean_json() {
 fn single_client_closed_loop_queue_wait_is_negligible() {
     let _g = obs_serial();
     kron_obs::set_enabled(true);
-    kron_obs::ring::set_enabled(true);
     let (engine, handle) = spawn_small(1);
     let mut stream = connect(&handle);
 

@@ -50,7 +50,6 @@ fn fetch(
 fn serving_every_row_holds_no_more_than_the_largest_reply() {
     // Observability on, as in the `kron-serve` binary.
     kron_obs::set_enabled(true);
-    kron_obs::ring::set_enabled(true);
     let pair = KroneckerPair::with_full_self_loops(
         erdos_renyi(64, 0.2, 41),
         erdos_renyi(64, 0.2, 42),

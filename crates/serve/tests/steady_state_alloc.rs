@@ -45,7 +45,6 @@ fn steady_state_request_handling_does_not_allocate() {
     // stage timing, and the flight recorder all ride the hot path, and
     // the zero-allocation claim must hold with them enabled.
     kron_obs::set_enabled(true);
-    kron_obs::ring::set_enabled(true);
     let pair = KroneckerPair::with_full_self_loops(erdos_renyi(9, 0.4, 3), cycle(7)).unwrap();
     let engine = Arc::new(QueryEngine::from_pair(pair, 5).unwrap());
     let n_c = engine.n_c();

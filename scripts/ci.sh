@@ -21,11 +21,12 @@
 #                opcodes mid-load with a bit-for-bit count cross-check
 #   4. serve:    scripts/serve.sh — query-server smoke: process-level
 #                loopback serving, bit-exact load validation, graceful
-#                shutdown, steady-state zero-allocation proof
+#                shutdown, steady-state zero-allocation proof, and the
+#                connection-churn mapping bound in release builds
 #   5. shard:    scripts/shard.sh — out-of-core tier smoke: a verified
 #                build-s8 benchmark run with a scratch-dir-clean
-#                assertion, plus the shard format, v2 codec, and
-#                conformance suites
+#                assertion, plus the shard format, delta-varint codec
+#                and conformance suites
 #   6. perf:     bench_compare HEAD — the one performance gate: the
 #                working tree against HEAD in 10 interleaved pairs of
 #                every BENCHMARK.json workload, failing on an end-to-end

@@ -7,7 +7,9 @@
 # the in-process oracles), sends the Shutdown frame, and requires the
 # server process to exit 0 after its graceful drain. Then runs the
 # serve crate's test suite including the steady-state zero-allocation
-# proof and the reply-memory bound (`--features measure-alloc`).
+# proof and the reply-memory bound (`--features measure-alloc`), and the
+# connection-churn mapping bound three times in a release build, where
+# reader threads come and go fastest.
 #
 # Usage: scripts/serve.sh [--scale S]
 
@@ -61,5 +63,10 @@ cargo test -q --offline -p kron-serve --features measure-alloc --test steady_sta
 
 echo "== serve: every row served within the largest reply's memory (measure-alloc) =="
 cargo test -q --offline -p kron-serve --features measure-alloc --test reply_memory
+
+echo "== serve: connection churn keeps mappings flat (release, 3 runs) =="
+for _ in 1 2 3; do
+  cargo test --release -q --offline -p kron-serve --test connection_churn
+done
 
 echo "serve.sh: all serve checks passed"

@@ -3,20 +3,23 @@
 #
 # Makes one short untraced build-s8 run of the pipeline benchmark with
 # its scratch directory under mktemp: 2-rank 2D generation spilled to
-# sorted KRSH v2 runs, the single-pass external KRSC build, and row
-# reads, every row checked against digests of the synthesized product.
+# sorted KRSH runs (version 3: header and delta-varint payload, no
+# per-row footer), the single-pass external KRSC build that counts row
+# lengths while it merges, and row reads, every row checked against
+# digests of the synthesized product.
 # Afterwards the scratch directory must be empty: a shard file the
 # pipeline forgot to clean up (or an unfinished run left behind by an
 # early exit) fails the stage.
 #
 # Then runs the shard-format test batteries: the kron-graph unit +
 # property suites (roundtrip, truncation/bit-flip/forged-count corpus,
-# plus the v2 varint/delta codec corpus in shard_v2_props) and the
-# cross-crate conformance suite in kron-dist (from_shards, one-pass vs
-# two-pass KRSC bytes, the spill's size against the fixed-width layout)
-# — and both spill paths' counting-allocator memory bounds: the direct
-# spill + external build (external_alloc) and the exchanged spill under
-# the credit window (exchange_alloc).
+# retired versions 1 and 2 rejected at open, plus the varint/delta
+# codec corpus in shard_v2_props) and the cross-crate conformance suite
+# in kron-dist (from_shards, one-pass vs two-pass KRSC bytes, the
+# spill's size against the fixed-width layout) — and both spill paths'
+# counting-allocator memory bounds: the direct spill + external build
+# (external_alloc) and the exchanged spill under the credit window
+# (exchange_alloc).
 #
 # Usage: scripts/shard.sh
 

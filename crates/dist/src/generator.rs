@@ -284,15 +284,6 @@ pub fn generate_distributed(pair: &KroneckerPair, config: &DistConfig) -> DistRe
         shard_runs.push(out.shard_runs);
         recorders.push(out.recorder);
     }
-    // Mirror the run's aggregates into the global registry so an
-    // ObsReport covers the distributed phase alongside the kernels.
-    kron_obs::counter!("dist.generated").add(stats.total_generated());
-    kron_obs::counter!("dist.stored").add(stats.total_stored());
-    kron_obs::counter!("dist.retransmissions").add(stats.total_retransmissions());
-    kron_obs::counter!("dist.redeliveries_discarded")
-        .add(stats.total_redeliveries_discarded());
-    kron_obs::counter!("dist.spilled_arcs").add(stats.total_spilled_arcs());
-    kron_obs::counter!("dist.window_waits").add(stats.total_window_waits());
     let timeline = Timeline::from_recorders(recorders);
     // Expose the merged timeline to the flight-recorder panic hook and
     // trace export; skip when event recording was off (empty timeline).
@@ -578,9 +569,7 @@ fn run_rank(
 
 /// What [`spill_shards_direct`] produced: the per-rank run paths plus
 /// the per-rank accounting that the exchange path reports through
-/// [`DistResult::stats`] — so obs reports from the direct path carry
-/// real `dist.spilled_arcs` instead of the PR 8 gap (always 0, because
-/// only `generate_distributed` mirrored `GenStats` into the registry).
+/// [`DistResult::stats`].
 #[derive(Debug)]
 pub struct DirectSpillResult {
     /// Run files per rank, in rank order (rank `r` at index `r`).
@@ -600,9 +589,9 @@ pub struct DirectSpillResult {
 /// run (none if the block is empty) with no sort buffer at all. Peak
 /// resident memory is one product row plus one IO buffer — never
 /// `O(|E_C|)`.
-/// Returns the per-rank run paths and spill accounting (mirrored into
-/// the global obs registry); `kron_graph::build_external_csr` over all
-/// runs completes the beyond-RAM pipeline.
+/// Returns the per-rank run paths and spill accounting;
+/// `kron_graph::build_external_csr` over all runs completes the
+/// beyond-RAM pipeline.
 pub fn spill_shards_direct(
     pair: &KroneckerPair,
     ranks: usize,
@@ -654,12 +643,6 @@ pub fn spill_shards_direct(
         all.push(runs);
     }
     let stats = GenStats { per_rank, elapsed_secs: started.elapsed().as_secs_f64() };
-    // Mirror into the global registry — the exchange path does this in
-    // `generate_distributed`; without it direct-spill obs reports showed
-    // `dist.spilled_arcs = 0` no matter how much hit disk.
-    kron_obs::counter!("dist.generated").add(stats.total_generated());
-    kron_obs::counter!("dist.stored").add(stats.total_stored());
-    kron_obs::counter!("dist.spilled_arcs").add(stats.total_spilled_arcs());
     Ok(DirectSpillResult { runs: all, stats })
 }
 
@@ -942,8 +925,8 @@ mod tests {
             let direct = spill_shards_direct(&pair, ranks, &spill).unwrap();
             let runs = &direct.runs;
             assert_eq!(runs.len(), ranks);
-            // The obs-gap fix: the direct path reports real per-rank
-            // spill accounting, matching the product it wrote.
+            // The direct path reports real per-rank spill accounting,
+            // matching the product it wrote.
             assert_eq!(direct.stats.total_spilled_arcs() as u128, pair.nnz_c());
             assert_eq!(direct.stats.total_generated(), direct.stats.total_stored());
             for (rank, rs) in direct.stats.per_rank.iter().enumerate() {
@@ -965,28 +948,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn spill_shards_direct_mirrors_obs_counters() {
-        // PR 8's obs gap: direct-spill runs reported dist.spilled_arcs = 0
-        // because only generate_distributed mirrored GenStats into the
-        // registry. The direct path must now mirror its own accounting.
-        let pair = KroneckerPair::as_is(erdos_renyi(8, 0.5, 21), cycle(4)).unwrap();
-        let spill = spill_config("obs_gap");
-        kron_obs::set_enabled(true);
-        let direct = spill_shards_direct(&pair, 2, &spill).unwrap();
-        kron_obs::set_enabled(false);
-        let metrics = kron_obs::metrics::snapshot();
-        let spilled = direct.stats.total_spilled_arcs();
-        assert_eq!(spilled as u128, pair.nnz_c());
-        // Other tests share the global registry, so assert at-least.
-        assert!(
-            metrics.counter("dist.spilled_arcs").unwrap_or(0) >= spilled,
-            "direct spill must mirror dist.spilled_arcs into the registry"
-        );
-        assert!(metrics.counter("dist.generated").unwrap_or(0) >= spilled);
-        assert!(metrics.counter("dist.stored").unwrap_or(0) >= spilled);
     }
 
     #[test]

@@ -157,14 +157,6 @@ impl<T: Clone + Send> ReliableEndpoint<T> {
     /// exit (out-of-order buffers empty), which the method asserts while
     /// recording.
     pub fn take_recorder_with_accounting(&mut self) -> RankRecorder {
-        // Mirror the transport-level fault counters into the global
-        // registry at wind-down — like `RankStats`, they otherwise live
-        // only in per-endpoint structs an `ObsReport` never sees.
-        let t = self.ep.stats;
-        kron_obs::counter!("transport.sends").add(t.sends);
-        kron_obs::counter!("transport.dropped").add(t.dropped);
-        kron_obs::counter!("transport.duplicated").add(t.duplicated);
-        kron_obs::counter!("transport.delayed").add(t.delayed);
         if self.ep.recorder().is_active() {
             for dest in 0..self.next_seq.len() {
                 let sent = self.next_seq[dest];

@@ -1,8 +1,8 @@
 //! Per-rank counters and aggregate load/storage metrics.
 //!
 //! Each rank's exchange counts straight into its [`RankStats`] (plain
-//! field adds, always on); `generate_distributed` mirrors the
-//! aggregates into the global `kron-obs` registry.
+//! field adds, always on), and a run's [`GenStats`] is the only copy of
+//! its totals: the global `kron-obs` registry holds none of them.
 
 use serde::{Deserialize, Serialize};
 

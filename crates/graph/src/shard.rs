@@ -42,12 +42,10 @@
 //!   ([`ExternalCsr::for_each_degree`], [`ExternalCsr::for_each_row`])
 //!   for beyond-RAM analytics.
 //!
-//! Spill and merge volumes are mirrored into `kron-obs` counters
-//! (`shard.spilled_arcs`, `shard.merged_arcs`,
-//! `shard.merge_duplicates_discarded`, …) so an [`ObsReport`] covers the
-//! disk tier alongside the kernels.
-//!
-//! [`ObsReport`]: ../../kron_obs/report/struct.ObsReport.html
+//! Each step returns its own count of what it did — [`ShardInfo`],
+//! [`MergeStats`], [`ExternalCsrStats`], [`ExternalCsr::cache_stats`] —
+//! and that struct is the only count: the process-global `kron-obs`
+//! registry holds no copy.
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
@@ -328,9 +326,6 @@ impl ShardWriter {
         file.write_all(&self.payload_len.to_le_bytes())?;
         file.flush()?;
         let bytes = SHARD_HEADER + self.payload_len;
-        kron_obs::counter!("shard.spilled_runs").add(1);
-        kron_obs::counter!("shard.spilled_arcs").add(self.arcs);
-        kron_obs::counter!("shard.spilled_bytes").add(bytes);
         Ok(ShardInfo { path: self.path, n: self.n, arcs: self.arcs, bytes })
     }
 }
@@ -646,9 +641,6 @@ pub fn try_merge_shards<F: FnMut(u64, u64) -> Result<()>>(
             }
         }
     }
-    kron_obs::counter!("shard.merged_runs").add(stats.runs as u64);
-    kron_obs::counter!("shard.merged_arcs").add(stats.arcs_out);
-    kron_obs::counter!("shard.merge_duplicates_discarded").add(stats.duplicates_discarded);
     Ok(stats)
 }
 
@@ -738,6 +730,21 @@ fn write_csr_header<W: Write>(out: &mut W, n: u64, count: u64) -> Result<()> {
     Ok(())
 }
 
+/// The zeroed `(n + 1)`-entry offset table of an external build over
+/// runs declaring `n` vertices, or an error when no such table can be
+/// allocated: the run headers bound `n` by nothing.
+#[allow(clippy::slow_vector_initialization)] // `vec!` cannot report a failed allocation
+fn offset_table(n: u64, path: &Path) -> Result<Vec<u64>> {
+    let mut table = Vec::new();
+    match usize::try_from(n).ok().and_then(|n| n.checked_add(1)) {
+        Some(len) if table.try_reserve_exact(len).is_ok() => {
+            table.resize(len, 0);
+            Ok(table)
+        }
+        _ => Err(corrupt(path, format!("n={n} needs an offset table too large to allocate"))),
+    }
+}
+
 /// Fully out-of-core CSR build in **one** merge pass: the targets are
 /// streamed to their final place behind the `24 + 8·(n + 1)`-byte header
 /// and offset region while the pass counts each row's arcs into the
@@ -751,7 +758,9 @@ fn write_csr_header<W: Write>(out: &mut W, n: u64, count: u64) -> Result<()> {
 /// whose header was never written (zero bytes, or nothing at all), which
 /// [`ExternalCsr::open`] rejects. Peak resident memory is the
 /// `(n + 1)`-entry offset table plus the bounded run buffers:
-/// independent of the arc count, which only ever exists on disk.
+/// independent of the arc count, which only ever exists on disk. Runs
+/// declaring an `n` whose table cannot be allocated are an error,
+/// returned before `out` is created.
 pub fn build_external_csr<P: AsRef<Path>>(
     paths: &[P],
     out: &Path,
@@ -759,11 +768,11 @@ pub fn build_external_csr<P: AsRef<Path>>(
 ) -> Result<ExternalCsrStats> {
     let _span = kron_obs::span::enter("shard/build_external_csr");
     let readers = open_all(paths, buf_bytes)?;
-    let n = readers
+    let first = readers
         .first()
-        .ok_or_else(|| corrupt(Path::new("<no shards>"), "external build needs >= 1 run"))?
-        .n();
-    let mut offsets = vec![0u64; n as usize + 1];
+        .ok_or_else(|| corrupt(Path::new("<no shards>"), "external build needs >= 1 run"))?;
+    let n = first.n();
+    let mut offsets = offset_table(n, &first.path)?;
     let mut file = File::create(out)?;
     file.seek(SeekFrom::Start(24 + (n + 1) * 8))?;
     let mut writer = BufWriter::with_capacity(buf_bytes.max(64), file);
@@ -782,8 +791,6 @@ pub fn build_external_csr<P: AsRef<Path>>(
     }
     writer.flush()?;
     let bytes = 24 + (n + 1) * 8 + stats.arcs_out * 8;
-    kron_obs::counter!("shard.external_csr_arcs").add(stats.arcs_out);
-    kron_obs::counter!("shard.external_csr_bytes").add(bytes);
     Ok(ExternalCsrStats {
         arcs: stats.arcs_out,
         duplicates_discarded: stats.duplicates_discarded,
@@ -808,7 +815,7 @@ pub fn build_external_csr_two_pass<P: AsRef<Path>>(
         .ok_or_else(|| corrupt(Path::new("<no shards>"), "external build needs >= 1 run"))?;
     let n = first.n();
     // Pass 1: degree counts (the only O(n) state of the build).
-    let mut counts = vec![0u64; n as usize + 1];
+    let mut counts = offset_table(n, &first.path)?;
     let pass1 = merge_shards(readers, |u, _| counts[u as usize + 1] += 1)?;
     for i in 0..n as usize {
         counts[i + 1] += counts[i];
@@ -830,8 +837,6 @@ pub fn build_external_csr_two_pass<P: AsRef<Path>>(
     }
     writer.flush()?;
     let bytes = 24 + (n + 1) * 8 + pass1.arcs_out * 8;
-    kron_obs::counter!("shard.external_csr_arcs").add(pass1.arcs_out);
-    kron_obs::counter!("shard.external_csr_bytes").add(bytes);
     Ok(ExternalCsrStats {
         arcs: pass1.arcs_out,
         duplicates_discarded: pass1.duplicates_discarded,
@@ -937,16 +942,13 @@ impl BlockCache {
         let set = &mut self.sets[(mix64(block_id) & self.set_mask) as usize];
         let slot = if let Some(hit) = set.ways.iter().position(|w| w.tag == tag) {
             self.stats.hits += 1;
-            kron_obs::counter!("shard.block_cache_hits").add(1);
             hit
         } else {
             self.stats.misses += 1;
-            kron_obs::counter!("shard.block_cache_misses").add(1);
             let slot = match set.ways.iter().position(|w| w.tag == 0) {
                 Some(empty) => empty,
                 None => {
                     self.stats.evictions += 1;
-                    kron_obs::counter!("shard.block_cache_evictions").add(1);
                     (splitmix64(&mut set.rng) % CACHE_WAYS as u64) as usize
                 }
             };
@@ -1744,6 +1746,31 @@ mod tests {
         let written = std::fs::metadata(&out).unwrap().len();
         assert!(written > 24 + (n + 1) * 8, "the merge stopped before writing targets");
         assert!(ExternalCsr::open(&out).is_err(), "a failed build left a readable CSR");
+    }
+
+    #[test]
+    fn external_builds_reject_unallocatable_vertex_counts() {
+        let d = dir("huge_n");
+        let run = d.join("run.krsh");
+        let out = d.join("c.krsc");
+        for n in [(1u64 << 61) + 5, u64::MAX] {
+            // A valid one-arc run: nothing in its header bounds `n`.
+            write_run(&run, n, &[(0, 1)]);
+            assert_eq!(ShardReader::open(&run).unwrap().n(), n);
+            for two_pass in [false, true] {
+                let _ = std::fs::remove_file(&out);
+                let built = std::panic::catch_unwind(|| {
+                    if two_pass {
+                        build_external_csr_two_pass(&[&run], &out, 512)
+                    } else {
+                        build_external_csr(&[&run], &out, 512)
+                    }
+                });
+                let err = built.expect("the build panicked").unwrap_err();
+                assert!(err.to_string().contains("offset table"), "n={n}: {err}");
+                assert!(!out.exists(), "n={n}: the build created its output first");
+            }
+        }
     }
 
     #[test]

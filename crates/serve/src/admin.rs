@@ -2,28 +2,15 @@
 //! behind the versioned admin opcodes (`Stats`, `SlowQueries`,
 //! `FlightDump`, `ResetStats`) — DESIGN.md §14.
 //!
-//! ## Why a second set of counters
-//!
-//! The `kron-obs` registry is sharded per thread and folds into the
-//! global accumulator only when a thread exits (or calls
-//! `flush_thread`), which keeps the query hot path allocation- and
-//! contention-free but means a *live* registry snapshot lags by
-//! whatever the still-running workers hold. The scrape protocol's
-//! headline numbers must instead be exact at any instant — `kron-load`
-//! cross-checks them bit-for-bit against its client-side tallies mid
-//! run — so [`ServeCounters`] keeps one relaxed `AtomicU64` per fact.
-//! A relaxed add per served query is allocation-free and a few
-//! nanoseconds; the sharded registry remains the home of histograms and
-//! everything else.
-//!
-//! The `Stats` reply therefore carries three tiers of data:
-//!
-//! 1. exact always-on counts (`served_*`, `frames_*`, …),
-//! 2. live latency quantiles derived from the flight recorder's recent
-//!    window (see [`kron_obs::ring`]) via the one shared
-//!    [`kron_obs::metrics::quantiles_from_buckets`] implementation,
-//! 3. the merged `kron-obs` registry snapshot, complete only for
-//!    threads that have flushed (exact after shutdown joins).
+//! A `Stats` reply carries exact counts plus ring-derived quantiles.
+//! [`ServeCounters`] keeps one relaxed `AtomicU64` per fact, exact at
+//! any instant (`kron-load` cross-checks `served_*` bit for bit against
+//! its client-side tallies mid run), and is the only count of those
+//! facts: the process-global `kron-obs` registry holds no copy. The
+//! per-kind latency quantiles derive from the flight recorder's recent
+//! window (see [`kron_obs::ring`]) via the one shared
+//! [`kron_obs::metrics::quantiles_from_buckets`] implementation.
+//! `ResetStats` zeroes exactly these two sources.
 //!
 //! All replies are JSON (response tag `RESP_ADMIN_JSON`), validated by
 //! `kron_obs::json_lint` in debug builds, and size-capped so every
@@ -31,15 +18,16 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use kron_obs::metrics::{quantiles_from_buckets, HistQuantiles, MetricsSnapshot};
+use kron_obs::metrics::{quantiles_from_buckets, HistQuantiles};
 use kron_obs::ring::{self, FlightEvent, FlightSnapshot};
 use serde::Serialize;
 
 use crate::protocol::QueryKind;
 
 /// Version stamp embedded in every admin reply; bump on layout change
-/// (2: `Stats` lost its `cache_*` fields with the row cache).
-pub const ADMIN_SCHEMA: u32 = 2;
+/// (2: `Stats` lost its `cache_*` fields with the row cache; 3: it lost
+/// its `registry` snapshot).
+pub const ADMIN_SCHEMA: u32 = 3;
 
 /// Hard cap on `SlowQueries` results regardless of the requested limit,
 /// so a pretty-printed reply always fits one frame.
@@ -132,7 +120,7 @@ impl ServeCounters {
 }
 
 /// Everything the worker hands the `Stats` builder besides the global
-/// flight/registry state it reads itself.
+/// flight-recorder state it reads itself.
 #[derive(Debug, Clone, Copy)]
 pub struct StatsInput {
     /// Exact always-on counters.
@@ -192,7 +180,6 @@ struct StatsReply {
     flight_overflow: u64,
     flight_dropped_threads: u64,
     latency_live: Vec<KindLatency>,
-    registry: MetricsSnapshot,
 }
 
 /// Per-kind processing-time quantiles over the flight recorder's
@@ -237,7 +224,8 @@ fn finish(json: String) -> String {
     json
 }
 
-/// Builds the `Stats` reply (see module docs for the three data tiers).
+/// Builds the `Stats` reply: exact counts plus ring-derived quantiles
+/// (see module docs).
 pub fn stats_json(input: &StatsInput) -> String {
     let flight = ring::snapshot();
     let c = input.counters;
@@ -264,7 +252,6 @@ pub fn stats_json(input: &StatsInput) -> String {
         flight_overflow: flight.total_overflow(),
         flight_dropped_threads: flight.dropped_threads,
         latency_live: live_latency(&flight),
-        registry: kron_obs::metrics::snapshot(),
     };
     finish(serde_json::to_string_pretty(&reply).expect("stats reply serializes"))
 }
@@ -358,9 +345,9 @@ mod tests {
         // The sidecar's line-oriented parser keys on these exact forms.
         assert!(json.contains("\"served_neighbors\": 7"), "{json}");
         assert!(json.contains("\"served_total\": 12"), "{json}");
-        assert!(json.contains("\"admin_schema\": 2"));
+        assert!(json.contains("\"admin_schema\": 3"));
         assert!(!json.contains("cache_hits"), "{json}");
-        assert!(json.contains("\"registry\":"));
+        assert!(!json.contains("\"registry\""), "{json}");
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //!
 //! (scripts parse this line for the ephemeral port). The process exits
 //! 0 after a client sends a Shutdown frame and the graceful drain
-//! completes; a metrics summary goes to stderr unless `--quiet`.
+//! completes; unless `--quiet`, the final serving counters and the obs
+//! report's span and kernel-counter summary go to stderr.
 
 use std::sync::Arc;
 
@@ -89,12 +90,23 @@ fn main() {
     handle.wait_shutdown_requested();
     let stats = handle.shutdown();
     if !quiet {
-        kron_obs::metrics::flush_thread();
-        let report = kron_obs::report::ObsReport::capture();
+        let c = stats.counters;
         eprintln!(
             "kron-serve: drained and stopped ({} workers, {} readers joined)",
             stats.workers_joined, stats.readers_joined,
         );
-        eprintln!("{}", report.summary());
+        eprintln!(
+            "kron-serve: {} connections; frames: {} single, {} batch, {} admin; \
+             {} queries served; {} bad frames; {} failed writes",
+            c.connections,
+            c.frames_single,
+            c.frames_batch,
+            c.frames_admin,
+            c.served_total(),
+            c.bad_frames,
+            c.write_failures,
+        );
+        kron_obs::metrics::flush_thread();
+        eprintln!("{}", kron_obs::report::ObsReport::capture().summary());
     }
 }

@@ -335,8 +335,8 @@ fn run_client(
 
 /// Folds raw RTTs into sparse log2 buckets and derives the quantiles
 /// through the ONE shared implementation — the same buckets and the
-/// same interpolation rule the server's metric histograms use, so a
-/// client-reported p99 and the server's `serve.latency_ns.*` p99 are
+/// same interpolation rule behind the `Stats` reply's `latency_live`,
+/// so a client-reported p99 and the server's per-kind live p99 are
 /// directly comparable.
 fn rtt_quantiles(latencies_ns: &[u64]) -> HistQuantiles {
     let mut counts = [0u64; 65];

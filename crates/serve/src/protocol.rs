@@ -148,8 +148,8 @@ pub struct Query {
 /// [`Response::AdminJson`] documents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdminRequest {
-    /// Full metrics snapshot: always-on serve counters and registry
-    /// counters/gauges/histograms with derived p50/p90/p99.
+    /// Serving snapshot: the exact always-on serve counters and per-kind
+    /// latency quantiles derived from the flight recorder.
     Stats,
     /// Recent queries whose processing time met the threshold, with
     /// per-stage breakdowns from the flight recorder.
@@ -161,7 +161,8 @@ pub enum AdminRequest {
     },
     /// Recent flight-recorder contents (capped to fit one frame).
     FlightDump,
-    /// Zero the serve counters, registry, and flight recorder.
+    /// Zero what `Stats` reports: the serve counters and the flight
+    /// recorder.
     ResetStats,
 }
 

@@ -51,7 +51,8 @@
 //!
 //! Every query frame is stage-timed (read → queue-wait → engine →
 //! write) and recorded in the [`kron_obs::ring`] flight recorder;
-//! [`admin::ServeCounters`] keeps exact always-on totals; the
+//! [`admin::ServeCounters`] keeps exact always-on totals and is their
+//! only count (the process-global registry holds no copy); the
 //! admin opcodes (`Stats`, `SlowQueries`, `FlightDump`, `ResetStats`)
 //! are answered by the same worker pool under the same backpressure as
 //! query traffic. `read_ns` covers the blocking `read_frame` call and
@@ -69,7 +70,7 @@ use kron_obs::ring::{self, StageNs};
 
 use crate::admin::{self, CountersSnapshot, ServeCounters};
 use crate::engine::QueryEngine;
-use crate::protocol::{self, AdminRequest, Query, QueryKind, RequestBody};
+use crate::protocol::{self, AdminRequest, Query, RequestBody};
 use crate::queue::BoundedQueue;
 
 /// Server tuning knobs.
@@ -180,39 +181,10 @@ impl Shared {
     }
 }
 
-/// Per-kind latency histogram handles (`histogram!` needs literals).
-#[inline]
-fn latency_histogram(kind: QueryKind) -> kron_obs::metrics::Histogram {
-    match kind {
-        QueryKind::Neighbors => kron_obs::histogram!("serve.latency_ns.neighbors"),
-        QueryKind::Degree => kron_obs::histogram!("serve.latency_ns.degree"),
-        QueryKind::TriangleCount => kron_obs::histogram!("serve.latency_ns.triangles"),
-        QueryKind::Closeness => kron_obs::histogram!("serve.latency_ns.closeness"),
-        QueryKind::CommunityId => kron_obs::histogram!("serve.latency_ns.community"),
-        QueryKind::HopsFromRoot => kron_obs::histogram!("serve.latency_ns.hops"),
-    }
-}
-
-/// Per-kind served-query counters.
-#[inline]
-fn served_counter(kind: QueryKind) -> kron_obs::metrics::Counter {
-    match kind {
-        QueryKind::Neighbors => kron_obs::counter!("serve.queries.neighbors"),
-        QueryKind::Degree => kron_obs::counter!("serve.queries.degree"),
-        QueryKind::TriangleCount => kron_obs::counter!("serve.queries.triangles"),
-        QueryKind::Closeness => kron_obs::counter!("serve.queries.closeness"),
-        QueryKind::CommunityId => kron_obs::counter!("serve.queries.community"),
-        QueryKind::HopsFromRoot => kron_obs::counter!("serve.queries.hops"),
-    }
-}
-
 /// Answers one query into `out` within `room` bytes (the frame's reply
-/// budget) and bumps its latency histogram and served counters.
+/// budget) and bumps its served counter.
 fn answer(shared: &Shared, q: Query, room: usize, out: &mut Vec<u8>) {
-    let t0 = Instant::now();
     shared.engine.reply_into(q, room, out);
-    latency_histogram(q.kind).observe(t0.elapsed().as_nanos() as u64);
-    served_counter(q.kind).inc();
     shared.counters.bump_served(q.kind);
 }
 
@@ -224,7 +196,6 @@ fn write_frame(shared: &Shared, conn: &ConnState, frame: &[u8]) {
         w.write_all(frame).is_ok()
     };
     if !ok {
-        kron_obs::counter!("serve.write_failures").inc();
         shared.counters.write_failures.fetch_add(1, Ordering::Relaxed);
         shared.drop_conn(conn);
     }
@@ -248,12 +219,10 @@ fn answer_admin(shared: &Shared, req: AdminRequest, id: u64, resp: &mut Vec<u8>)
         }
         AdminRequest::FlightDump => admin::flight_dump_json(),
         AdminRequest::ResetStats => {
-            // Exact for the always-on counters and the flight rings;
-            // best-effort for the sharded registry (other threads'
-            // unflushed shards survive the reset).
+            // Exactly what `Stats` reports; the host's span table and
+            // metrics registry are not the server's to clear.
             shared.counters.reset();
             ring::reset();
-            kron_obs::reset();
             admin::reset_json()
         }
     };
@@ -265,7 +234,6 @@ fn worker_loop(shared: &Shared) {
     let mut resp: Vec<u8> = Vec::new();
     while let Some(Job { conn, payload, read_ns, enqueued }) = shared.queue.pop() {
         let queue_ns = enqueued.elapsed().as_nanos() as u64;
-        kron_obs::histogram!("serve.queue_wait_ns").observe(queue_ns);
         resp.clear();
         let decoded = protocol::decode_request_into(&payload, &mut batch);
         // The request now lives in `batch`/`decoded` scratch; recycle the
@@ -275,7 +243,6 @@ fn worker_loop(shared: &Shared) {
         match decoded {
             Err(_) => {
                 // Framing/syntax violation: the stream can't be trusted.
-                kron_obs::counter!("serve.bad_frames").inc();
                 shared.counters.bad_frames.fetch_add(1, Ordering::Relaxed);
                 shared.drop_conn(&conn);
             }
@@ -331,8 +298,6 @@ fn worker_loop(shared: &Shared) {
             }
         }
     }
-    // Fold this worker's thread-local metric shards before exit.
-    kron_obs::metrics::flush_thread();
 }
 
 /// Flight-recorder `kind` byte for a whole batch frame (per-query kinds
@@ -365,7 +330,6 @@ fn reader_loop(shared: &Shared, conn: Arc<ConnState>, mut stream: TcpStream) {
             }
             Err(_) => {
                 // Bad length prefix or torn frame: drop the connection.
-                kron_obs::counter!("serve.bad_frames").inc();
                 shared.counters.bad_frames.fetch_add(1, Ordering::Relaxed);
                 shared.return_buf(buf);
                 shared.drop_conn(&conn);
@@ -378,6 +342,7 @@ fn reader_loop(shared: &Shared, conn: Arc<ConnState>, mut stream: TcpStream) {
         .lock()
         .expect("conns poisoned")
         .retain(|(id, _)| *id != conn.id);
+    // Fold this reader's `serve.queue_depth` samples before exit.
     kron_obs::metrics::flush_thread();
 }
 
@@ -395,7 +360,6 @@ fn accept_loop(shared: Arc<Shared>, listener: TcpListener) {
         let _ = stream.set_write_timeout(Some(shared.write_timeout));
         let id = next_id;
         next_id += 1;
-        kron_obs::counter!("serve.connections").inc();
         shared.counters.connections.fetch_add(1, Ordering::Relaxed);
         // Two clones of the socket: one kept in the registry so
         // shutdown can unblock the reader, one for the reader itself;
@@ -440,7 +404,8 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
-/// Joined-thread counts returned by [`ServerHandle::shutdown`].
+/// Joined-thread counts and final serving counters returned by
+/// [`ServerHandle::shutdown`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShutdownStats {
     /// Worker threads joined.
@@ -449,6 +414,9 @@ pub struct ShutdownStats {
     pub readers_joined: usize,
     /// Jobs left in the queue after the drain — always 0.
     pub jobs_left: usize,
+    /// The serving counters once the workers are joined, so frames
+    /// drained during shutdown count.
+    pub counters: CountersSnapshot,
 }
 
 /// A running server; dropping without [`ServerHandle::shutdown`] leaks
@@ -526,24 +494,12 @@ impl ServerHandle {
         // Drop remaining write halves.
         shared.conns.lock().expect("conns poisoned").clear();
 
-        // Mirror the always-on internals (shutdown drain counts,
-        // frame-type tallies, flight-recorder totals) into the metrics
-        // registry so ObsReport carries them — the same close-the-gap
-        // treatment RankStats got for registry-bypassing counters.
-        let c = shared.counters.snapshot();
-        kron_obs::counter!("serve.shutdown.workers_joined").add(workers_joined as u64);
-        kron_obs::counter!("serve.shutdown.readers_joined").add(readers_joined as u64);
-        kron_obs::counter!("serve.shutdown.jobs_left").add(jobs_left as u64);
-        kron_obs::counter!("serve.frames.single").add(c.frames_single);
-        kron_obs::counter!("serve.frames.batch").add(c.frames_batch);
-        kron_obs::counter!("serve.frames.admin").add(c.frames_admin);
-        let flight = ring::snapshot();
-        kron_obs::counter!("serve.flight.recorded").add(flight.total_written());
-        kron_obs::counter!("serve.flight.overflow").add(flight.total_overflow());
-        kron_obs::counter!("serve.flight.dropped_threads").add(flight.dropped_threads);
-        kron_obs::metrics::flush_thread();
-
-        ShutdownStats { workers_joined, readers_joined, jobs_left }
+        ShutdownStats {
+            workers_joined,
+            readers_joined,
+            jobs_left,
+            counters: shared.counters.snapshot(),
+        }
     }
 }
 

@@ -88,6 +88,9 @@ fn concurrent_mixed_clients_validate_bit_identical() {
     assert_eq!(stats.mismatched_frames, 0, "every response must be bit-identical");
     let shutdown = handle.shutdown();
     assert_eq!(shutdown.jobs_left, 0);
+    // The returned counters are the server's own count of the run.
+    assert_eq!(shutdown.counters.served_total(), 2000);
+    assert_eq!(shutdown.counters.frames_batch, 400);
 }
 
 #[test]
@@ -233,11 +236,17 @@ fn admin_opcodes_answer_live_with_lint_clean_json() {
     let (engine, handle) = spawn_small(1);
     let mut stream = connect(&handle);
 
+    // A host counter, flushed into the process-global registry: the
+    // server's ResetStats must leave it alone.
+    kron_obs::metrics::Counter::register("loopback.host_counter").add(5);
+    kron_obs::metrics::flush_thread();
+
     // Reset so the per-server counters cover exactly this test's
-    // traffic (ServeCounters are per-server; the ring/registry resets
-    // are global, which obs_serial() makes safe).
+    // traffic (ServeCounters are per-server; the ring reset is global,
+    // which obs_serial() makes safe).
     let (_, resp) = roundtrip(&mut stream, 1, &Request::Admin(AdminRequest::ResetStats));
     assert!(admin_json(resp).contains("\"reset\": true"));
+    assert_eq!(kron_obs::metrics::snapshot().counter("loopback.host_counter"), Some(5));
 
     for i in 0..7u64 {
         roundtrip(
@@ -255,8 +264,8 @@ fn admin_opcodes_answer_live_with_lint_clean_json() {
     assert!(stats.contains("\"served_degree\": 7"), "{stats}");
     assert!(stats.contains("\"served_neighbors\": 2"), "{stats}");
     assert!(stats.contains("\"served_total\": 9"), "{stats}");
-    assert!(stats.contains("\"admin_schema\": 2"), "{stats}");
-    assert!(stats.contains("\"registry\":"), "{stats}");
+    assert!(stats.contains("\"admin_schema\": 3"), "{stats}");
+    assert!(!stats.contains("\"registry\""), "{stats}");
 
     // The in-process accessor agrees with the wire answer.
     let c = handle.counters();

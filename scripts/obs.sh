@@ -96,9 +96,14 @@ wait "${SERVE_PID}"
 SERVE_PID=""
 
 test -s "${SCRAPE_OUT}" || { echo "obs.sh: no final Stats scrape saved" >&2; exit 1; }
-grep -q '"admin_schema": 2' "${SCRAPE_OUT}" || {
+grep -q '"admin_schema": 3' "${SCRAPE_OUT}" || {
     echo "obs.sh: scrape output lacks the admin_schema stamp" >&2; exit 1;
 }
+# Stats carries exact counts and ring-derived quantiles only; a registry
+# snapshot would be a second, lagging count of the same facts.
+if grep -q '"registry"' "${SCRAPE_OUT}"; then
+    echo "obs.sh: final Stats scrape carries a registry snapshot" >&2; exit 1;
+fi
 if command -v python3 >/dev/null 2>&1; then
     python3 -c "import json,sys; json.load(open(sys.argv[1]))" "${SCRAPE_OUT}"
     echo "obs.sh: final Stats scrape parses under python3 json"

@@ -4,14 +4,14 @@
 //! generate the arcs of its work cell `C_r = A_r ⊗ B_r`, look up each
 //! arc's storage owner, batch arcs per destination, and exchange batches
 //! over an all-to-all [`crate::transport`] mesh (the stand-in for
-//! HavoqGT's asynchronous MPI communication). The exchange rides the
-//! reliable layer ([`crate::reliability`]): batches are sequence-numbered
-//! per link, acked cumulatively, retransmitted on idle, and deduplicated
-//! at the receiver — so the run survives a faulty transport that drops,
-//! duplicates, delays, and reorders messages. A rank finishes once it has
-//! delivered a `Done` payload from every peer (in-order delivery implies
-//! it then holds every batch too) *and* every payload it sent is acked,
-//! so no peer still needs its retransmissions.
+//! HavoqGT's asynchronous MPI communication). The exchange runs on the
+//! reliable layer's rank threads (`crate::reliability`): batches
+//! are sequence-numbered per link, acked cumulatively, retransmitted on
+//! idle, and deduplicated at the receiver — so the run survives a faulty
+//! transport that drops, duplicates, delays, and reorders messages. A
+//! rank finishes once it has delivered a `Done` payload from every peer
+//! (in-order delivery implies it then holds every batch too) *and* every
+//! payload it sent is acked, so no peer still needs its retransmissions.
 //!
 //! The exchange is flow-controlled, as §III's generator is: edges travel
 //! to their owners while they are being generated, not after. A rank
@@ -37,20 +37,21 @@
 //! ends. So the awaited acks always come, and the reliable layer's
 //! retransmissions cover a dropped batch.
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::Instant;
 
 use kron_core::generate::for_each_product_target;
 use kron_core::KroneckerPair;
 use kron_graph::shard::ShardWriter;
-use kron_graph::{Arc, EdgeList};
-use kron_obs::events::Timeline;
+use kron_graph::{Arc, EdgeList, VertexId};
+use kron_obs::events::{RankRecorder, Timeline};
 
 use crate::owner::{DelegateOwner, EdgeOwner, HashOwner, VertexBlockOwner};
 use crate::partition::{GridPartition, PartitionScheme};
-use crate::reliability::{Packet, ReliableEndpoint};
+use crate::reliability::{run_ranks, ReliableEndpoint};
 use crate::stats::{GenStats, RankStats};
-use crate::transport::{Endpoint, TransportConfig};
+use crate::transport::TransportConfig;
 
 /// Whether ranks store routed edges or only count them (throughput runs at
 /// scales where storing `C` is impossible — the paper's trillion-edge
@@ -211,7 +212,44 @@ impl DistResult {
         );
         all
     }
+
+    /// Each rank's stored rows, for the row-push analytics: its owned
+    /// source vertices mapped to their sorted, deduplicated out-rows.
+    /// A row is shared, so pushing it to a peer (and the reliable
+    /// layer's retained copy) costs a reference count, not a second row.
+    ///
+    /// Panics unless `owner` is the source-complete mapping the run used:
+    /// the same rank count, and every stored arc on its owner's rank.
+    pub(crate) fn local_rows(&self, owner: &dyn EdgeOwner) -> Vec<LocalRows> {
+        assert_eq!(self.per_rank.len(), owner.ranks(), "owner map must match the run");
+        assert!(
+            owner.source_complete(),
+            "row-push analytics require source-complete ownership (not delegates)"
+        );
+        self.per_rank
+            .iter()
+            .enumerate()
+            .map(|(rank, edges)| {
+                let mut rows: BTreeMap<VertexId, Vec<VertexId>> = BTreeMap::new();
+                for &(p, q) in edges.arcs() {
+                    assert_eq!(owner.owner(p, q), rank, "arc ({p},{q}) stored off its owner rank");
+                    rows.entry(p).or_default().push(q);
+                }
+                rows.into_iter()
+                    .map(|(p, mut row)| {
+                        row.sort_unstable();
+                        row.dedup();
+                        (p, row.into())
+                    })
+                    .collect()
+            })
+            .collect()
+    }
 }
+
+/// One rank's rows in [`DistResult::local_rows`]: owned source vertex →
+/// sorted out-row.
+pub(crate) type LocalRows = BTreeMap<VertexId, std::sync::Arc<[VertexId]>>;
 
 /// The exchange payloads; `Clone` because the reliable layer keeps
 /// unacked payloads for retransmission.
@@ -257,38 +295,19 @@ pub fn generate_distributed(pair: &KroneckerPair, config: &DistConfig) -> DistRe
     let owner = &*owner;
     let n_b = pair.b().n();
 
-    let endpoints: Vec<Endpoint<Packet<Message>>> =
-        Endpoint::mesh(&config.transport, config.ranks);
-
     let started = Instant::now();
-    let mut per_rank: Vec<RankOutput> = Vec::with_capacity(config.ranks);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(config.ranks);
-        for ep in endpoints {
-            let grid = &grid;
-            handles.push(scope.spawn(move || run_rank(ep, grid, owner, config, n_b, pair.n_c())));
-        }
-        for handle in handles {
-            per_rank.push(handle.join().expect("rank thread panicked"));
-        }
+    let (per_rank, timeline) = run_ranks(&config.transport, config.ranks, |link| {
+        run_rank(link, &grid, owner, config, n_b, pair.n_c())
     });
     let elapsed_secs = started.elapsed().as_secs_f64();
 
     let mut stats = GenStats { per_rank: Vec::with_capacity(config.ranks), elapsed_secs };
     let mut edges = Vec::with_capacity(config.ranks);
     let mut shard_runs = Vec::with_capacity(config.ranks);
-    let mut recorders = Vec::with_capacity(config.ranks);
     for out in per_rank {
         stats.per_rank.push(out.stats);
         edges.push(out.stored);
         shard_runs.push(out.shard_runs);
-        recorders.push(out.recorder);
-    }
-    let timeline = Timeline::from_recorders(recorders);
-    // Expose the merged timeline to the flight-recorder panic hook and
-    // trace export; skip when event recording was off (empty timeline).
-    if timeline.event_count() > 0 {
-        kron_obs::events::publish_timeline(&timeline);
     }
     DistResult { per_rank: edges, shard_runs, stats, timeline }
 }
@@ -298,7 +317,6 @@ struct RankOutput {
     stats: RankStats,
     stored: EdgeList,
     shard_runs: Vec<PathBuf>,
-    recorder: kron_obs::events::RankRecorder,
 }
 
 /// Where a rank's stored arcs land: a resident [`EdgeList`], or one
@@ -393,12 +411,12 @@ struct Exchange<'a> {
 
 impl<'a> Exchange<'a> {
     fn new(
-        ep: Endpoint<Packet<Message>>,
+        link: ReliableEndpoint<Message>,
         owner: &'a (dyn EdgeOwner + Send + Sync),
         config: &DistConfig,
         n_c: u64,
     ) -> Self {
-        let rank = ep.rank();
+        let rank = link.rank();
         Exchange {
             rank,
             ranks: config.ranks,
@@ -411,7 +429,7 @@ impl<'a> Exchange<'a> {
             outboxes: vec![Vec::new(); config.ranks],
             spare: Vec::new(),
             dones: 0,
-            link: ReliableEndpoint::new(ep),
+            link,
         }
     }
 
@@ -495,8 +513,9 @@ impl<'a> Exchange<'a> {
         }
     }
 
-    /// Flush + Done protocol + final drain; returns the rank's output.
-    fn finish(mut self) -> RankOutput {
+    /// Flush + Done protocol + final drain; returns the rank's output
+    /// and event log.
+    fn finish(mut self) -> (RankOutput, RankRecorder) {
         // Flush remainders and signal completion to every rank, self
         // included — Done is an ordinary sequenced payload, so delivering
         // it proves every earlier batch on that link was delivered too.
@@ -513,26 +532,24 @@ impl<'a> Exchange<'a> {
             self.link.send(dest, Message::Done);
         }
 
-        // Drain phase: run until (a) a Done from every rank — in-order
-        // delivery means every batch is in by then — and (b) everything
-        // this rank sent is acked, so no peer still waits on our
-        // retransmissions. `poll` retransmits unacked payloads and
-        // flushes held traffic whenever the mesh goes idle, which
-        // guarantees progress under bounded fair loss.
-        while self.dones < self.ranks || !self.link.all_acked() {
+        // Drain phase: run until a Done from every rank — in-order
+        // delivery means every batch is in by then — then leave once
+        // everything this rank sent is acked. `poll` flushes held traffic
+        // on every empty poll and retransmits unacked payloads when the
+        // mesh goes idle, which guarantees progress under bounded fair
+        // loss.
+        while self.dones < self.ranks {
             if let Some((from, message)) = self.link.poll() {
                 self.deliver(from, message);
             }
         }
-        // Late acks and held duplicates must still reach draining peers.
-        self.link.shutdown();
+        let recorder = self.link.close();
         self.stats.retransmissions = self.link.retransmissions;
-        self.stats.redeliveries_discarded = self.link.duplicates_discarded;
-        let recorder = self.link.take_recorder_with_accounting();
+        self.stats.redeliveries_discarded = self.link.duplicates_discarded();
         let (stored, shard_runs, spilled) = self.store.finish();
         self.stats.spill_runs = shard_runs.len() as u64;
         self.stats.spill_arcs = spilled;
-        RankOutput { stats: self.stats, stored, shard_runs, recorder }
+        (RankOutput { stats: self.stats, stored, shard_runs }, recorder)
     }
 }
 
@@ -542,15 +559,15 @@ impl<'a> Exchange<'a> {
 /// `p = (i, k)`, `for_each_product_target` yields the targets in
 /// increasing order — routing every arc through the reliable exchange.
 fn run_rank(
-    ep: Endpoint<Packet<Message>>,
+    link: ReliableEndpoint<Message>,
     grid: &GridPartition,
     owner: &(dyn EdgeOwner + Send + Sync),
     config: &DistConfig,
     n_b: u64,
     n_c: u64,
-) -> RankOutput {
-    let rank = ep.rank();
-    let mut ex = Exchange::new(ep, owner, config, n_c);
+) -> (RankOutput, RankRecorder) {
+    let rank = link.rank();
+    let mut ex = Exchange::new(link, owner, config, n_c);
     let a_slice = grid.a_slice_of(rank);
     let b_slice = grid.b_slice_of(rank);
     ex.add_factor_arcs((a_slice.nnz() + b_slice.nnz()) as u64);

@@ -16,15 +16,16 @@
 //!   draining incoming edges, report stats.
 //! * [`transport`] — the swappable rank mesh: perfect channels or a
 //!   seeded adversary injecting drop/duplication/delay/reordering.
-//! * [`reliability`] — seq/ack/retry exactly-once links for the edge
-//!   exchange and the epoch tally behind the analytics' termination.
+//! * `reliability` — seq/ack/retry exactly-once links and the one
+//!   rank-thread runner that the exchange, [`bfs`] and
+//!   [`triangle_count`] all run on.
 //! * [`stats`] — per-rank counters and load-imbalance/storage metrics.
 
 pub mod bfs;
 pub mod generator;
 pub mod owner;
 pub mod partition;
-pub mod reliability;
+mod reliability;
 pub mod stats;
 pub mod transport;
 pub mod triangle_count;
@@ -36,9 +37,8 @@ pub use generator::{
 };
 pub use owner::{EdgeOwner, HashOwner, VertexBlockOwner};
 pub use partition::{grid_dims, FactorPartition, FactorSlice, GridPartition, PartitionScheme};
-pub use reliability::{EpochTally, ReliableEndpoint};
 pub use stats::{GenStats, RankStats};
-pub use transport::{Endpoint, FaultConfig, TransportConfig, TransportStats};
+pub use transport::{FaultConfig, TransportConfig};
 pub use bfs::distributed_bfs_traced;
 pub use triangle_count::{distributed_triangle_count, distributed_triangle_count_traced};
 pub use validate::{validate_against_ground_truth, ValidationReport};

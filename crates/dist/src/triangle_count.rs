@@ -18,40 +18,32 @@
 //! the tests check against both direct enumeration and the paper's
 //! `τ_C = 6 τ_A τ_B` formula.
 //!
-//! The push phase runs over the control class of [`crate::transport`], so
-//! rows and termination markers may be **duplicated, delayed, and
-//! reordered**. Each row carries a per-link sequence tag, each
-//! [`Done`](RowMessage::Done) marker declares how many rows its sender
-//! pushed on that link, and an [`EpochTally`] over the single exchange
-//! epoch dedups redelivered rows (counting a row twice would silently
-//! inflate the triangle count) and tells true completion apart from a
-//! duplicated marker.
+//! The push phase runs on the reliable layer (`crate::reliability`),
+//! the one the edge exchange uses: a faulty transport may drop,
+//! duplicate, delay and reorder rows, yet every row arrives exactly once
+//! and in order on its link, so no row is counted twice. Each rank ends
+//! its push with one `Done` per link, and a rank holding every peer's
+//! `Done` holds every row meant for it. Rows are shared
+//! (`DistResult::local_rows`), so a pushed row and the reliable layer's
+//! retained copy cost a reference count.
 
-use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::Instant;
 
 use kron_graph::VertexId;
-use kron_obs::events::{EventKind, Timeline, NO_PEER};
+use kron_obs::events::{EventKind, RankRecorder, Timeline, NO_PEER};
 
-use crate::generator::DistResult;
+use crate::generator::{DistResult, LocalRows};
 use crate::owner::EdgeOwner;
-use crate::reliability::EpochTally;
-use crate::transport::{Endpoint, TransportConfig};
+use crate::reliability::{run_ranks, ReliableEndpoint};
+use crate::transport::TransportConfig;
 
 #[derive(Debug, Clone)]
 enum RowMessage {
-    /// `(v, sorted out-row of v)`, the `seq`-th row its sender pushed on
-    /// this link (dedup identity under redelivery).
-    Row { from: usize, seq: u64, v: VertexId, row: Vec<VertexId> },
-    /// Sender pushed `rows_sent` rows on this link and will send no more.
-    Done { from: usize, rows_sent: u64 },
-}
-
-const KIND_ROW: u64 = 1;
-const KIND_DONE: u64 = 2;
-
-fn key(kind: u64, seq: u64) -> u64 {
-    (kind << 60) ^ seq
+    /// `(v, sorted out-row of v)`.
+    Row { v: VertexId, row: Arc<[VertexId]> },
+    /// Sender pushed every row it had for this link.
+    Done,
 }
 
 /// Counts unordered triangles of the stored (undirected) graph across
@@ -67,83 +59,35 @@ pub fn distributed_triangle_count(result: &DistResult, owner: &dyn EdgeOwner) ->
 /// [`distributed_triangle_count`] over an explicit transport — pass a
 /// [`TransportConfig::Faulty`] to replay the count under a seeded chaos
 /// schedule — that also returns the merged per-rank event timeline
-/// (push/count round boundaries, dedup discards, transport fault events).
-/// The timeline is empty unless `kron_obs::events::set_enabled(true)` was
-/// on when the count started.
+/// (push/count round boundaries, transport fault events, per-link
+/// accounting). The timeline is empty unless
+/// `kron_obs::events::set_enabled(true)` was on when the count started.
 pub fn distributed_triangle_count_traced(
     result: &DistResult,
     owner: &dyn EdgeOwner,
     transport: &TransportConfig,
 ) -> (u64, Timeline) {
     let _span = kron_obs::span::enter("dist/triangle_count");
-    let ranks = result.per_rank.len();
-    assert_eq!(ranks, owner.ranks(), "owner map must match the run");
-    assert!(
-        owner.source_complete(),
-        "row-push analytics require source-complete ownership (not delegates)"
-    );
-
-    // Local adjacency per rank: owned source → sorted out-row.
-    let local_rows: Vec<BTreeMap<VertexId, Vec<VertexId>>> = result
-        .per_rank
-        .iter()
-        .enumerate()
-        .map(|(rank, edges)| {
-            let mut rows: BTreeMap<VertexId, Vec<VertexId>> = BTreeMap::new();
-            for &(p, q) in edges.arcs() {
-                assert_eq!(
-                    owner.owner(p, q),
-                    rank,
-                    "arc ({p},{q}) stored off its owner rank"
-                );
-                rows.entry(p).or_default().push(q);
-            }
-            for row in rows.values_mut() {
-                row.sort_unstable();
-                row.dedup();
-            }
-            rows
-        })
-        .collect();
-
-    let endpoints: Vec<Endpoint<RowMessage>> = Endpoint::mesh(transport, ranks);
-
-    let mut total = 0u64;
-    let mut recorders = Vec::with_capacity(ranks);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(ranks);
-        for ep in endpoints {
-            let local_rows = &local_rows;
-            handles.push(scope.spawn(move || count_on_rank(ep, local_rows, owner)));
-        }
-        for handle in handles {
-            let (count, recorder) = handle.join().expect("rank thread panicked");
-            total += count;
-            recorders.push(recorder);
-        }
+    let local_rows = result.local_rows(owner);
+    let (counts, timeline) = run_ranks(transport, local_rows.len(), |link| {
+        count_on_rank(link, &local_rows, owner)
     });
-    let timeline = Timeline::from_recorders(recorders);
-    if timeline.event_count() > 0 {
-        kron_obs::events::publish_timeline(&timeline);
-    }
-    (total, timeline)
+    (counts.into_iter().sum(), timeline)
 }
 
 fn count_on_rank(
-    mut ep: Endpoint<RowMessage>,
-    local_rows: &[BTreeMap<VertexId, Vec<VertexId>>],
+    mut link: ReliableEndpoint<RowMessage>,
+    local_rows: &[LocalRows],
     owner: &dyn EdgeOwner,
-) -> (u64, kron_obs::events::RankRecorder) {
-    let rank = ep.rank();
-    let ranks = ep.ranks();
+) -> (u64, RankRecorder) {
+    let rank = link.rank();
+    let ranks = link.ranks();
     let mine = &local_rows[rank];
     // The single exchange epoch, timed end to end per rank.
-    let epoch_timer = ep.recorder().is_active().then(Instant::now);
-    ep.recorder().record(EventKind::EpochStart, NO_PEER, 0, 0);
+    let epoch_timer = link.recorder().is_active().then(Instant::now);
+    link.recorder().record(EventKind::EpochStart, NO_PEER, 0, 0);
 
-    // Push phase: send each owned row to the owners of smaller neighbors,
-    // tagging it with a per-link sequence number.
-    let mut rows_sent = vec![0u64; ranks];
+    // Push phase: send each owned row to the owners of smaller neighbors.
     for (&v, row) in mine {
         let mut dests: Vec<usize> = row
             .iter()
@@ -153,47 +97,23 @@ fn count_on_rank(
         dests.sort_unstable();
         dests.dedup();
         for dest in dests {
-            let seq = rows_sent[dest];
-            rows_sent[dest] += 1;
-            ep.send_control(
-                dest,
-                key(KIND_ROW, seq),
-                RowMessage::Row { from: rank, seq, v, row: row.clone() },
-            );
+            link.send(dest, RowMessage::Row { v, row: Arc::clone(row) });
         }
     }
-    for (dest, &sent) in rows_sent.iter().enumerate() {
-        ep.send_control(dest, key(KIND_DONE, 0), RowMessage::Done { from: rank, rows_sent: sent });
+    for dest in 0..ranks {
+        link.send(dest, RowMessage::Done);
     }
-    // Everything — including adversary-parked copies — on the wire
-    // before this rank goes quiet.
-    ep.flush();
 
     // Count phase: for each received row N(v) and each owned u ∈ N(v)
-    // with u < v, count common neighbors w > v. Runs until every peer's
-    // declared row count has been absorbed exactly once.
-    let mut tally = EpochTally::new(ranks);
+    // with u < v, count common neighbors w > v. Runs until every rank's
+    // Done is in.
+    let mut dones = 0;
     let mut count = 0u64;
-    while !tally.complete() {
-        let msg = match ep.try_recv() {
-            Some(msg) => msg,
-            None => {
-                ep.flush();
-                std::thread::yield_now();
-                continue;
-            }
-        };
-        match msg {
-            RowMessage::Done { from, rows_sent } => {
-                tally.record_done(from, rows_sent);
-            }
-            RowMessage::Row { from, seq, v, row: row_v } => {
-                if !tally.record_item(from, seq) {
-                    // Redelivered row — counting it twice would inflate
-                    // the total.
-                    ep.recorder().record(EventKind::DedupDiscard, from as u32, seq, 0);
-                    continue;
-                }
+    while dones < ranks {
+        match link.poll() {
+            None => {}
+            Some((_, RowMessage::Done)) => dones += 1,
+            Some((_, RowMessage::Row { v, row: row_v })) => {
                 for &u in row_v.iter().filter(|&&u| u < v) {
                     if let Some(row_u) = mine.get(&u) {
                         if row_u.binary_search(&v).is_err() {
@@ -205,13 +125,11 @@ fn count_on_rank(
             }
         }
     }
-    ep.flush();
     if let Some(t) = epoch_timer {
         let ns = t.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        ep.recorder().record(EventKind::EpochEnd, NO_PEER, 0, ns);
+        link.recorder().record(EventKind::EpochEnd, NO_PEER, 0, ns);
     }
-    let recorder = ep.take_recorder();
-    (count, recorder)
+    (count, link.close())
 }
 
 /// `|{ w > threshold : w ∈ a ∩ b }|` for sorted slices.
@@ -315,13 +233,15 @@ mod tests {
         let owner = VertexBlockOwner::new(pair.n_c(), 4);
         let baseline = distributed_triangle_count(&result, &owner);
         for seed in [3u64, 8, 4096] {
-            let counted = distributed_triangle_count_traced(
-                &result,
-                &owner,
-                &TransportConfig::Faulty(FaultConfig::dup_reorder_only(seed)),
-            )
-            .0;
-            assert_eq!(counted, baseline, "repro seed={seed} (dup+reorder TC)");
+            for faults in [FaultConfig::dup_reorder_only(seed), FaultConfig::chaos(seed)] {
+                let counted = distributed_triangle_count_traced(
+                    &result,
+                    &owner,
+                    &TransportConfig::Faulty(faults),
+                )
+                .0;
+                assert_eq!(counted, baseline, "repro {faults:?} (faulty TC)");
+            }
         }
     }
 }

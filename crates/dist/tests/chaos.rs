@@ -3,7 +3,11 @@
 //! Every cell of the grid — seed × fault mix × rank count × scheme ×
 //! batch size — replays distributed generation (and the BFS /
 //! triangle-count analytics) over a fault-injecting transport and asserts
-//! the results are **bit-identical** to the perfect-transport run. The
+//! the results are **bit-identical** to the perfect-transport run. All
+//! three run on the same reliable layer, so every cell also checks
+//! per-link payload conservation from its timeline, and the analytics
+//! matrices assert that their lossy cells really dropped and
+//! retransmitted messages. The
 //! batch-1 generation and spill cells send one payload per remote arc,
 //! more than twice the exchange's credit window per link, so they drive
 //! the window full under drops, duplicates and reordering. Fault schedules
@@ -28,7 +32,7 @@ use kron_graph::shard::{
     build_external_csr, build_external_csr_two_pass, merge_shards, ShardReader,
 };
 use kron_graph::{CsrGraph, EdgeList, VertexId};
-use kron_obs::events::{EventKind, Timeline, NO_PEER};
+use kron_obs::events::{EventKind, Timeline};
 
 const DEFAULT_SEED_COUNT: u64 = 4;
 /// Rank axis. 8 ranks puts the 2D scheme on its non-square 2×4 grid.
@@ -139,13 +143,12 @@ fn assert_cell_eq<T: PartialEq + std::fmt::Debug>(
 /// Per-link conservation from the merged timeline: every payload the
 /// sender handed the reliable layer (`LinkSent.a` = first transmissions
 /// on the link) was delivered in order exactly once on the receiving
-/// side (`LinkDelivered.a`), duplicates discarded, never stored.
-fn check_link_conservation(timeline: &Timeline, cell: &str) {
+/// side (`LinkDelivered.a`), duplicates discarded, never stored. Returns
+/// how many links it checked.
+fn check_link_conservation(timeline: &Timeline, cell: &str) -> usize {
+    let mut links = 0;
     for log in &timeline.per_rank {
-        for e in &log.events {
-            if e.kind != EventKind::LinkSent || e.peer == NO_PEER {
-                continue;
-            }
+        for e in log.events.iter().filter(|e| e.kind == EventKind::LinkSent) {
             let delivered = timeline
                 .per_rank
                 .iter()
@@ -155,15 +158,18 @@ fn check_link_conservation(timeline: &Timeline, cell: &str) {
                         .iter()
                         .find(|d| d.kind == EventKind::LinkDelivered && d.peer == log.rank)
                 })
-                .map(|d| d.a)
-                .unwrap_or(0);
+                .unwrap_or_else(|| {
+                    panic!("link {} -> {} has no receiver accounting — {cell}", log.rank, e.peer)
+                });
             assert_eq!(
-                e.a, delivered,
+                e.a, delivered.a,
                 "link {} -> {} sent {} payloads but receiver delivered {} — {cell}",
-                log.rank, e.peer, e.a, delivered
+                log.rank, e.peer, e.a, delivered.a
             );
+            links += 1;
         }
     }
+    links
 }
 
 #[test]
@@ -210,7 +216,7 @@ fn chaos_matrix_generation_is_bit_identical() {
                 assert_eq!(baseline.stats.total_retransmissions(), 0, "perfect transport retransmitted");
                 assert_eq!(baseline.timeline.count_of(EventKind::Retransmit), 0);
                 assert_eq!(baseline.timeline.count_of(EventKind::DropInjected), 0);
-                check_link_conservation(&baseline.timeline, "perfect baseline");
+                assert_links_checked(&baseline.timeline, ranks, "perfect baseline");
                 for seed in seeds() {
                     for (mix, faults) in mixes(seed) {
                         let cell = format!(
@@ -241,7 +247,7 @@ fn chaos_matrix_generation_is_bit_identical() {
                             &cell,
                             "edge union differs from sequential run",
                         );
-                        check_link_conservation(&run.timeline, &cell);
+                        assert_links_checked(&run.timeline, ranks, &cell);
                         // Counters snapshot the same facts the event log
                         // records — the two views must agree.
                         assert_cell_eq(
@@ -331,6 +337,7 @@ fn chaos_matrix_spilled_shards_are_bit_identical() {
                         &cell,
                         "spilled arc count drifted",
                     );
+                    assert_links_checked(&run.timeline, ranks, &cell);
                     // Per-rank shard unions: merge each rank's runs.
                     for (rank, rank_runs) in run.shard_runs.iter().enumerate() {
                         let readers: Vec<ShardReader> = rank_runs
@@ -386,6 +393,7 @@ fn chaos_matrix_bfs_distances_are_bit_identical() {
     // Single-process BFS over the sequentially materialized graph is the
     // absolute reference — not merely "same as the perfect run".
     let csr = materialize(&pair);
+    let mut lossy = LossTally::default();
     for scheme in SCHEMES {
         for ranks in RANK_COUNTS {
             let result = generate_distributed(
@@ -395,6 +403,8 @@ fn chaos_matrix_bfs_distances_are_bit_identical() {
             let owner = VertexBlockOwner::new(pair.n_c(), ranks);
             for source in [0u64, pair.n_c() / 2] {
                 let sequential = kron_analytics::distance::bfs_distances(&csr, source);
+                let cell =
+                    format!("repro: bfs perfect scheme={scheme:?} ranks={ranks} source={source}");
                 let (baseline, timeline) = distributed_bfs_traced(
                     &result,
                     &owner,
@@ -406,9 +416,10 @@ fn chaos_matrix_bfs_distances_are_bit_identical() {
                     &baseline,
                     &sequential,
                     &timeline,
-                    &format!("repro: bfs perfect scheme={scheme:?} ranks={ranks} source={source}"),
+                    &cell,
                     "perfect-transport BFS differs from sequential BFS",
                 );
+                assert_links_checked(&timeline, ranks, &cell);
                 for seed in seeds() {
                     for (mix, faults) in mixes(seed) {
                         let cell = format!(
@@ -429,12 +440,14 @@ fn chaos_matrix_bfs_distances_are_bit_identical() {
                             &cell,
                             "BFS distances differ from sequential run",
                         );
-                        check_link_conservation(&timeline, &cell);
+                        assert_links_checked(&timeline, ranks, &cell);
+                        lossy.add(&faults, &timeline);
                     }
                 }
             }
         }
     }
+    lossy.assert_bit("BFS");
 }
 
 #[test]
@@ -443,6 +456,7 @@ fn chaos_matrix_triangle_counts_are_bit_identical() {
     let pair = test_pair();
     let sequential = kron_analytics::triangles::global_triangles(&materialize(&pair));
     assert!(sequential > 0, "test graph must contain triangles");
+    let mut lossy = LossTally::default();
     for scheme in SCHEMES {
         for ranks in RANK_COUNTS {
             let result = generate_distributed(
@@ -450,15 +464,17 @@ fn chaos_matrix_triangle_counts_are_bit_identical() {
                 &config(ranks, scheme, BATCH_SIZES[0], TransportConfig::Perfect),
             );
             let owner = VertexBlockOwner::new(pair.n_c(), ranks);
+            let cell = format!("repro: triangles perfect scheme={scheme:?} ranks={ranks}");
             let (baseline, timeline) =
                 distributed_triangle_count_traced(&result, &owner, &TransportConfig::Perfect);
             assert_cell_eq(
                 &baseline,
                 &sequential,
                 &timeline,
-                &format!("repro: triangles perfect scheme={scheme:?} ranks={ranks}"),
+                &cell,
                 "perfect-transport triangle count differs from sequential count",
             );
+            assert_links_checked(&timeline, ranks, &cell);
             for seed in seeds() {
                 for (mix, faults) in mixes(seed) {
                     let cell = format!(
@@ -476,9 +492,45 @@ fn chaos_matrix_triangle_counts_are_bit_identical() {
                         &cell,
                         "triangle count differs from sequential run",
                     );
-                    check_link_conservation(&timeline, &cell);
+                    assert_links_checked(&timeline, ranks, &cell);
+                    lossy.add(&faults, &timeline);
                 }
             }
         }
+    }
+    lossy.assert_bit("triangle count");
+}
+
+/// Every protocol runs on the reliable layer, so a cell's timeline
+/// carries link accounting for every ordered rank pair, self links
+/// included.
+fn assert_links_checked(timeline: &Timeline, ranks: usize, cell: &str) {
+    assert_eq!(
+        check_link_conservation(timeline, cell),
+        ranks * ranks,
+        "links with conservation accounting — {cell}"
+    );
+}
+
+/// Drops injected and retransmissions made over the cells whose mix can
+/// drop (`drops_only`, `chaos`): an analytics matrix whose messages the
+/// adversary never dropped would check nothing about recovery.
+#[derive(Default)]
+struct LossTally {
+    drops: u64,
+    retransmissions: u64,
+}
+
+impl LossTally {
+    fn add(&mut self, faults: &FaultConfig, timeline: &Timeline) {
+        if faults.drop_p > 0.0 {
+            self.drops += timeline.count_of(EventKind::DropInjected);
+            self.retransmissions += timeline.count_of(EventKind::Retransmit);
+        }
+    }
+
+    fn assert_bit(&self, analytic: &str) {
+        assert!(self.drops > 0, "{analytic}: no lossy cell ever dropped a message");
+        assert!(self.retransmissions > 0, "{analytic}: no lossy cell ever retransmitted");
     }
 }

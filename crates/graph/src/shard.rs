@@ -1104,6 +1104,9 @@ impl ExternalCsr {
 
     /// Reads `p`'s neighbor row into `out` (cleared first), reusing its
     /// allocation — the zero-alloc steady state for row-at-a-time scans.
+    /// A target `>= n` is an error, as in every other reader; the row's
+    /// order is not checked (sorted rows are [`ExternalCsr::load`]'s
+    /// promise only).
     pub fn row_into(&mut self, p: u64, out: &mut Vec<u64>) -> Result<()> {
         let (start, end) = self.offset_pair(p)?;
         out.clear();
@@ -1111,17 +1114,28 @@ impl ExternalCsr {
         let targets_base = 24 + (self.n + 1) * 8;
         if self.cache.is_some() {
             for i in start..end {
-                out.push(self.read_word(targets_base + i * 8)?);
+                let v = self.read_word(targets_base + i * 8)?;
+                out.push(self.target(v)?);
             }
         } else {
             self.file.seek(SeekFrom::Start(targets_base + start * 8))?;
             let mut buf = [0u8; 8];
             for _ in start..end {
                 self.file.read_exact(&mut buf)?;
-                out.push(u64::from_le_bytes(buf));
+                out.push(self.target(u64::from_le_bytes(buf))?);
             }
         }
         Ok(())
+    }
+
+    /// `v` if it names a vertex of this file, else the corruption error
+    /// every row reader returns.
+    fn target(&self, v: u64) -> Result<u64> {
+        if v < self.n {
+            Ok(v)
+        } else {
+            Err(corrupt(&self.path, format!("target {v} out of range")))
+        }
     }
 
     /// Reads the `n + 1` offsets from `offsets` (positioned at the first)
@@ -1182,11 +1196,7 @@ impl ExternalCsr {
             row_buf.clear();
             for _ in start..end {
                 tgts.read_exact(&mut buf)?;
-                let v = u64::from_le_bytes(buf);
-                if v >= self.n {
-                    return Err(corrupt(&self.path, format!("target {v} out of range")));
-                }
-                row_buf.push(v);
+                row_buf.push(self.target(u64::from_le_bytes(buf))?);
             }
             f(p, &row_buf)
         })
@@ -1212,11 +1222,7 @@ impl ExternalCsr {
         let mut targets = Vec::with_capacity(self.arcs as usize);
         for _ in 0..self.arcs {
             reader.read_exact(&mut buf)?;
-            let v = u64::from_le_bytes(buf);
-            if v >= self.n {
-                return Err(corrupt(&self.path, format!("target {v} out of range")));
-            }
-            targets.push(v as u32);
+            targets.push(self.target(u64::from_le_bytes(buf))? as u32);
         }
         for (p, span) in offsets.windows(2).enumerate() {
             if targets[span[0]..span[1]].windows(2).any(|w| w[0] >= w[1]) {
@@ -1876,6 +1882,18 @@ mod tests {
         bad[64..72].copy_from_slice(&1u64.to_le_bytes());
         std::fs::write(&out, &bad).unwrap();
         assert!(ExternalCsr::open(&out).unwrap().load().is_err(), "unsorted row loaded");
+        // A target past n: every reader rejects it, row reads on both
+        // paths included.
+        let mut bad = good.clone();
+        bad[56..64].copy_from_slice(&100u64.to_le_bytes());
+        std::fs::write(&out, &bad).unwrap();
+        let mut row = Vec::new();
+        let mut ext = ExternalCsr::open(&out).unwrap();
+        assert!(ext.row_into(0, &mut row).is_err(), "row read target 100 of 3");
+        let mut cached = ExternalCsr::open_with_cache(&out, CsrCacheConfig::default()).unwrap();
+        assert!(cached.row_into(0, &mut row).is_err(), "cached row read target 100 of 3");
+        assert!(ext.for_each_row(|_, _| Ok(())).is_err(), "row scan read target 100 of 3");
+        assert!(ext.load().is_err(), "load read target 100 of 3");
         std::fs::write(&out, &good).unwrap();
         assert_eq!(ExternalCsr::open(&out).unwrap().load().unwrap().nnz(), 3);
     }

@@ -26,13 +26,13 @@
 //! is one relaxed atomic load and a branch ([`enabled`]); spans allocate
 //! and lock only on the enabled path, and metric handles resolve to plain
 //! indexed adds into a thread-local shard. Shards merge into the global
-//! registry in name order with commutative operations (sum for counters
-//! and histograms, max for gauges), so snapshots are deterministic under
-//! any thread schedule.
+//! registry in name order with commutative operations (sum for counters,
+//! max for gauges), so snapshots are deterministic under any thread
+//! schedule.
 //!
 //! * [`span`] — RAII phase timers forming a per-thread phase stack.
-//! * [`metrics`] — counters / max-gauges / log2-bucket histograms in
-//!   the global sharded registry.
+//! * [`metrics`] — counters and max-gauges in the global sharded
+//!   registry, and the shared log2-bucket latency quantiles.
 //! * [`alloc`] — live/peak allocation tracking (feature `measure-alloc`).
 //! * [`events`] — the distributed per-rank event log and timeline merge.
 //! * [`ring`] — the always-on flight recorder: lock-free per-thread

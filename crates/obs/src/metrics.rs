@@ -1,18 +1,19 @@
-//! Metrics registry: counters, max-gauges, and log2-bucket histograms.
+//! Metrics registry: counters and max-gauges, plus the one shared
+//! log2-bucket quantile derivation.
 //!
-//! One global sharded registry: handles ([`Counter`], [`Gauge`],
-//! [`Histogram`]) are interned once per site (the [`counter!`],
-//! [`gauge!`], [`histogram!`] macros cache them in a `OnceLock`);
+//! One global sharded registry: handles ([`Counter`], [`Gauge`]) are
+//! interned once per site (the [`counter!`](crate::counter!) and
+//! [`gauge!`](crate::gauge!) macros cache them in a `OnceLock`);
 //! updates go to a thread-local shard as plain indexed arithmetic, and
 //! shards fold into the global accumulator when a thread exits or on
 //! [`flush_thread`]. Every merge operation is commutative — sum for
-//! counters and histogram buckets, max for gauges — and snapshots sort
-//! by name, so the merged result is identical under any thread
-//! schedule. Disabled probes pay one atomic load and a branch.
+//! counters, max for gauges — and snapshots sort by name, so the merged
+//! result is identical under any thread schedule. Disabled probes pay
+//! one atomic load and a branch.
 //!
-//! Histogram buckets are powers of two: value `v` lands in bucket
-//! `ceil(log2(v + 1))`, i.e. bucket 0 holds exactly `v = 0`, bucket `i`
-//! holds `2^(i-1) <= v < 2^i`.
+//! Latency quantiles ([`quantiles_of`]) fold raw samples into log2
+//! buckets: value `v` lands in bucket `ceil(log2(v + 1))`, i.e. bucket 0
+//! holds exactly `v = 0`, bucket `i` holds `2^(i-1) <= v < 2^i`.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -20,14 +21,10 @@ use std::sync::{Mutex, OnceLock};
 
 use serde::Serialize;
 
-/// Number of log2 histogram buckets (`v = 0` plus one per bit of `u64`).
-pub const HIST_BUCKETS: usize = 65;
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Kind {
     Counter,
     Gauge,
-    Histogram,
 }
 
 /// One shard/accumulator slot.
@@ -35,7 +32,6 @@ enum Kind {
 enum Slot {
     Counter(u64),
     Gauge(u64),
-    Histogram(Box<[u64; HIST_BUCKETS]>),
 }
 
 impl Slot {
@@ -43,7 +39,6 @@ impl Slot {
         match kind {
             Kind::Counter => Slot::Counter(0),
             Kind::Gauge => Slot::Gauge(0),
-            Kind::Histogram => Slot::Histogram(Box::new([0; HIST_BUCKETS])),
         }
     }
 
@@ -52,11 +47,6 @@ impl Slot {
         match (self, other) {
             (Slot::Counter(a), Slot::Counter(b)) => *a += *b,
             (Slot::Gauge(a), Slot::Gauge(b)) => *a = (*a).max(*b),
-            (Slot::Histogram(a), Slot::Histogram(b)) => {
-                for (x, y) in a.iter_mut().zip(b.iter()) {
-                    *x += *y;
-                }
-            }
             _ => unreachable!("slot kinds fixed at registration"),
         }
     }
@@ -192,36 +182,6 @@ impl Gauge {
     }
 }
 
-/// Log2-bucket histogram of `u64` samples.
-#[derive(Debug, Clone, Copy)]
-pub struct Histogram(usize);
-
-/// Bucket index of sample `v`: 0 for 0, else one past the highest set bit.
-#[inline]
-pub fn bucket_of(v: u64) -> usize {
-    (64 - v.leading_zeros()) as usize
-}
-
-impl Histogram {
-    /// Interns (or looks up) the histogram named `name`.
-    pub fn register(name: &'static str) -> Histogram {
-        Histogram(register(name, Kind::Histogram))
-    }
-
-    /// Records one sample.
-    #[inline]
-    pub fn observe(self, v: u64) {
-        if !crate::enabled() {
-            return;
-        }
-        SHARD.with(|s| {
-            if let Slot::Histogram(h) = s.borrow_mut().slot(self.0, Kind::Histogram) {
-                h[bucket_of(v)] += 1;
-            }
-        });
-    }
-}
-
 /// Interns a [`Counter`] once per call site and returns the `Copy` handle.
 #[macro_export]
 macro_rules! counter {
@@ -242,16 +202,6 @@ macro_rules! gauge {
     }};
 }
 
-/// Interns a [`Histogram`] once per call site and returns the `Copy` handle.
-#[macro_export]
-macro_rules! histogram {
-    ($name:literal) => {{
-        static HANDLE: ::std::sync::OnceLock<$crate::metrics::Histogram> =
-            ::std::sync::OnceLock::new();
-        *HANDLE.get_or_init(|| $crate::metrics::Histogram::register($name))
-    }};
-}
-
 /// Folds the calling thread's shard into the global accumulator now
 /// (normally this happens when the thread exits).
 pub fn flush_thread() {
@@ -269,7 +219,7 @@ pub struct NamedValue {
 
 /// Value range covered by log2 bucket `b`: `(0, 0)` for bucket 0, else
 /// `(2^(b-1), 2^b - 1)` (saturating at `u64::MAX` for bucket 64).
-pub fn bucket_bounds(b: u32) -> (u64, u64) {
+fn bucket_bounds(b: u32) -> (u64, u64) {
     if b == 0 {
         return (0, 0);
     }
@@ -279,8 +229,8 @@ pub fn bucket_bounds(b: u32) -> (u64, u64) {
 }
 
 /// Quantiles derived from sparse log2 `(bucket, count)` pairs — the ONE
-/// shared percentile implementation (`ObsReport`, the `Stats` admin
-/// reply, and `kron-load`'s latency summary all route through it).
+/// shared percentile implementation ([`quantiles_of`]; the `Stats` admin
+/// reply and `kron-load`'s latency summary both route through it).
 ///
 /// Interpolation rule (pinned by `quantile_interpolation_pinned`): the
 /// quantile `q` of `n` samples is the nearest-rank sample
@@ -306,7 +256,7 @@ pub struct HistQuantiles {
 
 /// One quantile from sparse `(bucket, count)` pairs; see
 /// [`HistQuantiles`] for the pinned rule. Returns 0 on an empty histogram.
-pub fn quantile_from_buckets(buckets: &[(u32, u64)], q: f64) -> u64 {
+fn quantile_from_buckets(buckets: &[(u32, u64)], q: f64) -> u64 {
     let count: u64 = buckets.iter().map(|&(_, c)| c).sum();
     if count == 0 {
         return 0;
@@ -326,7 +276,7 @@ pub fn quantile_from_buckets(buckets: &[(u32, u64)], q: f64) -> u64 {
 }
 
 /// Derives the exported quantile set from sparse `(bucket, count)` pairs.
-pub fn quantiles_from_buckets(buckets: &[(u32, u64)]) -> HistQuantiles {
+fn quantiles_from_buckets(buckets: &[(u32, u64)]) -> HistQuantiles {
     let count: u64 = buckets.iter().map(|&(_, c)| c).sum();
     if count == 0 {
         return HistQuantiles::default();
@@ -346,26 +296,20 @@ pub fn quantiles_from_buckets(buckets: &[(u32, u64)]) -> HistQuantiles {
     }
 }
 
-/// One named histogram in a snapshot; only non-empty buckets are listed.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct NamedHistogram {
-    /// Metric name.
-    pub name: String,
-    /// Total samples.
-    pub count: u64,
-    /// `(bucket, count)` pairs; bucket `i` covers `2^(i-1) <= v < 2^i`
-    /// (bucket 0 is exactly `v = 0`).
-    pub buckets: Vec<(u32, u64)>,
-    /// Derived p50/p90/p99/max (see [`quantiles_from_buckets`]).
-    pub quantiles: HistQuantiles,
-}
-
-impl NamedHistogram {
-    /// Builds the snapshot entry, deriving the quantiles from `buckets`.
-    pub fn from_buckets(name: String, buckets: Vec<(u32, u64)>) -> NamedHistogram {
-        let quantiles = quantiles_from_buckets(&buckets);
-        NamedHistogram { name, count: quantiles.count, buckets, quantiles }
+/// Quantiles of raw samples: folds them into log2 buckets (see the
+/// module docs) and derives [`HistQuantiles`] by the pinned rule.
+pub fn quantiles_of(samples: impl IntoIterator<Item = u64>) -> HistQuantiles {
+    let mut counts = [0u64; 65];
+    for v in samples {
+        counts[(64 - v.leading_zeros()) as usize] += 1;
     }
+    let sparse: Vec<(u32, u64)> = counts
+        .iter()
+        .enumerate()
+        .filter(|&(_, &c)| c > 0)
+        .map(|(b, &c)| (b as u32, c))
+        .collect();
+    quantiles_from_buckets(&sparse)
 }
 
 /// Deterministic, name-sorted view of the merged global registry.
@@ -375,8 +319,6 @@ pub struct MetricsSnapshot {
     pub counters: Vec<NamedValue>,
     /// Max-gauges, sorted by name.
     pub gauges: Vec<NamedValue>,
-    /// Histograms, sorted by name.
-    pub histograms: Vec<NamedHistogram>,
 }
 
 impl MetricsSnapshot {
@@ -416,15 +358,6 @@ pub fn snapshot() -> MetricsSnapshot {
             (Kind::Gauge, Slot::Gauge(v)) => {
                 snap.gauges.push(NamedValue { name: name.to_string(), value: *v });
             }
-            (Kind::Histogram, Slot::Histogram(h)) => {
-                let buckets: Vec<(u32, u64)> = h
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &c)| c > 0)
-                    .map(|(b, &c)| (b as u32, c))
-                    .collect();
-                snap.histograms.push(NamedHistogram::from_buckets(name.to_string(), buckets));
-            }
             _ => unreachable!("slot kinds fixed at registration"),
         }
     }
@@ -444,12 +377,16 @@ mod tests {
 
     #[test]
     fn bucket_edges() {
-        assert_eq!(bucket_of(0), 0);
-        assert_eq!(bucket_of(1), 1);
-        assert_eq!(bucket_of(2), 2);
-        assert_eq!(bucket_of(3), 2);
-        assert_eq!(bucket_of(4), 3);
-        assert_eq!(bucket_of(u64::MAX), 64);
+        // A sample's bucket shows as the upper edge of the derived max.
+        let max_of = |v: u64| quantiles_of([v]).max;
+        assert_eq!(max_of(0), 0);
+        assert_eq!(max_of(1), 1);
+        assert_eq!(max_of(2), 3);
+        assert_eq!(max_of(3), 3);
+        assert_eq!(max_of(4), 7);
+        assert_eq!(max_of(u64::MAX), u64::MAX);
+        let q = quantiles_of([0, 4, 5]);
+        assert_eq!((q.count, q.p50, q.max), (3, 4, 7), "4 and 5 share bucket 3");
     }
 
     /// Pins the shared bucket-interpolation rule: nearest-rank
@@ -496,33 +433,17 @@ mod tests {
         crate::set_enabled(true);
         let c = Counter::register("test.global.counter");
         let g = Gauge::register("test.global.gauge");
-        let h = Histogram::register("test.global.hist");
         let worker = std::thread::spawn(move || {
             c.add(10);
             g.observe(7);
-            h.observe(4);
-            h.observe(0);
         });
         worker.join().expect("worker");
         c.add(5);
         g.observe(3);
-        h.observe(5);
         let snap = snapshot();
         crate::set_enabled(false);
         assert_eq!(snap.counter("test.global.counter"), Some(15));
         assert_eq!(snap.gauge("test.global.gauge"), Some(7));
-        let hist = snap
-            .histograms
-            .iter()
-            .find(|h| h.name == "test.global.hist")
-            .expect("hist present");
-        assert_eq!(hist.count, 3);
-        assert!(hist.buckets.contains(&(0, 1)), "v=0 bucket");
-        assert_eq!(
-            hist.buckets.iter().find(|&&(b, _)| b == 3).map(|&(_, c)| c),
-            Some(2),
-            "4 and 5 share bucket 3"
-        );
 
         // Disabled adds are dropped.
         c.add(100);

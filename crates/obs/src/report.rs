@@ -12,8 +12,9 @@ use crate::metrics::MetricsSnapshot;
 use crate::span::SpanStat;
 
 /// Version stamp of the report's JSON shape; bump on breaking changes.
-/// v3 added derived quantiles to every exported histogram.
-pub const SCHEMA_VERSION: u32 = 3;
+/// v3 added derived quantiles to every exported histogram; v4 dropped
+/// the `histograms` key with the registry's histogram tier.
+pub const SCHEMA_VERSION: u32 = 4;
 
 /// Snapshot of everything the observability layer recorded.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -71,22 +72,6 @@ impl ObsReport {
         for g in &self.metrics.gauges {
             let _ = writeln!(out, "  {} (max) = {}", g.name, g.value);
         }
-        for h in &self.metrics.histograms {
-            let buckets: Vec<String> =
-                h.buckets.iter().map(|&(b, c)| format!("2^{b}:{c}")).collect();
-            let q = &h.quantiles;
-            let _ = writeln!(
-                out,
-                "  {} (hist, n={}, p50={} p90={} p99={} max<={}): {}",
-                h.name,
-                h.count,
-                q.p50,
-                q.p90,
-                q.p99,
-                q.max,
-                buckets.join(" ")
-            );
-        }
         out
     }
 }
@@ -94,7 +79,7 @@ impl ObsReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{NamedHistogram, NamedValue};
+    use crate::metrics::NamedValue;
 
     fn sample() -> ObsReport {
         ObsReport {
@@ -118,10 +103,6 @@ mod tests {
             metrics: MetricsSnapshot {
                 counters: vec![NamedValue { name: "arcs".into(), value: 42 }],
                 gauges: vec![NamedValue { name: "depth".into(), value: 7 }],
-                histograms: vec![NamedHistogram::from_buckets(
-                    "batch".into(),
-                    vec![(0, 1), (4, 2)],
-                )],
             },
         }
     }
@@ -140,9 +121,5 @@ mod tests {
         assert!(text.contains("  phase: 3.000 ms") || text.contains("    phase: 3.000 ms"));
         assert!(text.contains("arcs = 42"));
         assert!(text.contains("depth (max) = 7"));
-        assert!(text.contains("2^4:2"));
-        // Derived quantiles of {0, 8..=15 ×2}: p50 = 8, p99 = 15.
-        assert!(text.contains("p50=8"), "summary shows derived quantiles: {text}");
-        assert!(text.contains("p99=15"), "summary shows derived quantiles: {text}");
     }
 }

@@ -9,7 +9,7 @@
 //! facts: the process-global `kron-obs` registry holds no copy. The
 //! per-kind latency quantiles derive from the flight recorder's recent
 //! window (see [`kron_obs::ring`]) via the one shared
-//! [`kron_obs::metrics::quantiles_from_buckets`] implementation.
+//! [`kron_obs::metrics::quantiles_of`] implementation.
 //! `ResetStats` zeroes exactly these two sources.
 //!
 //! All replies are JSON (response tag `RESP_ADMIN_JSON`), validated by
@@ -18,7 +18,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use kron_obs::metrics::{quantiles_from_buckets, HistQuantiles};
+use kron_obs::metrics::{quantiles_of, HistQuantiles};
 use kron_obs::ring::{self, FlightEvent, FlightSnapshot};
 use serde::Serialize;
 
@@ -183,35 +183,22 @@ struct StatsReply {
 }
 
 /// Per-kind processing-time quantiles over the flight recorder's
-/// current window (`proc_ns`, which excludes socket-idle read time).
-/// Sparse log2 buckets feed the shared quantile derivation.
+/// current window (`proc_ns`, which excludes socket-idle read time),
+/// through the shared quantile derivation.
 fn live_latency(flight: &FlightSnapshot) -> Vec<KindLatency> {
-    const KINDS: usize = 7; // 6 query kinds + whole-batch frames
-    let mut counts = [[0u64; 65]; KINDS];
-    for ringlog in &flight.rings {
-        for e in &ringlog.events {
-            if e.etype == ring::ETYPE_QUERY && (e.kind as usize) < KINDS {
-                let v = e.proc_ns();
-                let b = if v == 0 { 0 } else { 64 - v.leading_zeros() };
-                counts[e.kind as usize][b as usize] += 1;
-            }
-        }
-    }
-    (0..KINDS as u8)
+    const KINDS: u8 = 7; // 6 query kinds + whole-batch frames
+    (0..KINDS)
         .filter_map(|k| {
-            let sparse: Vec<(u32, u64)> = counts[k as usize]
-                .iter()
-                .enumerate()
-                .filter(|(_, &c)| c > 0)
-                .map(|(b, &c)| (b as u32, c))
-                .collect();
-            if sparse.is_empty() {
-                return None;
-            }
-            Some(KindLatency {
-                kind: kind_name(k).to_string(),
-                quantiles: quantiles_from_buckets(&sparse),
-            })
+            let quantiles = quantiles_of(
+                flight
+                    .rings
+                    .iter()
+                    .flat_map(|ringlog| &ringlog.events)
+                    .filter(|e| e.etype == ring::ETYPE_QUERY && e.kind == k)
+                    .map(FlightEvent::proc_ns),
+            );
+            (quantiles.count > 0)
+                .then(|| KindLatency { kind: kind_name(k).to_string(), quantiles })
         })
         .collect()
 }

@@ -38,7 +38,7 @@ use kron_core::generate::for_each_synthesized_row;
 use kron_core::triangles::TriangleOracle;
 use kron_core::KroneckerPair;
 use kron_graph::connectivity::connected_components;
-use kron_obs::metrics::{quantiles_from_buckets, HistQuantiles};
+use kron_obs::metrics::{quantiles_of, HistQuantiles};
 use rand::distributions::{Distribution, Zipf};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -93,8 +93,8 @@ pub struct LoadStats {
     /// Queries per second.
     pub qps: f64,
     /// Median frame RTT in microseconds (derived from log2 buckets via
-    /// the shared [`quantiles_from_buckets`] implementation, the same
-    /// derivation the server's `Stats` reply and `ObsReport` use).
+    /// the shared [`quantiles_of`] implementation, the same
+    /// derivation the server's `Stats` reply uses).
     pub p50_us: f64,
     /// 90th-percentile frame RTT in microseconds.
     pub p90_us: f64,
@@ -333,24 +333,12 @@ fn run_client(
     Ok(stats)
 }
 
-/// Folds raw RTTs into sparse log2 buckets and derives the quantiles
-/// through the ONE shared implementation — the same buckets and the
-/// same interpolation rule behind the `Stats` reply's `latency_live`,
-/// so a client-reported p99 and the server's per-kind live p99 are
-/// directly comparable.
+/// Frame RTT quantiles through the ONE shared derivation — the same
+/// log2 buckets and interpolation rule behind the `Stats` reply's
+/// `latency_live`, so a client-reported p99 and the server's per-kind
+/// live p99 are directly comparable.
 fn rtt_quantiles(latencies_ns: &[u64]) -> HistQuantiles {
-    let mut counts = [0u64; 65];
-    for &v in latencies_ns {
-        let b = if v == 0 { 0 } else { 64 - v.leading_zeros() };
-        counts[b as usize] += 1;
-    }
-    let sparse: Vec<(u32, u64)> = counts
-        .iter()
-        .enumerate()
-        .filter(|(_, &c)| c > 0)
-        .map(|(b, &c)| (b as u32, c))
-        .collect();
-    quantiles_from_buckets(&sparse)
+    quantiles_of(latencies_ns.iter().copied())
 }
 
 /// Drives `addr` with `cfg` and validates every response against the

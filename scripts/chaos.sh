@@ -5,9 +5,13 @@
 # Runs the seeded fault-injection matrix over 32 fixed seeds — every
 # cell (seed × fault mix × ranks × scheme × batch size) must produce
 # results bit-identical to the perfect-transport run; the batch-1 cells
-# fill the exchange's credit window — plus the owner property tests and
-# the §I brute-force conformance sweep, which replays every ground-truth
-# property under both transports.
+# fill the exchange's credit window. Generation, BFS and triangle
+# counting run on the same reliable layer, so the analytics cells see
+# dropped messages too: every cell checks per-link payload conservation
+# over all ranks² links, and each analytics matrix must have dropped and
+# retransmitted messages in its drops_only and chaos cells. Then the
+# owner property tests and the §I brute-force conformance sweep, which
+# replays every ground-truth property under both transports.
 #
 # A failing cell prints its repro coordinates
 # (seed=… mix=… scheme=… ranks=… batch=…); re-run with the same

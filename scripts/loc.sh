@@ -12,12 +12,16 @@
 #                    hold the word unsafe
 #   caller-less fns  pub fns of crates/*/src, before that point, whose
 #                    name is a whole word on no line before that point,
-#                    other than // comments, of crates/*/src, src,
-#                    examples, crates/bench/examples or benchmark/src:
-#                    functions only tests call. String literals are
-#                    blanked out first, and a line that defines a fn does
-#                    not count as a use of that fn's name, so a name said
-#                    only in a message, or defined twice, is no use.
+#                    other than // comments and pub use re-exports, of
+#                    crates/*/src, src, examples, crates/bench/examples
+#                    or benchmark/src: functions only tests call. String
+#                    literals are blanked out first; a line that defines
+#                    a fn does not count as a use of that fn's name, and
+#                    a re-export (every line from pub use through the ;
+#                    that ends it, so a braced list over several lines
+#                    too) names a fn without calling it. So a name said
+#                    only in a message, defined twice, or re-exported is
+#                    no use.
 #
 # It only prints; nothing is gated on the counts. The patterns spell
 # whitespace as [ \t] because mawk reads \s as a literal s.
@@ -43,7 +47,8 @@ awk '
     }' "${files[@]}"
 
 # uses[w] counts the scanned lines holding the word w outside string
-# literals, other than lines that define a fn named w.
+# literals, other than lines that define a fn named w and the lines of
+# pub use re-exports.
 mapfile -d '' scanned < <(git ls-files -z -- \
     ':(glob)crates/*/src/**/*.rs' ':(glob)src/**/*.rs' ':(glob)examples/**/*.rs' \
     ':(glob)crates/bench/examples/**/*.rs' ':(glob)benchmark/src/**/*.rs')
@@ -76,9 +81,14 @@ awk '
         }
         return out
     }
-    FNR == 1 { in_test = 0; quote = "" }
+    FNR == 1 { in_test = 0; quote = ""; reexport = 0 }
     /#\[cfg\(test\)\]/ { in_test = 1 }
     in_test || /^[ \t]*\/\// { next }
+    /^[ \t]*pub use / { reexport = 1 }
+    reexport {
+        if (index($0, ";")) reexport = 0
+        next
+    }
     {
         line = blank($0)
         defined = ""

@@ -28,7 +28,7 @@ use kron_dist::{
 };
 use kron_graph::generators::{cycle, erdos_renyi, rmat, RmatConfig};
 use kron_graph::{CsrGraph, VertexId};
-use kron_obs::events::EventKind;
+use kron_obs::events::{EventKind, Timeline};
 
 /// Serialises tests that flip the process-global obs toggles.
 fn obs_lock() -> MutexGuard<'static, ()> {
@@ -334,14 +334,30 @@ fn perfect_transport_never_retransmits() {
     let _restore = ObsOffOnDrop;
     kron_obs::events::set_enabled(true);
     let pair = test_pair();
+    let silent = |timeline: &Timeline, what: &str| {
+        for kind in [
+            EventKind::Retransmit,
+            EventKind::DropInjected,
+            EventKind::DupInjected,
+            EventKind::DedupDiscard,
+        ] {
+            assert_eq!(timeline.count_of(kind), 0, "{what}: {kind:?}");
+        }
+    };
     for ranks in [2, 4] {
         let run = generate_distributed(&pair, &dist_config(ranks, TransportConfig::Perfect));
         assert_eq!(run.stats.total_retransmissions(), 0, "ranks={ranks}");
         assert_eq!(run.stats.total_redeliveries_discarded(), 0, "ranks={ranks}");
-        assert_eq!(run.timeline.count_of(EventKind::Retransmit), 0, "ranks={ranks}");
-        assert_eq!(run.timeline.count_of(EventKind::DropInjected), 0, "ranks={ranks}");
-        assert_eq!(run.timeline.count_of(EventKind::DupInjected), 0, "ranks={ranks}");
-        assert_eq!(run.timeline.count_of(EventKind::DedupDiscard), 0, "ranks={ranks}");
+        silent(&run.timeline, &format!("generation, ranks={ranks}"));
+    }
+    // The analytics run on the same reliable layer, with link accounting.
+    let run = generate_distributed(&pair, &dist_config(4, TransportConfig::Perfect));
+    let owner = VertexBlockOwner::new(pair.n_c(), 4);
+    let bfs = distributed_bfs_traced(&run, &owner, pair.n_c(), 0, &TransportConfig::Perfect).1;
+    let tri = distributed_triangle_count_traced(&run, &owner, &TransportConfig::Perfect).1;
+    for (what, timeline) in [("bfs", &bfs), ("triangle count", &tri)] {
+        assert_eq!(timeline.count_of(EventKind::LinkSent), 16, "{what}: links accounted");
+        silent(timeline, what);
     }
 }
 
